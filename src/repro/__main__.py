@@ -166,7 +166,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             sim_time=args.time,
             warmup=min(8.0, args.time / 8),
             executor=executor,
-            engine=args.engine,
         )
     except SweepExecutionError as exc:
         _print_failures(exc)
@@ -272,7 +271,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     executor = _sweep_executor(args)
     try:
-        report = run_validation(args.tier, executor=executor, engine=args.engine)
+        report = run_validation(args.tier, executor=executor)
     except SweepExecutionError as exc:
         _print_failures(exc)
         return 2
@@ -371,7 +370,6 @@ def _cmd_ess(args: argparse.Namespace) -> int:
         fidelity=args.fidelity,
         frames_time=args.frames_time,
         scheme=args.scheme,
-        engine=args.engine,
     )
     executor = None
     if config.fidelity == "frames":
@@ -630,9 +628,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="per-point wall-clock budget in s (pool mode)")
     sweep.add_argument("--out", default=None,
                        help="also archive result rows to this JSON-lines file")
-    sweep.add_argument("--engine", default="exact",
-                       choices=["exact", "batched", "hybrid"],
-                       help="engine tier (repro.accel; default: exact)")
 
     validate = sub.add_parser(
         "validate",
@@ -659,11 +654,6 @@ def main(argv: list[str] | None = None) -> int:
     validate.add_argument("--out", default=None,
                           help="verdict report path (default: "
                                ".repro-cache/validate-<tier>-report.json)")
-    validate.add_argument("--engine", default="exact",
-                          choices=["exact", "batched", "hybrid"],
-                          help="engine tier for the grid; non-exact also "
-                               "runs the exact grid and reports per-claim "
-                               "verdict deltas (informational)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -762,10 +752,6 @@ def main(argv: list[str] | None = None) -> int:
     ess.add_argument("--frames-time", type=float, default=8.0,
                      help="sim seconds per frame-level cell shard "
                           "(frames fidelity only, default: 8)")
-    ess.add_argument("--engine", default="exact",
-                     choices=["exact", "batched", "hybrid"],
-                     help="engine tier for frame-level cell runs "
-                          "(fidelity=frames only; default: exact)")
     ess.add_argument("--scheme", default="proposed",
                      choices=["proposed", "proposed-multipoll", "conventional"],
                      help="MAC scheme for frame-level shards")

@@ -1,28 +1,22 @@
-"""Accelerated engine tiers (``ScenarioConfig.engine``).
+"""Accelerated engine tier (``ScenarioConfig.engine``).
 
 ``"exact"`` (the default) never routes through this package: the
 per-frame simulator runs untouched and its rows, cache keys and golden
-fixtures stay byte-identical.  ``"batched"`` swaps per-station scalar
-RNG for counter-keyed vectorized draws (:mod:`repro.accel.rng`) and —
-for pure-contention scenarios — a round-synchronous fast path over the
-:class:`~repro.sim.engine.SlabAgenda`.  ``"hybrid"`` runs an exact
-prefix, then closes the run with the Bianchi/Cali-Conti-Gregori
-analytic model once a saturation detector fires
-(:mod:`repro.accel.hybrid`), flagging rows ``fidelity="analytic"``.
+fixtures stay byte-identical.  ``"batched"`` runs the round-synchronous
+pure-DCF contention model (:mod:`repro.accel.engine`), which draws from
+per-station counter-keyed column streams (:mod:`repro.accel.rng`).
+``ScenarioConfig`` refuses a batched config the model cannot represent
+(:func:`fast_path_refusal` names the first condition that fails).
 
-See DESIGN.md "Engine tiers" for the selection rules and the
-determinism contract of each tier.
+See DESIGN.md "Engine tiers" for the determinism contract of each tier.
 """
 
-from .engine import fast_path_eligible, run_scenario
-from .hybrid import SaturationDetector, run_hybrid
+from .engine import fast_path_refusal, run_scenario
 from .rng import BatchedRngAdapter, ColumnStream
 
 __all__ = [
     "run_scenario",
-    "fast_path_eligible",
-    "run_hybrid",
-    "SaturationDetector",
+    "fast_path_refusal",
     "BatchedRngAdapter",
     "ColumnStream",
 ]

@@ -1,30 +1,27 @@
-"""The batched engine tier: dispatch + the contention fast path.
+"""The batched engine tier: the pure-DCF contention fast path.
 
 ``run_scenario`` is the single entry point the executor routes
-non-exact points through.  For ``engine="batched"`` it picks one of
-two implementations:
+non-exact points through, and it picks its path from
+``config.engine`` alone: ``"batched"`` runs
+:class:`BatchedContentionModel`.  ``ScenarioConfig`` refuses, at
+construction, any batched config the model cannot represent —
+:func:`fast_path_refusal` is that one eligibility predicate, and the
+``ValueError`` names the first condition it finds failing.
 
-* **fast path** (:class:`BatchedContentionModel`) — when the scenario
-  is pure DCF contention (conventional scheme, zero real-time rates,
-  no faults/trace/ESS/monitors), the per-frame object simulation is
-  replaced by a round-synchronous model: one *round* is "idle slots
-  until the smallest backoff counter expires, then the transmission it
-  triggers".  Backoff redraws for a round are made in **one vectorized
-  adapter call** (:meth:`~repro.accel.rng.BatchedRngAdapter.uniforms`),
-  round completions are scheduled through the typed
-  :class:`~repro.sim.engine.SlabAgenda`, and ``events_processed``
-  counts the **exact-engine-equivalent agenda fires** each round
-  implies (see ``_EVENT_ACCOUNTING`` below), so its ev/s are directly
-  comparable with the exact benchmarks.
+The model covers pure DCF contention (conventional scheme, zero
+real-time call rates, no faults/trace/ESS/monitors) and replaces the
+per-frame object simulation with a round-synchronous loop: one *round*
+is "idle slots until the smallest backoff counter expires, then the
+transmission it triggers".  Each station's backoff redraws and MSDU
+arrivals, and the channel's BER draws, come from their own prefetched
+column streams (:class:`~repro.accel.rng.ColumnStream`); pending
+arrivals (at most one per station) wait in a ``heapq`` of ``(time,
+seq, station)`` tuples, whose ``seq`` pops equal times in insertion
+order; and ``events_processed`` counts the **exact-engine-equivalent
+agenda fires** each round implies (see ``_EVENT_ACCOUNTING`` below),
+so its ev/s are directly comparable with the exact benchmarks.
 
-* **general path** — any other scenario builds the ordinary
-  :class:`~repro.network.bss.BssScenario`, then rewires it: the data
-  stations' DCF engines draw from counter-keyed adapter columns
-  (:class:`~repro.accel.rng.ColumnStream`) and the BER model serves
-  per-batch vectorized draws (``BitErrorModel.enable_batch``).  Rows
-  keep the full exact schema and gain ``engine="batched"``.
-
-Both paths are seed-deterministic and pinned by their own golden
+The fast path is seed-deterministic and pinned by its own golden
 fixture (``tests/accel``); exact-tier rows are untouched.
 
 ``_EVENT_ACCOUNTING`` — the fast path counts, per modeled occurrence,
@@ -53,95 +50,67 @@ test asserts this model stays within ~40% of a real exact run's
 
 from __future__ import annotations
 
+import heapq
 import math
 import typing
-
-import numpy as np
 
 from ..baseline.conventional import ConventionalApConfig
 from ..metrics.stats import OnlineStats
 from ..network.bss import BssScenario, ScenarioConfig
-from ..phy.error_model import BitErrorModel
 from ..phy.timing import PhyTiming
-from ..sim.engine import SlabAgenda
 from .rng import BatchedRngAdapter
 
-__all__ = ["run_scenario", "fast_path_eligible", "BatchedContentionModel"]
+__all__ = ["run_scenario", "fast_path_refusal", "BatchedContentionModel"]
 
 #: DATA header+FCS bits and ACK bits exposed to the BER model
 #: (mac/frames._HEADER_BITS — mirrored to keep the hot loop flat)
 _DATA_HEADER_BITS = 272
 _ACK_BITS = 112
 
-#: SlabAgenda entry kinds used by the fast path
-_KIND_ARRIVAL = 0
-_KIND_ROUND = 1
-_KIND_TICK = 2
-
 #: tie window for simultaneous backoff expiry (collision detection)
 _TIE_EPS = 1e-12
 
 
-def fast_path_eligible(config: ScenarioConfig) -> bool:
-    """True when the round-synchronous contention model applies.
+def fast_path_refusal(config: ScenarioConfig) -> str | None:
+    """The first condition the fast path cannot model, or None.
 
     The fast path models DCF contention only: conventional scheme with
     zero real-time call rates (the conventional AP then never opens a
     CFP, see ``baseline/conventional._superframe_tick``), stationary
-    Poisson data arrivals, and none of the exact-only attachments
-    (faults, trace, ESS shard, invariant monitors).
+    Poisson data arrivals at one or more data stations, and none of
+    the exact-only attachments (faults, trace, ESS shard, invariant
+    monitors).  ``ScenarioConfig`` raises with this reason when a
+    batched config fails it.
     """
-    return (
-        config.scheme == "conventional"
-        and config.new_voice_rate == 0.0
-        and config.new_video_rate == 0.0
-        and config.handoff_voice_rate == 0.0
-        and config.handoff_video_rate == 0.0
-        and config.mobility == "poisson"
-        and config.faults is None
-        and config.trace is None
-        and config.ess is None
-        and not config.monitor_invariants
-        and config.n_data_stations > 0
-    )
+    if config.scheme != "conventional":
+        return f"scheme {config.scheme!r} is not 'conventional'"
+    if (
+        config.new_voice_rate != 0.0
+        or config.new_video_rate != 0.0
+        or config.handoff_voice_rate != 0.0
+        or config.handoff_video_rate != 0.0
+    ):
+        return "a real-time call rate is not zero"
+    if config.mobility != "poisson":
+        return f"mobility {config.mobility!r} is not 'poisson'"
+    if config.faults is not None:
+        return "a fault plan is attached"
+    if config.trace is not None:
+        return "a trace is attached"
+    if config.ess is not None:
+        return "an ESS context is attached"
+    if config.monitor_invariants:
+        return "invariant monitors are on"
+    if config.n_data_stations <= 0:
+        return "there are zero data stations"
+    return None
 
 
 def run_scenario(config: ScenarioConfig) -> dict[str, typing.Any]:
     """Run one point under its configured engine tier."""
-    if config.engine == "exact":
-        return BssScenario(config).run()
-    if config.engine == "hybrid":
-        from .hybrid import run_hybrid
-
-        return run_hybrid(config)
-    if config.engine != "batched":  # pragma: no cover - config validates
-        raise ValueError(f"unknown engine {config.engine!r}")
-    if fast_path_eligible(config):
+    if config.engine == "batched":
         return BatchedContentionModel(config).run()
-    return _run_general_batched(config)
-
-
-def _run_general_batched(config: ScenarioConfig) -> dict[str, typing.Any]:
-    """Batched tier for scenarios the fast path cannot model.
-
-    The exact scenario graph is built unchanged, then rewired for
-    batching: data-station DCF draws come from counter-keyed adapter
-    columns and BER draws are served from vectorized blocks.  Rows are
-    statistically equivalent to exact rows (same generators of
-    randomness, different draw values) and pinned by their own
-    fixture.
-    """
-    scenario = BssScenario(config)
-    model = scenario.channel.error_model
-    if type(model) is BitErrorModel:
-        model.enable_batch()
-    if scenario.data_stations:
-        adapter = BatchedRngAdapter(config.seed, len(scenario.data_stations))
-        for i, station in enumerate(scenario.data_stations):
-            station.dcf.rng = adapter.stream(i)
-    row = scenario.run()
-    row["engine"] = "batched"
-    return row
+    return BssScenario(config).run()
 
 
 class BatchedContentionModel:
@@ -153,38 +122,17 @@ class BatchedContentionModel:
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
-        if config.scheme != "conventional" or not fast_path_eligible(config):
-            raise ValueError("config is not fast-path eligible")
         self.config = config
         self.timing = PhyTiming()
         n = config.n_data_stations
-        # column map: [0, n) backoff, [n, 2n) traffic, 2n channel BER
-        self.adapter = BatchedRngAdapter(config.seed, 2 * n + 1)
-        self._backoff_col = np.arange(n, dtype=np.intp)
-        # scalar views of the backoff columns for singleton (fresh-
-        # arrival) draws; the counter-keyed recurrence guarantees they
-        # produce the same values a one-element vectorized round would
-        self._backoff_streams = [self.adapter.stream(i) for i in range(n)]
-        self._traffic = [self.adapter.stream(n + i) for i in range(n)]
-        self._channel = self.adapter.stream(2 * n)
-        # the fast path is these streams' only consumer, so every
-        # column can serve from vectorized prefetch blocks (identical
-        # values, amortized mixing); the channel column sees the most
-        # draws and gets the biggest block
-        for stream in self._backoff_streams:
-            stream.enable_prefetch(64)
-        for stream in self._traffic:
-            stream.enable_prefetch(128)
-        self._channel.enable_prefetch(512)
-        self.agenda = SlabAgenda(capacity=max(16, 4 * n))
+        # column map: [0, n) backoff, [n, 2n) traffic, 2n channel BER;
+        # the channel column sees the most draws and gets the biggest
+        # prefetch block
+        adapter = BatchedRngAdapter(config.seed, 2 * n + 1)
+        self._backoff_streams = [adapter.stream(i, 64) for i in range(n)]
+        self._traffic = [adapter.stream(n + i, 128) for i in range(n)]
+        self._channel = adapter.stream(2 * n, 512)
         self.events_processed = 0
-
-    # -- BER helpers ------------------------------------------------------
-    def _survives(self, total_bits: int) -> bool:
-        ber = self.config.ber
-        if ber == 0.0:
-            return True
-        return self._channel.random() < (1.0 - ber) ** total_bits
 
     # -- the round loop ---------------------------------------------------
     def run(self) -> dict[str, typing.Any]:
@@ -214,7 +162,6 @@ class BatchedContentionModel:
         ready = [0.0] * n  # earliest count-start (post ACK-timeout)
         immediate = [False] * n
         contending = [False] * n
-        next_arrival = [0.0] * n
 
         events = 0
         busy_time = 0.0
@@ -229,33 +176,27 @@ class BatchedContentionModel:
         # superframe; with an empty request table that is all it does
         events += int(sim_time / ConventionalApConfig().superframe)
 
-        # seed the arrival agenda (typed slab entries, one per station)
-        agenda = self.agenda
+        # pending MSDU arrivals, at most one per station: (time, seq,
+        # station), so equal times pop in insertion order
+        arrivals: list[tuple[float, int, int]] = []
+        heappush, heappop = heapq.heappush, heapq.heappop
+        seq = 0
         for i in range(n):
             dt = -math.log1p(-self._traffic[i].random()) / arrival_rate
-            next_arrival[i] = dt
             if dt <= sim_time:
-                agenda.push(dt, _KIND_ARRIVAL, i)
+                seq += 1
+                heappush(arrivals, (dt, seq, i))
 
         backoff_randoms = [s.random for s in self._backoff_streams]
 
-        def draw_batch(cols: list[int], stages: list[int]) -> None:
-            """One redraw per station in ``cols``, from prefetch blocks.
+        def redraw(i: int, s: int) -> None:
+            """Station ``i``'s backoff draw at stage ``s``.
 
-            Each station's draws route through its own column stream
-            (batch and singleton draws share one counter order), and
-            the window map is StandardBEB's ``min(cw_min * 2**stage,
+            The window map is StandardBEB's ``min(cw_min * 2**stage,
             cw_max)`` inlined.
             """
-            for j, i in enumerate(cols):
-                s = stages[j]
-                w = cw_min << s if s < max_stage else cw_max
-                counter[i] = int(backoff_randoms[i]() * w)
-
-        def start_of(i: int) -> float:
-            base = t_idle_start + difs
-            r = ready[i]
-            return r if r > base else base
+            w = cw_min << s if s < max_stage else cw_max
+            counter[i] = int(backoff_randoms[i]() * w)
 
         # hot-loop locals: BER survival probabilities are memoized per
         # frame size (the exact model's memo, lifted out of the call),
@@ -264,15 +205,14 @@ class BatchedContentionModel:
         chan_random = self._channel.random
         ack_p = (1.0 - ber) ** _ACK_BITS if ber else 1.0
         p_cache: dict[int, float] = {}
-        agenda_peek = agenda.peek_time
         delay_add = delay.add
-        # rounds never touch the agenda, so its head time is cached
+        # rounds never touch the arrivals, so the head time is cached
         # across round iterations and refreshed only after a pop/push
-        ta = agenda_peek()
+        ta = arrivals[0][0] if arrivals else math.inf
 
         while True:
-            # next transmission candidate across contending stations
-            # (start_of inlined: this scan runs once per loop iteration)
+            # next transmission candidate across contending stations:
+            # counting starts at max(ready, idle start + DIFS)
             base = t_idle_start + difs
             tmin = math.inf
             for i in range(n):
@@ -282,9 +222,9 @@ class BatchedContentionModel:
                     if tx < tmin:
                         tmin = tx
             if ta <= tmin + _TIE_EPS:
-                if ta > sim_time:  # also covers "both agendas empty"
+                if ta > sim_time:  # also covers "nothing left at all"
                     break
-                _, kind, i = agenda.pop()
+                _, _, i = heappop(arrivals)
                 # -- one MSDU arrives at station i --------------------
                 events += 1
                 created = ta
@@ -297,23 +237,21 @@ class BatchedContentionModel:
                 if rest:
                     q.append((rest, created))
                 dt = -math.log1p(-src.random()) / arrival_rate
-                next_arrival[i] = created + dt
-                if next_arrival[i] <= sim_time:
-                    agenda.push(next_arrival[i], _KIND_ARRIVAL, i)
-                ta = agenda_peek()
+                t_next = created + dt
+                if t_next <= sim_time:
+                    seq += 1
+                    heappush(arrivals, (t_next, seq, i))
+                ta = arrivals[0][0] if arrivals else math.inf
                 if not contending[i] and len(q) > heads[i]:
                     stage[i] = 0
                     contending[i] = True
+                    ready[i] = created
                     if created - t_idle_start >= difs - 1e-12:
                         # 802.11 immediate access: no timer fire
                         counter[i] = 0
-                        ready[i] = created
                         immediate[i] = True
                     else:
-                        counter[i] = int(
-                            self._backoff_streams[i].random() * cw_min
-                        )
-                        ready[i] = created
+                        redraw(i, 0)
                         immediate[i] = False
                 continue
             if tmin > sim_time:
@@ -322,9 +260,9 @@ class BatchedContentionModel:
             # -- one round fires at tmin ------------------------------
             # single pass: collect winners within the tie window and
             # freeze the rest — non-winners consume the whole slots
-            # they observed (ready stays as-is: start_of already takes
-            # the max of ready and the post-round idle start, matching
-            # re-arming)
+            # they observed (ready stays as-is: the scan above already
+            # takes the max of ready and the post-round idle start,
+            # matching re-arming)
             tie = tmin + _TIE_EPS
             winners = []
             for i in range(n):
@@ -338,9 +276,6 @@ class BatchedContentionModel:
                         if consumed > counter[i]:
                             consumed = counter[i]
                         counter[i] -= consumed
-
-            redraw_cols: list[int] = []
-            redraw_stages: list[int] = []
 
             if len(winners) == 1:
                 w = winners[0]
@@ -390,8 +325,7 @@ class BatchedContentionModel:
                     stage[w] = 0
                     if len(queues[w]) > heads[w]:
                         ready[w] = resolve_t
-                        redraw_cols.append(w)
-                        redraw_stages.append(0)
+                        redraw(w, 0)
                     else:
                         contending[w] = False
                 elif resolved:
@@ -403,14 +337,12 @@ class BatchedContentionModel:
                         stage[w] = 0
                         if len(queues[w]) > heads[w]:
                             ready[w] = resolve_t
-                            redraw_cols.append(w)
-                            redraw_stages.append(0)
+                            redraw(w, 0)
                         else:
                             contending[w] = False
                     else:
                         ready[w] = resolve_t
-                        redraw_cols.append(w)
-                        redraw_stages.append(stage[w])
+                        redraw(w, stage[w])
                 else:
                     # the exchange straddles sim_time: exact would
                     # leave it unresolved; stop contending
@@ -445,18 +377,13 @@ class BatchedContentionModel:
                         stage[w] = 0
                         if len(queues[w]) > heads[w]:
                             ready[w] = resolve_t
-                            redraw_cols.append(w)
-                            redraw_stages.append(0)
+                            redraw(w, 0)
                         else:
                             contending[w] = False
                     else:
                         ready[w] = resolve_t
-                        redraw_cols.append(w)
-                        redraw_stages.append(stage[w])
+                        redraw(w, stage[w])
 
-            if redraw_cols:
-                # the per-round vectorized redraw: one adapter call
-                draw_batch(redraw_cols, redraw_stages)
             t_idle_start = busy_end
 
         self.events_processed = events

@@ -19,7 +19,7 @@ baseline deliberately, preserving the ``pre_pr_baseline``,
 ``parallel_sweep``, ``serve_queries`` and ``accel`` sections it does
 not re-measure (``--with-sweep`` / ``--with-serve`` / ``--with-accel``
 re-measure the latter three).  ``--with-accel`` additionally enforces
-the accelerated-tier speedup floors (see ``run_accel_section``).
+the batched-tier speedup floor (see ``run_accel_section``).
 """
 
 from __future__ import annotations
@@ -182,53 +182,29 @@ def run_parallel_sweep(
 def run_accel_section(
     results: dict[str, typing.Any] | None = None, repeats: int = 3
 ) -> dict[str, typing.Any]:
-    """Measure both accelerated tiers against exact, same process.
+    """Measure the batched tier against exact, same process.
 
-    * ``batched_speedup`` — modeled events/s of ``batched_end_to_end``
-      over exact ``end_to_end`` (ratio of same-run numbers, so shared
-      machine noise cancels);
-    * ``hybrid_speedup`` — wall-clock of the exact per-frame run of the
-      saturated ``hybrid_saturated`` config over the hybrid run's wall.
-
-    Reuses entries from ``results`` (a fresh ``run_benchmarks`` dict)
-    when present so a gate run does not measure the suites twice.
+    ``batched_speedup`` is the modeled events/s of
+    ``batched_end_to_end`` over exact ``end_to_end`` (ratio of same-run
+    numbers, so shared machine noise cancels).  Reuses entries from
+    ``results`` (a fresh ``run_benchmarks`` dict) when present so a
+    gate run does not measure the suites twice.
     """
-    import dataclasses as _dc
-    import time as _time
+    from .micro import run_benchmark
 
-    from ..network.bss import BssScenario
-    from .micro import _accel_scenario, run_benchmark
-
-    need = ("end_to_end", "batched_end_to_end", "hybrid_saturated")
     measured = {
         name: (results or {}).get(name)
         or run_benchmark(name, repeats=repeats, measure_alloc=False)
-        for name in need
+        for name in ("end_to_end", "batched_end_to_end")
     }
-
-    # must mirror _bench_hybrid_saturated exactly: the exact reference
-    # below is this same point with only the engine flipped
-    hybrid_cfg = _accel_scenario(
-        engine="hybrid", sim_time=60.0, warmup=1.0,
-        n_data_stations=8, load=20.0,
-    )
-    exact_cfg = _dc.replace(hybrid_cfg, engine="exact")
-    start = _time.perf_counter()
-    BssScenario(exact_cfg).run()
-    exact_wall = _time.perf_counter() - start
-
     batched = measured["batched_end_to_end"]
     exact = measured["end_to_end"]
-    hybrid = measured["hybrid_saturated"]
     return {
         "exact_events_per_sec": exact["events_per_sec"],
         "batched_events_per_sec": batched["events_per_sec"],
         "batched_speedup": round(
             batched["events_per_sec"] / exact["events_per_sec"], 2
         ),
-        "hybrid_exact_wall_s": round(exact_wall, 3),
-        "hybrid_wall_s": hybrid["wall_s"],
-        "hybrid_speedup": round(exact_wall / hybrid["wall_s"], 1),
     }
 
 
@@ -270,14 +246,11 @@ def main(argv: list[str] | None = None) -> int:
                              "(requests/sec, hit rate, latency quantiles)")
     parser.add_argument("--with-accel", action="store_true",
                         help="also measure the accelerated-tier section "
-                             "(batched ev/s and hybrid wall speedups vs "
-                             "exact) and enforce the speedup floors")
+                             "(batched ev/s speedup vs exact) and enforce "
+                             "the speedup floor")
     parser.add_argument("--min-batched-speedup", type=float, default=5.0,
                         help="with --with-accel: required batched ev/s "
                              "multiple over exact end_to_end (default: 5)")
-    parser.add_argument("--min-hybrid-speedup", type=float, default=10.0,
-                        help="with --with-accel: required hybrid wall-clock "
-                             "multiple on the saturated point (default: 10)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from this run and exit 0")
     args = parser.parse_args(argv)
@@ -351,22 +324,13 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"  accel            batched {accel['batched_speedup']}x ev/s "
             f"({accel['batched_events_per_sec']:,} vs "
-            f"{accel['exact_events_per_sec']:,}), "
-            f"hybrid {accel['hybrid_speedup']}x wall "
-            f"({accel['hybrid_exact_wall_s']}s -> {accel['hybrid_wall_s']}s)",
+            f"{accel['exact_events_per_sec']:,})",
             file=sys.stderr,
         )
         if accel["batched_speedup"] < args.min_batched_speedup:
             print(
                 f"error: batched speedup {accel['batched_speedup']}x < "
                 f"required {args.min_batched_speedup}x",
-                file=sys.stderr,
-            )
-            return 1
-        if accel["hybrid_speedup"] < args.min_hybrid_speedup:
-            print(
-                f"error: hybrid speedup {accel['hybrid_speedup']}x < "
-                f"required {args.min_hybrid_speedup}x",
                 file=sys.stderr,
             )
             return 1

@@ -130,61 +130,34 @@ def _bench_end_to_end() -> int:
 
 # -- accelerated-tier workloads (repro.accel) --------------------------------
 
-def _accel_scenario(**overrides: typing.Any):
-    from ..network import ScenarioConfig
-
-    base: dict[str, typing.Any] = dict(
-        scheme="conventional",
-        seed=7,
-        sim_time=10.0,
-        warmup=1.0,
-        n_data_stations=4,
-        load=6.0,
-        new_voice_rate=0.0,
-        new_video_rate=0.0,
-        handoff_voice_rate=0.0,
-        handoff_video_rate=0.0,
-    )
-    base.update(overrides)
-    return ScenarioConfig(**base)
-
-
 def _bench_batched_end_to_end() -> int:
     """Pure-DCF contention point under ``engine="batched"``.
 
-    Same shape the batched fast path accelerates in sweeps: a
-    conventional BSS with zero real-time call traffic at high data
-    load.  ``events_processed`` counts the fires the exact engine
-    would have dispatched for the modeled exchanges (the accounting
-    table in :mod:`repro.accel.engine`), so events-per-second is
-    comparable with ``end_to_end``.
+    The shape the batched fast path models: a conventional BSS with
+    zero real-time call traffic at high data load.
+    ``events_processed`` counts the fires the exact engine would have
+    dispatched for the modeled exchanges (the accounting table in
+    :mod:`repro.accel.engine`), so events-per-second is comparable
+    with ``end_to_end``.
     """
     from ..accel import run_scenario
-
-    row = run_scenario(_accel_scenario(engine="batched"))
-    return int(row["events_processed"])
-
-
-def _bench_hybrid_saturated() -> int:
-    """A saturated long-horizon point under ``engine="hybrid"``.
-
-    The detector switches to the analytic closure a few windows in;
-    almost all of the 60 s horizon is answered by the Bianchi model.
-    The workload raises if the switch did not happen — a silent
-    fall-back to exact would invalidate the wall-clock comparison.
-    """
-    from ..accel import run_scenario
+    from ..network import ScenarioConfig
 
     row = run_scenario(
-        _accel_scenario(
-            engine="hybrid", sim_time=60.0, warmup=1.0,
-            n_data_stations=8, load=20.0,
+        ScenarioConfig(
+            scheme="conventional",
+            seed=7,
+            sim_time=10.0,
+            warmup=1.0,
+            n_data_stations=4,
+            load=6.0,
+            new_voice_rate=0.0,
+            new_video_rate=0.0,
+            handoff_voice_rate=0.0,
+            handoff_video_rate=0.0,
+            engine="batched",
         )
     )
-    if row.get("fidelity") != "analytic":
-        raise RuntimeError(
-            "hybrid_saturated did not reach its analytic switch"
-        )
     return int(row["events_processed"])
 
 
@@ -197,7 +170,6 @@ BENCHMARKS: dict[str, typing.Callable[[], int]] = {
     "pcf_polling": _bench_pcf_polling,
     "end_to_end": _bench_end_to_end,
     "batched_end_to_end": _bench_batched_end_to_end,
-    "hybrid_saturated": _bench_hybrid_saturated,
 }
 
 

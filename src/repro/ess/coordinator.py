@@ -102,9 +102,6 @@ class EssConfig:
     frames_time: float = 8.0
     #: scheme the frame-level cell runs use
     scheme: str = "proposed"
-    #: engine tier for the frame-level cell runs (repro.accel); only
-    #: meaningful with ``fidelity="frames"``
-    engine: str = "exact"
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -132,12 +129,6 @@ class EssConfig:
         if self.frames_time <= 2.0:
             raise ValueError(
                 f"frames_time must be > 2 s, got {self.frames_time}"
-            )
-        from ..network.bss import ENGINES
-
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         if not isinstance(self.backhaul_faults, tuple):
             object.__setattr__(
@@ -366,7 +357,6 @@ class EssCoordinator:
                             epoch_start=epoch * cfg.epoch_length,
                             handoff_arrivals=arrivals,
                         ),
-                        engine=cfg.engine,
                     )
                 )
         return grid

@@ -37,7 +37,6 @@ import dataclasses
 import itertools
 import time
 import typing
-import warnings
 
 from ..network.bss import BssScenario, ScenarioConfig
 from .cache import DEFAULT_CACHE_DIR, ResultCache
@@ -65,9 +64,9 @@ _POLL_TICK = 0.25
 def default_point_fn(config: ScenarioConfig) -> dict[str, typing.Any]:
     """Build and run one scenario — the executor's unit of work.
 
-    Non-exact engine tiers route through :mod:`repro.accel` (imported
-    lazily so exact-only deployments never pay for numpy batch setup);
-    the default exact tier runs the per-frame simulator untouched.
+    Batched points route through :mod:`repro.accel` (imported lazily
+    so exact-only deployments never import the batched tier); the
+    default exact tier runs the per-frame simulator untouched.
     """
     if config.engine != "exact":
         from ..accel import run_scenario
@@ -118,11 +117,6 @@ class ExecutorConfig:
 
     #: warm-worker count; ``1`` means serial in-process execution
     workers: int = 1
-    #: deprecated knob of the retired chunked-pool path; accepted and
-    #: validated for API compatibility, ignored by the warm pool
-    #: (dispatch is one in-flight point per worker).  Passing a
-    #: non-default value emits a :class:`DeprecationWarning`
-    chunk_size: int = 4
     #: per-point wall-clock budget in seconds (pool mode only) — a
     #: point outliving it marks its worker wedged and restarts it
     timeout: float | None = None
@@ -153,15 +147,6 @@ class ExecutorConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.chunk_size != 4:
-            warnings.warn(
-                "ExecutorConfig.chunk_size is deprecated and ignored: the "
-                "warm pool dispatches one in-flight point per worker",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if self.max_worker_restarts < 0:
             raise ValueError(
                 f"max_worker_restarts must be >= 0, "

@@ -42,11 +42,11 @@ __all__ = [
 #:  shards carry an ess sub-dict)
 KEY_FORMAT = 5
 
-#: key format for accelerated-tier points only.  ``ScenarioConfig``
+#: key format for batched-tier points only.  ``ScenarioConfig``
 #: omits ``engine`` from :meth:`to_dict` when it is ``"exact"``, so
 #: exact points keep their ``KEY_FORMAT`` 5 keys (and cached results)
-#: untouched; ``engine="batched"``/``"hybrid"`` rows carry engine-tier
-#: fields and hash under this format instead.
+#: untouched; ``engine="batched"`` rows carry the engine tag and hash
+#: under this format instead.
 ACCEL_KEY_FORMAT = 6
 
 

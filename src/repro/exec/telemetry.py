@@ -13,9 +13,10 @@ pool *warm-up* (spawn + environment-init handshake), *steady-state*
 pending) phases, and ``worker_utilization`` divides busy
 worker-seconds by the **usable capacity** only — ``workers x
 steady_s`` plus the drain window weighted by the workers still busy.
-Counting the whole run as capacity (the retired arithmetic, kept as
-``worker_utilization_raw``) blends pool-spawn and tail dead time into
-steady state and under-reports how busy the workers actually were.
+Counting the whole run as capacity would blend pool-spawn and tail
+dead time into steady state and under-report how busy the workers
+actually were; serial runs, which have no phase split, report busy
+time over the whole run.
 """
 
 from __future__ import annotations
@@ -70,10 +71,8 @@ class RunTelemetry:
         self.retries = 0
         self.timeouts = 0
         #: targeted single-worker respawns (crash or wedge); the warm
-        #: pool never rebuilds wholesale, so ``pool_rebuilds`` stays 0
-        #: and is kept only for summary-shape compatibility
+        #: pool never rebuilds wholesale
         self.worker_restarts = 0
-        self.pool_rebuilds = 0
         #: worker slots retired after exhausting their restart budget
         #: (a poison point can cost restarts, never a restart storm)
         self.restart_budget_exhausted = 0
@@ -128,13 +127,12 @@ class RunTelemetry:
         # fall back to the executed-point sum for hand-built telemetry
         busy = self.busy_worker_s if self.busy_worker_s > 0 else point_busy
         elapsed = self.elapsed
-        raw_util = busy / (self.workers * elapsed) if elapsed > 0 else 0.0
         if self._phases is not None:
             capacity = self._phases["capacity_s"]
-            utilization = busy / capacity if capacity > 0 else 0.0
         else:
             # serial runs and hand-built telemetry: no phase split
-            utilization = raw_util
+            capacity = self.workers * elapsed
+        utilization = busy / capacity if capacity > 0 else 0.0
         return {
             "total_points": len(self.records),
             "executed": len(executed),
@@ -147,7 +145,6 @@ class RunTelemetry:
             "worker_restarts": self.worker_restarts,
             "restart_budget_exhausted": self.restart_budget_exhausted,
             "journal_skipped_lines": self.journal_skipped_lines,
-            "pool_rebuilds": self.pool_rebuilds,
             "workers": self.workers,
             "wall_time": elapsed,
             "point_wall_total": point_busy,
@@ -160,7 +157,6 @@ class RunTelemetry:
                 if point_busy > 0 else 0.0
             ),
             "worker_utilization": utilization,
-            "worker_utilization_raw": raw_util,
             "phases": dict(self._phases) if self._phases is not None else None,
         }
 
@@ -180,9 +176,6 @@ class RunTelemetry:
             "sim_events": events,
             "events_per_sec": round(events / wall) if wall > 0 else 0,
             "worker_utilization": round(summary["worker_utilization"], 4),
-            "worker_utilization_raw": round(
-                summary["worker_utilization_raw"], 4
-            ),
             "worker_restarts": summary["worker_restarts"],
         }
         if summary["phases"] is not None:

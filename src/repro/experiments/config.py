@@ -70,7 +70,6 @@ def sweep_config(
     seed: int,
     sim_time: float = 60.0,
     warmup: float = 5.0,
-    engine: str = "exact",
 ) -> ScenarioConfig:
     """The canonical evaluation point for Figs. 6-11."""
     return ScenarioConfig(
@@ -88,7 +87,6 @@ def sweep_config(
         data_msdus_per_station=12.0,
         voice=DEFAULT_VOICE,
         video=DEFAULT_VIDEO,
-        engine=engine,
     )
 
 

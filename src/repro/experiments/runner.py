@@ -38,11 +38,10 @@ def sweep_grid(
     seeds: typing.Sequence[int] = EVALUATION_SEEDS,
     sim_time: float = 60.0,
     warmup: float = 5.0,
-    engine: str = "exact",
 ) -> list[ScenarioConfig]:
     """The full evaluation grid as configs: schemes x loads x seeds."""
     return [
-        sweep_config(scheme, load, seed, sim_time, warmup, engine)
+        sweep_config(scheme, load, seed, sim_time, warmup)
         for scheme in schemes
         for load in loads
         for seed in seeds
@@ -64,7 +63,6 @@ def run_sweep(
     timeout: float | None = None,
     retries: int = 1,
     executor: SweepExecutor | None = None,
-    engine: str = "exact",
 ) -> list[dict[str, typing.Any]]:
     """Run the evaluation grid through the execution subsystem.
 
@@ -93,9 +91,7 @@ def run_sweep(
             )
 
         executor.progress = _relay
-    return executor.run(
-        sweep_grid(schemes, loads, seeds, sim_time, warmup, engine)
-    )
+    return executor.run(sweep_grid(schemes, loads, seeds, sim_time, warmup))
 
 
 def average_over_seeds(

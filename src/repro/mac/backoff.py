@@ -53,31 +53,6 @@ class BackoffPolicy:
         """Stage at which the window stops growing (standard ``m``)."""
         return 5
 
-    def draw_slots_batch(
-        self,
-        levels: np.ndarray,
-        stages: np.ndarray,
-        uniforms: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized :meth:`draw_slots`: one round's draws at once.
-
-        ``uniforms`` carries one ``[0, 1)`` variate per station in the
-        round (from :class:`repro.accel.rng.BatchedRngAdapter`); the
-        policy maps each through the same ``(level, stage)`` window
-        geometry its scalar draw uses.  The default loops the scalar
-        window; vector-friendly policies override it.
-        """
-        out = np.empty(len(uniforms), dtype=np.int64)
-        for i in range(len(uniforms)):
-            offset, width = self.draw_window(int(levels[i]), int(stages[i]))
-            if width <= 0:
-                raise NotImplementedError(
-                    f"{type(self).__name__} does not expose window "
-                    "geometry; batched draws are unavailable"
-                )
-            out[i] = offset + int(uniforms[i] * width)
-        return out
-
     def draw_window(self, level: int, stage: int) -> tuple[int, int]:
         """``(offset, width)`` of the slot range :meth:`draw_slots`
         samples for ``level`` at ``stage`` — the priority window the
@@ -140,20 +115,3 @@ class StandardBEB(BackoffPolicy):
 
     def draw_slots(self, level: int, stage: int, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.window(stage)))
-
-    def draw_slots_batch(
-        self,
-        levels: np.ndarray,
-        stages: np.ndarray,
-        uniforms: np.ndarray,
-    ) -> np.ndarray:
-        """One numpy expression for the whole round: ``floor(u * CW)``.
-
-        ``CW(stage) = min(cw_min * 2**stage, cw_max)`` exactly as the
-        scalar :meth:`window`; levels are ignored (plain BEB).
-        """
-        windows = np.minimum(
-            self.cw_min * (1 << np.minimum(stages, 63).astype(np.int64)),
-            self.cw_max,
-        )
-        return (uniforms * windows).astype(np.int64)

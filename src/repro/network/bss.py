@@ -50,7 +50,7 @@ __all__ = ["ScenarioConfig", "BssScenario", "SCHEMES", "ENGINES"]
 SCHEMES = ("proposed", "proposed-multipoll", "conventional")
 
 #: engine tiers (see repro.accel and DESIGN.md "Engine tiers")
-ENGINES = ("exact", "batched", "hybrid")
+ENGINES = ("exact", "batched")
 
 #: fixed real-time MPDU payload used throughout the evaluation
 RT_PACKET_BITS = 512 * 8
@@ -121,11 +121,11 @@ class ScenarioConfig:
     alphas: tuple[int, ...] = (4, 4, 8)
     beta: int = 0
     #: engine tier (repro.accel): "exact" (the default, byte-for-byte
-    #: the seed's per-frame simulation), "batched" (vectorized RNG +
-    #: slab agenda; statistically equivalent, own golden fixture) or
-    #: "hybrid" (exact prefix + analytic closure once every station is
-    #: saturated; rows flag ``fidelity``).  "exact" is omitted from
-    #: :meth:`to_dict` so exact cache keys and journals never change.
+    #: the seed's per-frame simulation) or "batched" (the round-
+    #: synchronous pure-DCF fast path; statistically equivalent, own
+    #: golden fixture; configs it cannot model are refused here).
+    #: "exact" is omitted from :meth:`to_dict` so exact cache keys and
+    #: journals never change.
     engine: str = "exact"
 
     def __post_init__(self) -> None:
@@ -135,15 +135,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.engine == "hybrid" and (
-            self.faults is not None or self.trace is not None
-        ):
-            # the analytic closure cannot represent injected faults or
-            # per-frame trace events; refusing beats silently degrading
-            raise ValueError(
-                "engine='hybrid' is refused when a FaultPlan or trace "
-                "is attached (see DESIGN.md 'Engine tiers')"
-            )
         if self.mobility not in ("poisson", "neighborhood"):
             raise ValueError(
                 f"mobility must be 'poisson' or 'neighborhood', got {self.mobility!r}"
@@ -152,6 +143,16 @@ class ScenarioConfig:
             raise ValueError("sim_time must exceed warmup")
         if self.load <= 0:
             raise ValueError(f"load must be > 0, got {self.load}")
+        if self.engine == "batched":
+            # imported lazily: repro.accel sits above this module
+            from ..accel.engine import fast_path_refusal
+
+            reason = fast_path_refusal(self)
+            if reason is not None:
+                raise ValueError(
+                    f"engine='batched' cannot model this config: {reason} "
+                    "(see DESIGN.md 'Engine tiers')"
+                )
 
     def to_dict(self) -> dict[str, typing.Any]:
         """JSON-ready representation (nested params become dicts).
@@ -515,38 +516,18 @@ class BssScenario:
         return out
 
     # -- execution ---------------------------------------------------------------------
-    def begin(self) -> None:
-        """Start the traffic generators without running the clock.
-
-        :meth:`run` calls this itself; the hybrid engine tier calls it
-        directly and then drives ``sim.run(until=...)`` in segments so
-        its saturation detector can sample between them.
-        """
+    def run(self) -> dict[str, typing.Any]:
+        """Run to ``sim_time`` and summarize everything the figures need."""
         self.call_generator.start()
         if self.mobility is not None:
             self.mobility.start()
-
-    def run(self) -> dict[str, typing.Any]:
-        """Run to ``sim_time`` and summarize everything the figures need."""
-        self.begin()
         self.sim.run(until=self.config.sim_time)
         return self.collect_results()
 
-    def collect_results(
-        self, horizon: float | None = None
-    ) -> dict[str, typing.Any]:
-        """Summarize the run as one result row.
-
-        ``horizon`` is the simulated span the rates are normalized
-        over; the default (``sim_time``) is the full-run case and
-        reproduces the historical row byte-for-byte.  The hybrid tier
-        passes the analytic switch time instead, so the exact-prefix
-        statistics are normalized over the span actually simulated.
-        """
+    def collect_results(self) -> dict[str, typing.Any]:
+        """Summarize the run as one result row."""
         cfg = self.config
-        if horizon is None:
-            horizon = cfg.sim_time
-        measured = horizon - cfg.warmup
+        measured = cfg.sim_time - cfg.warmup
         results = self.collector.summary()
         gen = self.call_generator
         results.update(
@@ -564,7 +545,7 @@ class BssScenario:
                 "calls_admitted_handoff": gen.admitted["handoff"],
                 "calls_blocked": gen.blocked,
                 "calls_dropped": gen.dropped,
-                "channel_busy_fraction": self.channel.utilization(horizon),
+                "channel_busy_fraction": self.channel.utilization(cfg.sim_time),
                 "goodput_utilization": self.collector.utilization(
                     measured, self.timing.data_rate
                 ),
@@ -577,7 +558,7 @@ class BssScenario:
             results["analytic_video_bounds"] = self.ap.admission.video_bounds()
         if self.invariants is not None:
             results["invariant_violations"] = self.invariants.finalize(
-                self.collector, horizon
+                self.collector, cfg.sim_time
             )
         if cfg.faults is not None:
             # after finalize, so the QoS-breach degradation is included

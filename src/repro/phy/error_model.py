@@ -32,33 +32,6 @@ class BitErrorModel:
         #: frame_bits -> (1-BER)^L memo; the power is a pure function of
         #: the (few, repeated) frame sizes a scenario puts on the air
         self._p_success: dict[int, float] = {}
-        #: batched-draw buffer (engine="batched"): when a block size is
-        #: set, uniforms are drawn ``block`` at a time with one
-        #: ``Generator.random(n)`` call and served from the buffer.
-        #: ``Generator.random(n)`` consumes the underlying bit stream
-        #: exactly like ``n`` scalar ``random()`` calls, so the served
-        #: sequence is *identical* to the unbuffered one — buffering
-        #: changes allocation behaviour, never results.
-        self._batch: np.ndarray | None = None
-        self._batch_next = 0
-
-    def enable_batch(self, block: int = 256) -> None:
-        """Switch per-frame draws to block-buffered vectorized draws."""
-        if block < 1:
-            raise ValueError(f"block must be >= 1, got {block}")
-        self._batch = np.empty(0, dtype=np.float64)
-        self._batch_next = 0
-        self._block = int(block)
-
-    def _next_uniform(self) -> float:
-        batch = self._batch
-        assert batch is not None
-        if self._batch_next >= len(batch):
-            self._batch = batch = self._rng.random(self._block)
-            self._batch_next = 0
-        u = batch[self._batch_next]
-        self._batch_next += 1
-        return float(u)
 
     def success_probability(self, frame_bits: int) -> float:
         """``(1 - BER)^L`` for an ``L``-bit frame (memoized per size)."""
@@ -79,6 +52,4 @@ class BitErrorModel:
         """
         if self.ber == 0.0:
             return True
-        if self._batch is not None:
-            return self._next_uniform() < self.success_probability(frame_bits)
         return bool(self._rng.random() < self.success_probability(frame_bits))

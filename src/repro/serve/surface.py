@@ -29,6 +29,7 @@ import typing
 
 from ..exec.cache import ResultCache
 from ..exec.hashing import KEY_FORMAT, canonical_json
+from ..network.bss import ScenarioConfig
 
 __all__ = [
     "CANDIDATE_AXES",
@@ -337,7 +338,8 @@ class SurfaceIndex:
     def __init__(self, axes: typing.Sequence[str] = CANDIDATE_AXES) -> None:
         self.axes = tuple(axes)
         self.surfaces: dict[str, SweepSurface] = {}
-        #: entries whose config was absent/foreign — counted, not fatal
+        #: entries whose config was absent/foreign or rejected by
+        #: ``ScenarioConfig.from_dict`` — counted, not fatal
         self.skipped = 0
         self.rows = 0
 
@@ -358,8 +360,15 @@ class SurfaceIndex:
         config: typing.Mapping[str, typing.Any] | None,
         row: typing.Mapping[str, typing.Any],
     ) -> SweepSurface | None:
-        """Place one cache entry; returns the surface it landed on."""
-        if config is None or any(axis not in config for axis in self.axes):
+        """Place one cache entry; returns the surface it landed on.
+
+        An entry this code could not have produced — no config, a
+        missing axis, or a config ``ScenarioConfig.from_dict`` rejects
+        (a removed engine tier, or fields that no longer exist) — is
+        counted in ``skipped`` instead, so it never forms a surface
+        that :meth:`find` could prefer.
+        """
+        if config is None or not self._accepts(config):
             self.skipped += 1
             return None
         residual = {
@@ -395,6 +404,15 @@ class SurfaceIndex:
                 float(config[axis])
             ] = config[axis]
         return surface
+
+    def _accepts(self, config: typing.Mapping[str, typing.Any]) -> bool:
+        if any(axis not in config for axis in self.axes):
+            return False
+        try:
+            ScenarioConfig.from_dict(config)
+        except (KeyError, TypeError, ValueError):
+            return False
+        return True
 
     # -- selection ---------------------------------------------------------
     def find(

@@ -36,7 +36,7 @@ import typing
 from .events import Event, Timeout
 from .process import Process
 
-__all__ = ["Simulator", "StopSimulation", "TimerHandle", "SlabAgenda"]
+__all__ = ["Simulator", "StopSimulation", "TimerHandle"]
 
 #: a heap must hold at least this many cancelled entries before a
 #: tombstone compaction can trigger (tiny heaps are cheaper to drain)
@@ -85,106 +85,6 @@ class TimerHandle:
     def _fire(self) -> None:
         if not self.cancelled:
             self._fn(*self._args)
-
-
-class SlabAgenda:
-    """Array-of-structs agenda: typed numpy slabs + a heap of indices.
-
-    The general agenda stores one Python object per entry (a timer
-    handle or event) because callbacks are arbitrary.  The batched
-    engine tier (:mod:`repro.accel`) schedules only *typed* work —
-    arrivals, round completions, housekeeping ticks — so its entries
-    need no objects at all: each occupies one slot across three
-    parallel numpy slabs (``float64`` timestamp, ``int32`` kind,
-    ``int32`` owner id) and the heap orders bare ``(time, seq, slot)``
-    triples.  No allocation happens per event after the slabs reach
-    steady-state size; cancellation marks the slot and the pop loop
-    skips it (same tombstone discipline as the object agenda).
-
-    Determinism: ties on time pop in insertion order (``seq``), exactly
-    like the object agenda's ``(time, priority, sequence)`` key with a
-    single priority class.
-    """
-
-    __slots__ = ("times", "kinds", "owners", "_heap", "_free", "_seq", "_live")
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        import numpy as np
-
-        self.times = np.zeros(capacity, dtype=np.float64)
-        self.kinds = np.zeros(capacity, dtype=np.int32)
-        self.owners = np.zeros(capacity, dtype=np.int32)
-        self._heap: list[tuple[float, int, int]] = []
-        self._free = list(range(capacity - 1, -1, -1))
-        self._seq = 0
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def _grow(self) -> None:
-        import numpy as np
-
-        old = len(self.times)
-        new = old * 2
-        for name in ("times", "kinds", "owners"):
-            slab = getattr(self, name)
-            grown = np.zeros(new, dtype=slab.dtype)
-            grown[:old] = slab
-            setattr(self, name, grown)
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def push(self, time: float, kind: int, owner: int) -> int:
-        """Schedule a typed entry; returns its slot (for cancel)."""
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self.times[slot] = time
-        self.kinds[slot] = kind
-        self.owners[slot] = owner
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, slot))
-        self._live += 1
-        return slot
-
-    def cancel(self, slot: int) -> None:
-        """Tombstone a scheduled slot (idempotent for live slots)."""
-        if self.kinds[slot] >= 0:
-            self.kinds[slot] = -1 - self.kinds[slot]
-            self._live -= 1
-
-    def peek_time(self) -> float:
-        """Time of the next live entry, or ``inf`` when empty."""
-        heap = self._heap
-        while heap:
-            _, _, slot = heap[0]
-            if self.kinds[slot] < 0:
-                heapq.heappop(heap)
-                self._free.append(slot)
-                continue
-            return heap[0][0]
-        return float("inf")
-
-    def pop(self) -> tuple[float, int, int]:
-        """Pop the next live entry as ``(time, kind, owner)``.
-
-        Raises ``IndexError`` when no live entry remains.
-        """
-        heap = self._heap
-        kinds = self.kinds
-        while True:
-            time, _, slot = heapq.heappop(heap)
-            if kinds[slot] < 0:
-                self._free.append(slot)
-                continue
-            kind = int(kinds[slot])
-            owner = int(self.owners[slot])
-            kinds[slot] = -1
-            self._free.append(slot)
-            self._live -= 1
-            return time, kind, owner
 
 
 class Simulator:

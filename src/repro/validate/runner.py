@@ -98,21 +98,12 @@ def _resolve(tier: str | TierSpec) -> TierSpec:
         ) from None
 
 
-def validation_grid(
-    tier: str | TierSpec, engine: str = "exact"
-) -> list[ScenarioConfig]:
-    """The tier's sweep grid, with the runtime monitors switched on.
-
-    ``engine`` selects the execution tier for every point (see
-    DESIGN.md "Engine tiers"); non-exact grids hash to distinct cache
-    keys, so batched validation rows never collide with exact ones.
-    """
+def validation_grid(tier: str | TierSpec) -> list[ScenarioConfig]:
+    """The tier's sweep grid, with the runtime monitors switched on."""
     spec = _resolve(tier)
     return [
         dataclasses.replace(
-            sweep_config(
-                scheme, load, seed, spec.sim_time, spec.warmup, engine
-            ),
+            sweep_config(scheme, load, seed, spec.sim_time, spec.warmup),
             monitor_invariants=True,
         )
         for scheme in spec.schemes
@@ -130,13 +121,6 @@ class ValidationReport:
     grid_rows: int
     fig5_rows: int
     telemetry: dict[str, typing.Any] = dataclasses.field(default_factory=dict)
-    #: engine tier the grid ran under ("exact" unless --engine was given)
-    engine: str = "exact"
-    #: per-claim verdict comparison vs an exact reference run, present
-    #: only for non-exact engines.  Informational: deltas never gate
-    #: :attr:`passed` — they tell you where the accelerated tier's
-    #: statistics diverge enough to flip a shape claim.
-    claim_deltas: tuple[dict[str, typing.Any], ...] = ()
 
     @property
     def failed(self) -> tuple[ClaimResult, ...]:
@@ -155,9 +139,8 @@ class ValidationReport:
         counts = {"pass": 0, "fail": 0, "skip": 0}
         for c in self.claims:
             counts[c.status] += 1
-        out: dict[str, typing.Any] = {
+        return {
             "tier": self.tier,
-            "engine": self.engine,
             "passed": self.passed,
             "counts": counts,
             "grid_rows": self.grid_rows,
@@ -165,9 +148,6 @@ class ValidationReport:
             "claims": [c.as_dict() for c in self.claims],
             "telemetry": self.telemetry,
         }
-        if self.engine != "exact":
-            out["claim_deltas"] = list(self.claim_deltas)
-        return out
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         """Write the JSON verdict report; returns the path."""
@@ -179,24 +159,10 @@ class ValidationReport:
     def render(self) -> str:
         """Human-readable one-line-per-claim summary."""
         mark = {"pass": "PASS", "fail": "FAIL", "skip": "skip"}
-        engine = "" if self.engine == "exact" else f" (engine={self.engine})"
-        lines = [f"validation tier '{self.tier}'{engine}: "
+        lines = [f"validation tier '{self.tier}': "
                  f"{'PASSED' if self.passed else 'FAILED'}"]
         for c in self.claims:
             lines.append(f"  [{mark[c.status]}] {c.claim_id}: {c.detail}")
-        changed = [d for d in self.claim_deltas if d["changed"]]
-        if self.claim_deltas:
-            lines.append(
-                f"  deltas vs exact: {len(changed)} of "
-                f"{len(self.claim_deltas)} claims changed verdict "
-                "(informational)"
-            )
-            for d in changed:
-                lines.append(
-                    f"    [delta] {d['claim_id']}: exact "
-                    f"{d['exact_status']} -> {self.engine} "
-                    f"{d['engine_status']}"
-                )
         return "\n".join(lines)
 
 
@@ -206,7 +172,6 @@ def run_validation(
     executor: SweepExecutor | None = None,
     thresholds: ShapeThresholds | None = None,
     include_fig5: bool = True,
-    engine: str = "exact",
 ) -> ValidationReport:
     """Execute one validation tier end to end.
 
@@ -222,16 +187,11 @@ def run_validation(
     include_fig5:
         Skip the static-population Fig. 5 run when False (its claim
         then reports ``skip``).
-    engine:
-        Engine tier for the grid.  Non-exact engines additionally run
-        the exact grid and report per-claim verdict deltas in the
-        report — informational only; ``passed`` reflects the requested
-        engine's claims.
     """
     spec = _resolve(tier)
     if executor is None:
         executor = SweepExecutor()
-    rows = executor.run(validation_grid(spec, engine))
+    rows = executor.run(validation_grid(spec))
     fig5_rows: list[dict] = []
     if include_fig5:
         from ..experiments.figures import fig5
@@ -242,32 +202,10 @@ def run_validation(
             sim_time=spec.fig5_sim_time,
         )
     claims = evaluate_claims(rows, fig5_rows or None, thresholds)
-    claim_deltas: tuple[dict[str, typing.Any], ...] = ()
-    if engine != "exact":
-        # the informational exact reference: same tier, same fig5 rows
-        # (the fig5 path is always exact), claims re-evaluated
-        exact_rows = executor.run(validation_grid(spec, "exact"))
-        exact_claims = evaluate_claims(exact_rows, fig5_rows or None, thresholds)
-        exact_by_id = {c.claim_id: c for c in exact_claims}
-        claim_deltas = tuple(
-            {
-                "claim_id": c.claim_id,
-                "engine_status": c.status,
-                "exact_status": (
-                    exact_by_id[c.claim_id].status
-                    if c.claim_id in exact_by_id else "missing"
-                ),
-                "changed": exact_by_id.get(c.claim_id) is None
-                or exact_by_id[c.claim_id].status != c.status,
-            }
-            for c in claims
-        )
     return ValidationReport(
         tier=spec.name,
         claims=tuple(claims),
         grid_rows=len(rows),
         fig5_rows=len(fig5_rows),
         telemetry=executor.summary(),
-        engine=engine,
-        claim_deltas=claim_deltas,
     )

@@ -1,4 +1,5 @@
-"""Batched engine tier: golden row, determinism, key format, accounting.
+"""Batched engine tier: golden row, determinism, key format, accounting,
+refusal of the configs the fast path cannot model.
 
 The batched tier has its **own** committed golden fixture — it is a
 different numerical path from the exact engine (counter-keyed RNG,
@@ -24,9 +25,12 @@ import pathlib
 import pytest
 
 from repro.accel import run_scenario
-from repro.accel.engine import fast_path_eligible
+from repro.accel.engine import fast_path_refusal
 from repro.exec import SweepExecutor, canonical_json, config_key
+from repro.faults.plan import FaultPlan
 from repro.network.bss import BssScenario, ScenarioConfig
+from repro.network.mobility import EssCellContext
+from repro.obs.trace import TraceConfig
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_batched_row.json"
 
@@ -135,19 +139,7 @@ class TestEventAccounting:
 
 class TestDispatch:
     def test_fast_path_covers_the_golden_point(self):
-        assert fast_path_eligible(batched_golden_config())
-
-    def test_general_shape_still_runs_batched(self):
-        # real-time traffic disqualifies the fast path; the batched
-        # tier falls back to the exact scenario machinery rewired onto
-        # counter-keyed streams and still tags the row
-        cfg = batched_golden_config(
-            new_voice_rate=0.3, sim_time=4.0, warmup=0.5
-        )
-        assert not fast_path_eligible(cfg)
-        row = run_scenario(cfg)
-        assert row["engine"] == "batched"
-        assert canonical_json(row) == canonical_json(run_scenario(cfg))
+        assert fast_path_refusal(batched_golden_config()) is None
 
     def test_exact_rows_carry_no_engine_tag(self):
         cfg = dataclasses.replace(
@@ -155,3 +147,40 @@ class TestDispatch:
         )
         row = BssScenario(cfg).run()
         assert "engine" not in row
+
+
+class TestRefusal:
+    """``engine="batched"`` is the fast path and nothing else: a config
+    it cannot model is refused when it is built, naming the condition."""
+
+    @pytest.mark.parametrize(
+        ("overrides", "condition"),
+        [
+            (dict(new_voice_rate=0.3), "real-time call rate"),
+            (dict(handoff_video_rate=0.1), "real-time call rate"),
+            (dict(scheme="proposed"), "scheme 'proposed'"),
+            (dict(faults=FaultPlan()), "fault plan"),
+            (dict(trace=TraceConfig()), "trace"),
+            (dict(ess=EssCellContext(cell="ap/0x0")), "ESS context"),
+            (dict(monitor_invariants=True), "invariant monitors"),
+            (dict(mobility="neighborhood"), "mobility 'neighborhood'"),
+            (dict(n_data_stations=0), "zero data stations"),
+        ],
+        ids=[
+            "call-rate", "handoff-rate", "scheme", "faults", "trace",
+            "ess", "monitors", "mobility", "no-data-stations",
+        ],
+    )
+    def test_unmodelable_config_is_refused(self, overrides, condition):
+        with pytest.raises(ValueError, match=condition):
+            batched_golden_config(**overrides)
+        # the same shape stays a valid exact config
+        batched_golden_config(engine="exact", **overrides)
+
+    def test_refused_on_replace_too(self):
+        with pytest.raises(ValueError, match="real-time call rate"):
+            dataclasses.replace(batched_golden_config(), new_video_rate=0.2)
+
+    def test_hybrid_engine_is_rejected(self):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            batched_golden_config(engine="hybrid")

@@ -2,11 +2,10 @@
 
 The adapter's contract (module docstring of :mod:`repro.accel.rng`):
 column *i*'s draw *k* is a pure function of ``(seed, i, k)``, so the
-per-column sequences are invariant under every round-size
-interleaving.  ``reference_uniform`` implements the documented scalar
-recurrence in pure Python integers and serves as the oracle for every
-other path — vectorized batches, the list fast path, scalar streams,
-and prefetched blocks.
+per-column sequences are invariant under every interleaving of draws
+across columns and every prefetch block size.  ``reference_uniform``
+implements the documented scalar recurrence in pure Python integers
+and serves as the oracle for the vectorized column streams.
 """
 
 import numpy as np
@@ -71,7 +70,7 @@ class TestInterleavingInvariance:
             [[0, 2, 4], [1, 3], [5], [0, 1, 2, 3, 4, 5], [4, 5], [2]] * 4,
             # repeats consume consecutive counters left to right
             [[0, 0, 1], [1, 0], [2, 2, 2, 3], [3]] * 4,
-            # wide rounds exercising the numpy (> SMALL_BATCH) path
+            # wide rounds crossing many prefetch-block boundaries
             [list(range(COLUMNS)) * 8, [0, 5] * 20, list(range(COLUMNS))] * 3,
         ],
         ids=["singles", "full", "ragged", "repeats", "wide"],
@@ -79,67 +78,32 @@ class TestInterleavingInvariance:
     def test_uniforms_match_oracle_under_interleaving(self, rounds):
         adapter = BatchedRngAdapter(SEED, COLUMNS)
         ref = reference_table(adapter, draws=200)
+        # a different block size per column, so refills never line up
+        streams = [adapter.stream(c, c + 1) for c in range(COLUMNS)]
         next_k = [0] * COLUMNS
         for round_cols in rounds:
-            got = adapter.uniforms(np.asarray(round_cols))
-            for c, v in zip(round_cols, got.tolist()):
-                assert v == ref[c][next_k[c]]
+            for c in round_cols:
+                assert streams[c].random() == ref[c][next_k[c]]
                 next_k[c] += 1
-
-    def test_uniforms_list_is_the_same_sequence(self):
-        a = BatchedRngAdapter(SEED, COLUMNS)
-        b = BatchedRngAdapter(SEED, COLUMNS)
-        rounds = [[0, 1, 2], [3], [1, 4, 5, 0], [2, 2], [5, 4, 3, 2, 1, 0]]
-        for cols in rounds:
-            va = a.uniforms(np.asarray(cols)).tolist()
-            vb = b.uniforms_list(cols)
-            assert va == vb
-
-    def test_integers_consume_one_counter_per_value(self):
-        adapter = BatchedRngAdapter(SEED, COLUMNS)
-        ref = reference_table(adapter)
-        vals = adapter.integers(np.array([0, 1, 0]), 32)
-        assert vals.tolist() == [
-            int(ref[0][0] * 32), int(ref[1][0] * 32), int(ref[0][1] * 32)
-        ]
 
 
 class TestColumnStream:
-    def test_scalar_stream_continues_the_column_sequence(self):
-        adapter = BatchedRngAdapter(SEED, COLUMNS)
-        ref = reference_table(adapter)
-        # interleave batched rounds with scalar stream draws: one
-        # shared counter per column, whoever draws gets the next value
-        stream = adapter.stream(2)
-        assert stream.random() == ref[2][0]
-        adapter.uniforms(np.array([2, 2]))  # consumes k=1, 2
-        assert stream.random() == ref[2][3]
-
-    def test_integers_maps_the_next_uniform(self):
-        adapter = BatchedRngAdapter(SEED, COLUMNS)
-        ref = reference_table(adapter)
-        stream = adapter.stream(1)
-        assert stream.integers(16) == int(ref[1][0] * 16)
-        assert stream.integers(4, 12) == 4 + int(ref[1][1] * 8)
-
     def test_out_of_range_column_rejected(self):
         adapter = BatchedRngAdapter(SEED, COLUMNS)
         with pytest.raises(ValueError):
-            adapter.stream(COLUMNS)
+            adapter.stream(COLUMNS, 8)
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_prefetched_blocks_serve_identical_values(self, block):
         adapter = BatchedRngAdapter(SEED, 2)
         ref = reference_table(adapter, draws=200)
-        stream = adapter.stream(0)
-        stream.enable_prefetch(block)
+        stream = adapter.stream(0, block)
         got = [stream.random() for _ in range(150)]
         assert got == ref[0][:150]
 
     def test_prefetch_rejects_empty_block(self):
-        stream = BatchedRngAdapter(SEED, 1).stream(0)
         with pytest.raises(ValueError):
-            stream.enable_prefetch(0)
+            BatchedRngAdapter(SEED, 1).stream(0, 0)
 
 
 class TestAdapterValidation:
@@ -150,5 +114,8 @@ class TestAdapterValidation:
     def test_same_seed_same_sequences(self):
         a = BatchedRngAdapter(SEED, 3)
         b = BatchedRngAdapter(SEED, 3)
-        cols = np.array([0, 1, 2, 1])
-        assert a.uniforms(cols).tolist() == b.uniforms(cols).tolist()
+        for c in range(3):
+            sa, sb = a.stream(c, 4), b.stream(c, 4)
+            assert [sa.random() for _ in range(10)] == [
+                sb.random() for _ in range(10)
+            ]

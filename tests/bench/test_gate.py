@@ -125,7 +125,7 @@ class TestMicro:
         assert set(BENCHMARKS) == {
             "timer_chain", "cancel_storm", "process_ping",
             "dcf_contention", "pcf_polling", "end_to_end",
-            "batched_end_to_end", "hybrid_saturated",
+            "batched_end_to_end",
         }
 
     def test_every_benchmark_runs_and_reports_events(self):

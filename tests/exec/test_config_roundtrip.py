@@ -46,10 +46,17 @@ class TestRoundTrip:
 
     def test_to_dict_covers_every_field(self):
         # exact configs serialize without `engine` (pre-accel dicts and
-        # format-5 cache keys stay valid); non-exact configs carry it
+        # format-5 cache keys stay valid); batched configs carry it
         every_field = {f.name for f in dataclasses.fields(ScenarioConfig)}
         assert set(ScenarioConfig().to_dict()) == every_field - {"engine"}
-        batched = dataclasses.replace(ScenarioConfig(), engine="batched")
+        batched = ScenarioConfig(
+            scheme="conventional",
+            new_voice_rate=0.0,
+            new_video_rate=0.0,
+            handoff_voice_rate=0.0,
+            handoff_video_rate=0.0,
+            engine="batched",
+        )
         assert set(batched.to_dict()) == every_field
 
     def test_from_dict_validates(self):

@@ -1,8 +1,7 @@
 """Pin the phase-aware worker-utilization arithmetic with synthetic records.
 
 The numbers here are worked out by hand, so any drift in how warm-up,
-steady-state and queue-drain capacity enter ``worker_utilization`` (or
-how the retired blended number survives as ``worker_utilization_raw``)
+steady-state and queue-drain capacity enter ``worker_utilization``
 fails loudly with known-good values on both sides.
 """
 
@@ -73,27 +72,15 @@ class TestSummaryArithmetic:
             phase_utilization(10.0, 4, 3.0, 2.0)
         )
 
-    def test_raw_utilization_still_blends_the_whole_run(self):
-        tel = self._telemetry()
-        tel.set_phases(
-            warmup_s=1.5, steady_s=3.0, drain_s=1.0, capacity_s=14.0
-        )
-        summary = tel.summary()
-        assert summary["wall_time"] == pytest.approx(6.0)
-        assert summary["worker_utilization_raw"] == pytest.approx(
-            10.0 / (4 * 6.0)
-        )
-        # the raw number charges warm-up + drain idling as lost
-        # capacity, so it always reads lower than the phase-aware one
-        assert summary["worker_utilization_raw"] < summary["worker_utilization"]
-
     def test_serial_runs_fall_back_to_raw(self):
+        # no phase split: busy time over the whole run's capacity
         tel = RunTelemetry(workers=1)
         tel.record(_record(0, 2.0))
-        tel.finish()
+        tel._started = 0.0
+        tel._finished = 4.0
         summary = tel.summary()
         assert summary["phases"] is None
-        assert summary["worker_utilization"] == summary["worker_utilization_raw"]
+        assert summary["worker_utilization"] == pytest.approx(2.0 / 4.0)
 
     def test_busy_worker_seconds_fall_back_to_executed_walls(self):
         # hand-built telemetry (no executor) never sets busy_worker_s;

@@ -1,6 +1,7 @@
 """Surface index: grouping, interpolation, refusal, back-fill configs."""
 
 import json
+import types
 
 import pytest
 
@@ -67,6 +68,20 @@ class TestIndexing:
         index = SurfaceIndex.from_cache(cache)
         assert index.skipped == 1
         assert index.rows == 6
+
+    def test_rows_of_removed_engine_tiers_are_skipped(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        exact = sweep_config("proposed", 1.0, 1, 8.0, 1.0)
+        cache.put(config_key(exact), _row(1.0, 1), exact)
+        # an entry an older build wrote under the removed hybrid tier
+        hybrid = dict(exact.to_dict(), engine="hybrid")
+        cache.put("ab" * 32, _row(1.0, 1), types.SimpleNamespace(
+            to_dict=lambda: hybrid
+        ))
+        index = SurfaceIndex.from_cache(cache)
+        assert len(index.surfaces) == 1
+        assert index.describe()["skipped_entries"] == 1
+        assert index.rows == 1
 
     def test_aggregates_ignore_insertion_order(self, tmp_path):
         cache = seed_cache(tmp_path)
