@@ -68,7 +68,7 @@ def run_order(order: str, sim_time: float = 40.0) -> dict:
     return {
         "voice order": order,
         "mean voice delay (ms)": collector.access_delay[TK.VOICE].mean * 1000,
-        "delivered": collector.delivered[TK.VOICE],
+        "delivered": collector.delivered[TK.VOICE].value,
     }
 
 

@@ -2,25 +2,20 @@
 
 Runs one pinned-seed ESS scenario (calls fidelity — the tier meant to
 scale to hundreds of cells) twice: once for a byte-identity determinism
-check, once timed.  Lands cells/sec and handoff events/sec under the
-``ess_grid`` section of the committed ``BENCH_KERNEL.json`` via
-:func:`repro.bench.merge_section` — a top-level section like
-``parallel_sweep``, outside the gated ``benchmarks`` map, because wall
-throughput is machine-relative; the pinned event *counts* recorded
-alongside are not, and the assertions below pin them.
+check, once timed.  Writes cells/sec and handoff events/sec to
+``benchmarks/results/ess_grid.json``.  Wall throughput is
+machine-relative, so it is recorded, not gated; the pinned event
+*counts* recorded alongside are not, and the assertions below pin them.
 """
 
-import pathlib
+import json
 import time
 
-from repro.bench import merge_section
 from repro.exec import canonical_json
 from repro.ess import EssConfig, EssCoordinator
 from repro.faults import LinkFault
 
 from conftest import RESULTS_DIR, save_artifact
-
-BASELINE = pathlib.Path(__file__).parent.parent / "BENCH_KERNEL.json"
 
 #: pinned workload: a 4x4 grid under heavy roaming with one mid-run
 #: backhaul outage, so the bench exercises routing + failover too
@@ -43,7 +38,7 @@ def test_ess_grid_throughput():
     first, _ = _run()
     second, wall = _run()
     # byte-identical reports: the coordinator is a pure function of its
-    # config, which is what makes the section's counts pinnable
+    # config, which is what makes its counts pinnable
     assert canonical_json(first.report()) == canonical_json(second.report())
     report = second.report()
     assert report["passed"], report["conservation"]["violations"]
@@ -51,8 +46,11 @@ def test_ess_grid_throughput():
     cfg = ESS_BENCH_CONFIG
     cell_epochs = cfg.rows * cfg.cols * cfg.epochs
     handoffs = report["totals"]["handoff_attempts"]
-    assert handoffs > 0
-    assert report["backhaul"]["failovers"] > 0  # outage was exercised
+    # pinned-seed counts: machine-independent, they change only with the
+    # model (the outage must exercise failover)
+    assert report["totals"]["created"] == 665
+    assert handoffs == 989
+    assert report["backhaul"]["failovers"] == 12
 
     payload = {
         "config": {
@@ -61,8 +59,6 @@ def test_ess_grid_throughput():
             "epoch_length_s": cfg.epoch_length,
             "seed": cfg.seed,
         },
-        # pinned-seed counts: machine-independent, change only with the
-        # model (update this section deliberately when they do)
         "counts": {
             "created": report["totals"]["created"],
             "handoff_attempts": handoffs,
@@ -73,9 +69,10 @@ def test_ess_grid_throughput():
         "cells_per_sec": round(cell_epochs / wall) if wall > 0 else 0,
         "handoff_events_per_sec": round(handoffs / wall) if wall > 0 else 0,
     }
-    merge_section(BASELINE, "ess_grid", payload)
     RESULTS_DIR.mkdir(exist_ok=True)
-    merge_section(RESULTS_DIR / "bench-report.json", "ess_grid", payload)
+    (RESULTS_DIR / "ess_grid.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
     save_artifact(
         "ess_grid.txt",
         "\n".join(

@@ -60,10 +60,11 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_quick(args: argparse.Namespace) -> int:
-    from .network import BssScenario, ScenarioConfig
+def _scenario_config(args: argparse.Namespace, **extra):
+    """The single-BSS scenario ``quick`` and ``trace`` run."""
+    from .network import ScenarioConfig
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         scheme=args.scheme,
         seed=args.seed,
         sim_time=args.time,
@@ -74,8 +75,14 @@ def _cmd_quick(args: argparse.Namespace) -> int:
         handoff_voice_rate=0.15,
         handoff_video_rate=0.1,
         mean_holding=20.0,
+        **extra,
     )
-    results = BssScenario(cfg).run()
+
+
+def _cmd_quick(args: argparse.Namespace) -> int:
+    from .network import BssScenario
+
+    results = BssScenario(_scenario_config(args)).run()
     for key in sorted(results):
         if key.startswith("analytic"):
             continue
@@ -107,10 +114,30 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_executor(args: argparse.Namespace):
+#: the one summary line every executor-backed command prints on stderr
+_SUMMARY = (
+    "  {label}: {total_points} points, {executed} simulated, "
+    "{cache_hits} cached, {resumed} resumed in {wall_time:.1f}s "
+    "(workers={workers}, utilization={worker_utilization:.0%}, "
+    "{sim_events} sim events, {events_per_sec:,.0f} events/s)"
+)
+
+
+def _print_summary(label: str, executor) -> None:
+    print(_SUMMARY.format(label=label, **executor.summary()), file=sys.stderr)
+
+
+def _run_grid(args: argparse.Namespace, label: str, job):
+    """Run ``job(executor)`` on the executor the grid flags describe.
+
+    Shared by ``sweep``, ``validate``, ``chaos`` and ``ess --fidelity
+    frames``: streams per-point progress and prints the summary line on
+    stderr.  A :class:`~repro.exec.SweepExecutionError` propagates to
+    :func:`main`, which maps it to exit 2.
+    """
     from .exec import ExecutorConfig, SweepExecutor
 
-    return SweepExecutor(
+    executor = SweepExecutor(
         ExecutorConfig(
             workers=args.workers,
             schedule=args.schedule,
@@ -125,72 +152,45 @@ def _sweep_executor(args: argparse.Namespace):
             file=sys.stderr,
         ),
     )
-
-
-def _print_failures(exc) -> None:
-    print(
-        f"error: {len(exc.failures)} sweep point(s) permanently failed "
-        "after retries:",
-        file=sys.stderr,
-    )
-    for f in exc.failures:
-        print(
-            f"  #{f.index} {f.config.scheme} load={f.config.load} "
-            f"seed={f.config.seed}: {f.error}",
-            file=sys.stderr,
-        )
+    result = job(executor)
+    _print_summary(label, executor)
+    return result
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .exec import SweepExecutionError
     from .experiments import (
         BENCH_LOADS,
         FIGURE_METRICS,
-        fig6,
-        fig7,
-        fig8,
-        fig9,
-        fig10,
-        fig11,
+        average_over_seeds,
         format_table,
         run_sweep,
         save_results,
     )
 
-    executor = _sweep_executor(args)
-    try:
-        rows = run_sweep(
+    rows = _run_grid(
+        args,
+        "sweep",
+        lambda executor: run_sweep(
             tuple(args.schemes),
             loads=tuple(args.loads) if args.loads else BENCH_LOADS,
             seeds=tuple(range(1, args.seeds + 1)),
             sim_time=args.time,
             warmup=min(8.0, args.time / 8),
             executor=executor,
-        )
-    except SweepExecutionError as exc:
-        _print_failures(exc)
-        return 2
-    summary = executor.summary()
-    print(
-        "  sweep: {total_points} points, {executed} simulated, "
-        "{cache_hits} cached, {resumed} resumed in {wall_time:.1f}s "
-        "(workers={workers}, utilization={worker_utilization:.0%}, "
-        "{sim_events} sim events, {events_per_sec:,.0f} events/s)".format(
-            **summary
         ),
-        file=sys.stderr,
     )
     if args.out:
         path = save_results(rows, args.out)
         print(f"  rows archived to {path}", file=sys.stderr)
-    for name, fn in [
-        ("fig6", fig6), ("fig7", fig7), ("fig8", fig8),
-        ("fig9", fig9), ("fig10", fig10), ("fig11", fig11),
-    ]:
-        table = fn(rows)
-        cols = ["scheme", "load"] + FIGURE_METRICS[name]
+    for name, metrics in FIGURE_METRICS.items():
         print()
-        print(format_table(table, cols, title=name))
+        print(
+            format_table(
+                average_over_seeds(rows, metrics),
+                ["scheme", "load"] + metrics,
+                title=name,
+            )
+        )
     return 0
 
 
@@ -198,7 +198,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .network import BssScenario, ScenarioConfig
+    from .network import BssScenario
     from .obs import (
         EngineProfiler,
         TraceConfig,
@@ -208,17 +208,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         validate_trace_file,
     )
 
-    cfg = ScenarioConfig(
-        scheme=args.scheme,
-        seed=args.seed,
-        sim_time=args.time,
-        warmup=min(5.0, args.time / 6),
-        load=args.load,
-        new_voice_rate=0.3,
-        new_video_rate=0.2,
-        handoff_voice_rate=0.15,
-        handoff_video_rate=0.1,
-        mean_holding=20.0,
+    cfg = _scenario_config(
+        args,
         trace=TraceConfig(
             categories=tuple(args.categories),
             capacity=args.capacity,
@@ -265,50 +256,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from .exec import SweepExecutionError
-    from .validate import run_validation
+def _cmd_tier(args: argparse.Namespace) -> int:
+    """``validate`` and ``chaos``: run one tier's grid, write its report."""
+    if args.command == "validate":
+        from .validate import run_validation as run_tier
 
-    executor = _sweep_executor(args)
-    try:
-        report = run_validation(args.tier, executor=executor)
-    except SweepExecutionError as exc:
-        _print_failures(exc)
-        return 2
-    summary = executor.summary()
-    print(
-        "  grid: {total_points} points, {executed} simulated, "
-        "{cache_hits} cached, {resumed} resumed in {wall_time:.1f}s "
-        "(workers={workers})".format(**summary),
-        file=sys.stderr,
+        kind = "verdict"
+    else:
+        from .faults.chaos import run_chaos as run_tier
+
+        kind = "degradation"
+    report = _run_grid(
+        args, "grid", lambda executor: run_tier(args.tier, executor=executor)
     )
-    out = args.out or f".repro-cache/validate-{report.tier}-report.json"
+    out = args.out or f".repro-cache/{args.command}-{report.tier}-report.json"
     path = report.save(out)
-    print(f"  verdict report written to {path}", file=sys.stderr)
-    print(report.render())
-    return 0 if report.passed else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .exec import SweepExecutionError
-    from .faults.chaos import run_chaos
-
-    executor = _sweep_executor(args)
-    try:
-        report = run_chaos(args.tier, executor=executor)
-    except SweepExecutionError as exc:
-        _print_failures(exc)
-        return 2
-    summary = executor.summary()
-    print(
-        "  grid: {total_points} points, {executed} simulated, "
-        "{cache_hits} cached, {resumed} resumed in {wall_time:.1f}s "
-        "(workers={workers})".format(**summary),
-        file=sys.stderr,
-    )
-    out = args.out or f".repro-cache/chaos-{report.tier}-report.json"
-    path = report.save(out)
-    print(f"  degradation report written to {path}", file=sys.stderr)
+    print(f"  {kind} report written to {path}", file=sys.stderr)
     print(report.render())
     return 0 if report.passed else 1
 
@@ -350,7 +313,6 @@ def _parse_ap_fault(text: str):
 
 def _cmd_ess(args: argparse.Namespace) -> int:
     from .ess import EssConfig, run_ess, save_report
-    from .exec import SweepExecutionError
 
     config = EssConfig(
         rows=args.rows,
@@ -371,23 +333,13 @@ def _cmd_ess(args: argparse.Namespace) -> int:
         frames_time=args.frames_time,
         scheme=args.scheme,
     )
-    executor = None
     if config.fidelity == "frames":
-        executor = _sweep_executor(args)
-    try:
-        report = run_ess(config, executor=executor)
-    except SweepExecutionError as exc:
-        _print_failures(exc)
-        return 2
-    if executor is not None:
-        summary = executor.summary()
-        print(
-            "  frames tier: {total_points} cell-epochs, {executed} simulated, "
-            "{cache_hits} cached in {wall_time:.1f}s (workers={workers})".format(
-                **summary
-            ),
-            file=sys.stderr,
+        report = _run_grid(
+            args, "frames tier",
+            lambda executor: run_ess(config, executor=executor),
         )
+    else:
+        report = run_ess(config)
     out = args.out or ".repro-cache/ess-report.json"
     path = save_report(report, out)
     print(f"  ESS report written to {path}", file=sys.stderr)
@@ -420,7 +372,7 @@ def _cmd_ess(args: argparse.Namespace) -> int:
 
 
 def _cmd_redteam(args: argparse.Namespace) -> int:
-    from .exec import ExecutorConfig, SweepExecutionError, SweepExecutor
+    from .exec import ExecutorConfig, SweepExecutor
     from .redteam import (
         CampaignConfig,
         DecodeSettings,
@@ -444,7 +396,6 @@ def _cmd_redteam(args: argparse.Namespace) -> int:
         ExecutorConfig(
             workers=args.workers,
             schedule=args.schedule,
-            cache_dir=None,
             timeout=args.timeout,
             on_failure="skip",
         )
@@ -453,7 +404,7 @@ def _cmd_redteam(args: argparse.Namespace) -> int:
     archive_dir = None if args.no_archive else args.archive_dir
     try:
         report = run_campaign(config, evaluator, archive_dir=archive_dir)
-    except (SweepExecutionError, RuntimeError) as exc:
+    except RuntimeError as exc:  # SweepExecutionError included
         print(f"error: campaign execution failed: {exc}", file=sys.stderr)
         return 1
     print(
@@ -526,12 +477,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         )
         executor.run(grid)
-        summary = executor.summary()
-        print(
-            "  warm: {total_points} points, {executed} simulated, "
-            "{cache_hits} cached in {wall_time:.1f}s".format(**summary),
-            file=sys.stderr,
-        )
+        _print_summary("warm", executor)
 
     server = build_server(
         args.cache_dir,
@@ -572,7 +518,63 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def main(argv: list[str] | None = None) -> int:
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """An argparse parent parser: a flag set several commands share."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser, every subcommand and flag included.
+
+    Flags that several commands share are declared once, on argparse
+    parent parsers: ``--workers``; ``--cache-dir``; the pool flags
+    (``--schedule``, ``--timeout``); the cached-grid flags (``--resume``,
+    ``--no-cache``, and ``--journal``, whose default names the command:
+    ``.repro-cache/<command>-journal.jsonl``); and the single-BSS
+    scenario flags of ``quick`` and ``trace``.
+    """
+    from .exec.scheduler import SCHEDULE_POLICIES
+    from .network.bss import SCHEMES
+    from .obs import CATEGORIES
+
+    workers = _flags()
+    workers.add_argument("--workers", type=_positive_int, default=1,
+                         help="process-pool size (1 = serial in-process); "
+                              "results are byte-identical either way")
+    cache_dir = _flags()
+    cache_dir.add_argument("--cache-dir", default=".repro-cache",
+                           help="result cache directory "
+                                "(default: .repro-cache)")
+    pool = _flags(workers)
+    pool.add_argument("--schedule", default="cost",
+                      choices=list(SCHEDULE_POLICIES),
+                      help="dispatch order in pool mode: grid order (fifo) "
+                           "or longest-expected-first (cost, default)")
+    pool.add_argument("--timeout", type=float, default=None,
+                      help="per-point wall-clock budget in s (pool mode)")
+
+    cached = _flags(pool, cache_dir)
+    cached.add_argument("--resume", action="store_true",
+                        help="skip points already in the checkpoint journal")
+    cached.add_argument("--no-cache", action="store_true",
+                        help="disable the content-addressed result cache")
+
+    def grid(command: str) -> argparse.ArgumentParser:
+        flags = _flags(cached)
+        flags.add_argument("--journal",
+                           default=f".repro-cache/{command}-journal.jsonl",
+                           help="checkpoint journal path (JSON-lines)")
+        return flags
+
+    def scenario(sim_time: float) -> argparse.ArgumentParser:
+        flags = _flags()
+        flags.add_argument("--scheme", default="proposed",
+                           choices=list(SCHEMES))
+        flags.add_argument("--load", type=float, default=1.0)
+        flags.add_argument("--seed", type=int, default=1)
+        flags.add_argument("--time", type=float, default=sim_time)
+        return flags
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="802.11 QoS provisioning reproduction",
@@ -591,107 +593,45 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("tables", help="print Tables I and II")
 
-    quick = sub.add_parser("quick", help="run one scenario")
-    quick.add_argument("--scheme", default="proposed",
-                       choices=["proposed", "proposed-multipoll", "conventional"])
-    quick.add_argument("--load", type=float, default=1.0)
-    quick.add_argument("--seed", type=int, default=1)
-    quick.add_argument("--time", type=float, default=30.0)
+    sub.add_parser("quick", help="run one scenario", parents=[scenario(30.0)])
 
     f5 = sub.add_parser("fig5", help="regenerate Fig. 5")
     f5.add_argument("--time", type=float, default=25.0)
     f5.add_argument("--seed", type=int, default=1)
 
-    sweep = sub.add_parser("sweep", help="run the Figs. 6-11 sweep")
+    sweep = sub.add_parser("sweep", help="run the Figs. 6-11 sweep",
+                           parents=[grid("sweep")])
     sweep.add_argument("--loads", type=float, nargs="+", default=None,
                        help="load multipliers (default: the benchmark grid)")
     sweep.add_argument("--seeds", type=int, default=2)
     sweep.add_argument("--time", type=float, default=60.0)
-    sweep.add_argument("--schemes", nargs="+",
-                       default=["proposed", "proposed-multipoll", "conventional"],
-                       choices=["proposed", "proposed-multipoll", "conventional"],
+    sweep.add_argument("--schemes", nargs="+", default=list(SCHEMES),
+                       choices=list(SCHEMES),
                        help="subset of schemes to sweep")
-    sweep.add_argument("--workers", type=_positive_int, default=1,
-                       help="process-pool size (1 = serial in-process)")
-    sweep.add_argument("--schedule", default="cost", choices=["fifo", "cost"],
-                       help="dispatch order in pool mode: grid order (fifo) "
-                            "or longest-expected-first (cost, default)")
-    sweep.add_argument("--resume", action="store_true",
-                       help="skip points already in the checkpoint journal")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the content-addressed result cache")
-    sweep.add_argument("--cache-dir", default=".repro-cache",
-                       help="result cache directory (default: .repro-cache)")
-    sweep.add_argument("--journal", default=".repro-cache/sweep-journal.jsonl",
-                       help="checkpoint journal path (JSON-lines)")
-    sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-point wall-clock budget in s (pool mode)")
     sweep.add_argument("--out", default=None,
                        help="also archive result rows to this JSON-lines file")
 
-    validate = sub.add_parser(
-        "validate",
-        help="run a validation tier (shape claims + invariant monitors)",
-    )
-    validate.add_argument("--tier", default="smoke", choices=["smoke", "full"],
+    for command, help_text, kind in (
+        ("validate",
+         "run a validation tier (shape claims + invariant monitors)",
+         "verdict"),
+        ("chaos", "run a fault-injection soak tier (degradation report)",
+         "degradation"),
+    ):
+        tier = sub.add_parser(command, help=help_text,
+                              parents=[grid(command)])
+        tier.add_argument("--tier", default="smoke", choices=["smoke", "full"],
                           help="which tier to run (default: smoke)")
-    validate.add_argument("--workers", type=_positive_int, default=1,
-                          help="process-pool size (1 = serial in-process)")
-    validate.add_argument("--schedule", default="cost",
-                          choices=["fifo", "cost"],
-                          help="dispatch order in pool mode (default: cost)")
-    validate.add_argument("--resume", action="store_true",
-                          help="skip points already in the checkpoint journal")
-    validate.add_argument("--no-cache", action="store_true",
-                          help="disable the content-addressed result cache")
-    validate.add_argument("--cache-dir", default=".repro-cache",
-                          help="result cache directory (default: .repro-cache)")
-    validate.add_argument("--journal",
-                          default=".repro-cache/validate-journal.jsonl",
-                          help="checkpoint journal path (JSON-lines)")
-    validate.add_argument("--timeout", type=float, default=None,
-                          help="per-point wall-clock budget in s (pool mode)")
-    validate.add_argument("--out", default=None,
-                          help="verdict report path (default: "
-                               ".repro-cache/validate-<tier>-report.json)")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run a fault-injection soak tier (degradation report)",
-    )
-    chaos.add_argument("--tier", default="smoke", choices=["smoke", "full"],
-                       help="which chaos tier to run (default: smoke)")
-    chaos.add_argument("--workers", type=_positive_int, default=1,
-                       help="process-pool size (1 = serial in-process)")
-    chaos.add_argument("--schedule", default="cost", choices=["fifo", "cost"],
-                       help="dispatch order in pool mode (default: cost)")
-    chaos.add_argument("--resume", action="store_true",
-                       help="skip points already in the checkpoint journal")
-    chaos.add_argument("--no-cache", action="store_true",
-                       help="disable the content-addressed result cache")
-    chaos.add_argument("--cache-dir", default=".repro-cache",
-                       help="result cache directory (default: .repro-cache)")
-    chaos.add_argument("--journal",
-                       default=".repro-cache/chaos-journal.jsonl",
-                       help="checkpoint journal path (JSON-lines)")
-    chaos.add_argument("--timeout", type=float, default=None,
-                       help="per-point wall-clock budget in s (pool mode)")
-    chaos.add_argument("--out", default=None,
-                       help="degradation report path (default: "
-                            ".repro-cache/chaos-<tier>-report.json)")
-
-    from .obs import CATEGORIES
+        tier.add_argument("--out", default=None,
+                          help=f"{kind} report path (default: "
+                               f".repro-cache/{command}-<tier>-report.json)")
 
     trace = sub.add_parser(
         "trace",
         help="run one traced scenario; write JSONL trace + metrics, "
              "print timeline and profile",
+        parents=[scenario(10.0)],
     )
-    trace.add_argument("--scheme", default="proposed",
-                       choices=["proposed", "proposed-multipoll", "conventional"])
-    trace.add_argument("--load", type=float, default=1.0)
-    trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument("--time", type=float, default=10.0)
     trace.add_argument("--categories", nargs="+", default=list(CATEGORIES),
                        choices=list(CATEGORIES),
                        help="event categories to record (default: all)")
@@ -706,6 +646,7 @@ def main(argv: list[str] | None = None) -> int:
         "ess",
         help="run a multi-BSS ESS grid with roaming + disjoint-path "
              "backhaul; emit a JSON report",
+        parents=[grid("ess")],
     )
     ess.add_argument("--rows", type=_positive_int, default=3,
                      help="grid rows (default: 3)")
@@ -748,29 +689,13 @@ def main(argv: list[str] | None = None) -> int:
                      choices=["calls", "frames"],
                      help="calls: call-level cells only; frames: also run "
                           "per-cell-epoch frame-level BSS shards through "
-                          "the sweep executor (default: calls)")
+                          "the sweep executor, to which the pool and grid "
+                          "flags apply (default: calls)")
     ess.add_argument("--frames-time", type=float, default=8.0,
                      help="sim seconds per frame-level cell shard "
                           "(frames fidelity only, default: 8)")
-    ess.add_argument("--scheme", default="proposed",
-                     choices=["proposed", "proposed-multipoll", "conventional"],
+    ess.add_argument("--scheme", default="proposed", choices=list(SCHEMES),
                      help="MAC scheme for frame-level shards")
-    ess.add_argument("--workers", type=_positive_int, default=1,
-                     help="process-pool size for frames fidelity")
-    ess.add_argument("--schedule", default="cost", choices=["fifo", "cost"],
-                     help="shard dispatch order in pool mode: the cost "
-                          "model weighs each shard's handoff-arrival count "
-                          "(default: cost)")
-    ess.add_argument("--resume", action="store_true",
-                     help="skip shards already in the checkpoint journal")
-    ess.add_argument("--no-cache", action="store_true",
-                     help="disable the content-addressed result cache")
-    ess.add_argument("--cache-dir", default=".repro-cache",
-                     help="result cache directory (default: .repro-cache)")
-    ess.add_argument("--journal", default=".repro-cache/ess-journal.jsonl",
-                     help="checkpoint journal path (JSON-lines)")
-    ess.add_argument("--timeout", type=float, default=None,
-                     help="per-shard wall-clock budget in s (pool mode)")
     ess.add_argument("--out", default=None,
                      help="JSON report path (default: "
                           ".repro-cache/ess-report.json)")
@@ -779,6 +704,7 @@ def main(argv: list[str] | None = None) -> int:
         "redteam",
         help="adversarial scenario search: find, shrink and archive "
              "minimal breach reproducers",
+        parents=[pool],
     )
     redteam.add_argument("--budget", type=_positive_int, default=32,
                          help="total scenario evaluations to spend "
@@ -803,14 +729,6 @@ def main(argv: list[str] | None = None) -> int:
     redteam.add_argument("--shrink-budget", type=_positive_int, default=48,
                          help="per-champion shrink evaluation budget "
                               "(default: 48)")
-    redteam.add_argument("--workers", type=_positive_int, default=1,
-                         help="process-pool size (1 = serial in-process); "
-                              "the report is byte-identical either way")
-    redteam.add_argument("--schedule", default="cost",
-                         choices=["fifo", "cost"],
-                         help="dispatch order in pool mode (default: cost)")
-    redteam.add_argument("--timeout", type=float, default=None,
-                         help="per-point wall-clock budget in s (pool mode)")
     redteam.add_argument("--archive-dir", default="tests/faults/reproducers",
                          help="reproducer fixture corpus (default: "
                               "tests/faults/reproducers)")
@@ -825,17 +743,12 @@ def main(argv: list[str] | None = None) -> int:
         "serve",
         help="serve capacity-planning queries over cached sweep surfaces "
              "(stdlib HTTP JSON API)",
+        parents=[workers, cache_dir],
     )
-    serve.add_argument("--cache-dir", default=".repro-cache",
-                       help="result cache directory to index "
-                            "(default: .repro-cache)")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8011,
                        help="bind port, 0 picks a free one (default: 8011)")
-    serve.add_argument("--workers", type=_positive_int, default=1,
-                       help="sweep-executor pool size for back-fill "
-                            "(1 = serial in-process)")
     serve.add_argument("--no-backfill", action="store_true",
                        help="answer only from the existing cache; cache "
                             "misses return 404 instead of 202")
@@ -848,37 +761,61 @@ def main(argv: list[str] | None = None) -> int:
                             "'schemes=proposed,conventional "
                             "loads=0.5,1.0,2.0 seeds=1,2 time=8'")
 
-    # the bench gate owns its full flag set (it is also reachable as
-    # ``benchmarks/perf_gate.py``); argparse's REMAINDER cannot forward
-    # leading optionals through a subparser, so dispatch before parsing
+    # listed for --help only: main() hands ``bench`` to the gate, which
+    # owns its flag set (repro.bench.gate.build_parser)
     sub.add_parser(
         "bench",
         help="perf microbenchmarks + regression gate (see bench --help)",
         add_help=False,
     )
+    return parser
+
+
+_HANDLERS = {
+    "tables": _cmd_tables,
+    "quick": _cmd_quick,
+    "fig5": _cmd_fig5,
+    "sweep": _cmd_sweep,
+    "validate": _cmd_tier,
+    "chaos": _cmd_tier,
+    "trace": _cmd_trace,
+    "ess": _cmd_ess,
+    "redteam": _cmd_redteam,
+    "serve": _cmd_serve,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
     raw = sys.argv[1:] if argv is None else list(argv)
     if raw[:1] == ["bench"]:
+        # argparse's REMAINDER cannot forward leading optionals through
+        # a subparser, so the gate parses its own arguments
         from .bench import main as bench_main
 
         return bench_main(raw[1:])
 
-    args = parser.parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(raw)
     if args.command is None:
         parser.print_help()
         return 0
-    handlers = {
-        "tables": _cmd_tables,
-        "quick": _cmd_quick,
-        "fig5": _cmd_fig5,
-        "sweep": _cmd_sweep,
-        "validate": _cmd_validate,
-        "chaos": _cmd_chaos,
-        "trace": _cmd_trace,
-        "ess": _cmd_ess,
-        "redteam": _cmd_redteam,
-        "serve": _cmd_serve,
-    }
-    return handlers[args.command](args)
+    from .exec import SweepExecutionError
+
+    try:
+        return _HANDLERS[args.command](args)
+    except SweepExecutionError as exc:
+        print(
+            f"error: {len(exc.failures)} sweep point(s) permanently failed "
+            "after retries:",
+            file=sys.stderr,
+        )
+        for f in exc.failures:
+            print(
+                f"  #{f.index} {f.config.scheme} load={f.config.load} "
+                f"seed={f.config.seed}: {f.error}",
+                file=sys.stderr,
+            )
+        return 2
 
 
 if __name__ == "__main__":

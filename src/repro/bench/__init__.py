@@ -22,7 +22,6 @@ from .gate import (
     compare,
     load_report,
     main,
-    merge_section,
     run_parallel_sweep,
     write_report,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "compare",
     "load_report",
     "main",
-    "merge_section",
     "run_benchmark",
     "run_benchmarks",
     "run_parallel_sweep",

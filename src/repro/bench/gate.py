@@ -24,6 +24,7 @@ the batched-tier speedup floor (see ``run_accel_section``).
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import typing
@@ -33,8 +34,8 @@ from .micro import BENCHMARKS, run_benchmarks
 __all__ = [
     "DEFAULT_BASELINE",
     "compare",
+    "build_parser",
     "load_report",
-    "merge_section",
     "write_report",
     "main",
 ]
@@ -63,25 +64,6 @@ def write_report(path: str | pathlib.Path, report: dict[str, typing.Any]) -> Non
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def merge_section(
-    path: str | pathlib.Path, section: str, payload: dict[str, typing.Any]
-) -> dict[str, typing.Any]:
-    """Merge ``payload`` under ``section`` of the report at ``path``.
-
-    Creates a skeleton report when the file does not exist yet — this
-    is how ``benchmarks/bench_parallel_sweep.py`` lands its numbers in
-    the same JSON file the microbenchmark gate writes.
-    """
-    path = pathlib.Path(path)
-    try:
-        report = load_report(path)
-    except (FileNotFoundError, ValueError):
-        report = {"schema": _SCHEMA, "benchmarks": {}}
-    report[section] = payload
-    write_report(path, report)
-    return report
 
 
 def compare(
@@ -134,10 +116,10 @@ def run_parallel_sweep(
 ) -> dict[str, typing.Any]:
     """Scaled-down serial-vs-pool sweep for the ``parallel_sweep`` section.
 
-    Same grid shape as ``benchmarks/bench_parallel_sweep.py`` (schemes x
-    loads x seeds through :class:`~repro.exec.SweepExecutor`), shrunk so
-    a gate run stays interactive; rows must be byte-identical across
-    the two modes.  ``cpu_cores`` is recorded alongside the timings
+    A schemes x loads x seeds grid through
+    :class:`~repro.exec.SweepExecutor`, small enough that a gate run
+    stays interactive; rows must be byte-identical across the two
+    modes.  ``cpu_cores`` is recorded alongside the timings
     because the speedup is only meaningful relative to the cores the
     machine actually has (a 1-core container cannot beat ~1.0x no
     matter how warm the pool is — the gate skips its speedup floor
@@ -210,11 +192,8 @@ def run_accel_section(
 
 # -- CLI ---------------------------------------------------------------------
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro bench`` / ``benchmarks/perf_gate.py`` entry."""
-    import argparse
-    import sys
-
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro bench`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description="kernel perf benchmarks + regression gate",
@@ -253,7 +232,14 @@ def main(argv: list[str] | None = None) -> int:
                              "multiple over exact end_to_end (default: 5)")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from this run and exit 0")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro bench`` entry."""
+    import sys
+
+    args = build_parser().parse_args(argv)
 
     def progress(name: str, entry: dict) -> None:
         peak = entry.get("peak_kib")

@@ -14,10 +14,9 @@ exact hits, interpolated lookups, ``admissible_calls`` searches,
 * a byte-determinism check: the first and last responses to the same
   query must be identical.
 
-The numbers land in the ``serve_queries`` section of the bench report
-via :func:`repro.bench.merge_section` (``python -m repro bench
---with-serve``), next to the kernel microbenchmarks and the
-parallel-sweep section.
+``python -m repro bench --with-serve`` records the numbers in the
+``serve_queries`` section of the bench report, next to the kernel
+microbenchmarks and the parallel-sweep section.
 """
 
 from __future__ import annotations

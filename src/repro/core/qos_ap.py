@@ -24,7 +24,7 @@ import typing
 from ..mac.frames import Frame, FrameType
 from ..mac.pcf import PcfCoordinator, PollAction
 from ..mac.station import RealTimeStation
-from ..obs.registry import MetricsRegistry, counter_property
+from ..obs.registry import MetricsRegistry
 from ..phy.channel import Channel, ChannelListener
 from ..phy.timing import PhyTiming
 from ..sim.engine import Simulator, TimerHandle
@@ -170,13 +170,10 @@ class QosAccessPoint(ChannelListener):
         self._used_new = 0.0
         self._used_handoff = 0.0
 
-        #: registry-backed decision counters; the ``ap.<name>``
-        #: attributes (``admitted_new`` etc.) read and write these via
-        #: :func:`repro.obs.registry.counter_property`, so existing
-        #: call sites and tests are unchanged
-        self._counters = {
-            name: self.metrics.counter(f"ap_{name}") for name in _AP_COUNTERS
-        }
+        #: decision counters: ``self.<name>`` is the registry's
+        #: ``ap_<name>`` counter (``self.admitted_new.inc()`` etc.)
+        for name in _AP_COUNTERS:
+            setattr(self, name, self.metrics.counter(f"ap_{name}"))
         self._evicted_ids: set[str] = set()
 
         channel.attach(self)
@@ -214,13 +211,13 @@ class QosAccessPoint(ChannelListener):
                 if session.is_voice
                 else session.params.avg_rate
             )
-            self.reclaimed_bandwidth += rate * self.admission.packet_time
+            self.reclaimed_bandwidth.inc(rate * self.admission.packet_time)
             self.admission.remove(session)
         self.policy.remove_session(station_id)
         station = self.stations.get(station_id)
         if station is not None:
             station.evicted()
-        self.evictions += 1
+        self.evictions.inc()
         self._evicted_ids.add(station_id)
         if self.trace is not None:
             self.trace.emit(
@@ -242,7 +239,7 @@ class QosAccessPoint(ChannelListener):
             # the coordinator can never poll
             return
         if info.get("reactivation"):
-            self.reactivations += 1
+            self.reactivations.inc()
             if self.trace is not None:
                 self.trace.emit(now, "admission", "reactivation", station=sid)
             if self.policy.grant_token(sid) and station is not None:
@@ -263,9 +260,9 @@ class QosAccessPoint(ChannelListener):
             session = self.admission.try_admit_video(sid, qos, handoff, handoff_time)
         if session is None:
             if handoff:
-                self.rejected_handoff += 1
+                self.rejected_handoff.inc()
             else:
-                self.blocked_new += 1
+                self.blocked_new.inc()
             if self.trace is not None:
                 self.trace.emit(
                     now, "admission", "reject", station=sid, handoff=handoff
@@ -274,13 +271,13 @@ class QosAccessPoint(ChannelListener):
                 station.deny()
             return
         if handoff:
-            self.admitted_handoff += 1
+            self.admitted_handoff.inc()
         else:
-            self.admitted_new += 1
+            self.admitted_new.inc()
         readmitted = sid in self._evicted_ids
         if readmitted:
             # a previously evicted session earned its way back in
-            self.readmissions += 1
+            self.readmissions.inc()
             self._evicted_ids.discard(sid)
         if self.trace is not None:
             self.trace.emit(
@@ -392,8 +389,3 @@ class QosAccessPoint(ChannelListener):
         drop, block, util = self.feedback()
         self.bandwidth.update(drop, block, util)
         self.sim.call_in(self.config.adaptation_interval, self._adapt)
-
-
-for _field in _AP_COUNTERS:
-    setattr(QosAccessPoint, _field, counter_property(_field))
-del _field

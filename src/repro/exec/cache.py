@@ -14,11 +14,9 @@ crash *between* the temp-file write and the rename leaves a
 them up alongside the real entries.
 
 Hit/miss accounting goes through a :class:`~repro.obs.registry.
-MetricsRegistry` (``result_cache_hits`` / ``result_cache_misses``
-counters), so sweep telemetry and the serve layer share one metrics
-path; the ``hits``/``misses`` int attributes the executor and tests
-read are :func:`~repro.obs.registry.counter_property` facades over the
-same counters.
+MetricsRegistry`, so sweep telemetry and the serve layer share one
+metrics path: ``cache.hits`` and ``cache.misses`` are the registry's
+``result_cache_hits`` / ``result_cache_misses`` counters themselves.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import os
 import pathlib
 import typing
 
-from ..obs.registry import MetricsRegistry, counter_property
+from ..obs.registry import MetricsRegistry
 from .hashing import KEY_FORMAT, canonical_json, jsonable
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -54,9 +52,6 @@ class CacheEntry(typing.NamedTuple):
 class ResultCache:
     """Directory of ``<key>.json`` result rows keyed by config hash."""
 
-    hits = counter_property("hits", "rows served from disk")
-    misses = counter_property("misses", "keys with no usable entry")
-
     def __init__(
         self,
         root: str | pathlib.Path = DEFAULT_CACHE_DIR,
@@ -65,10 +60,10 @@ class ResultCache:
         self.root = pathlib.Path(root)
         self.results_dir = self.root / "results"
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {
-            "hits": self.registry.counter("result_cache_hits"),
-            "misses": self.registry.counter("result_cache_misses"),
-        }
+        #: rows served from disk
+        self.hits = self.registry.counter("result_cache_hits")
+        #: keys with no usable entry
+        self.misses = self.registry.counter("result_cache_misses")
 
     def _path(self, key: str) -> pathlib.Path:
         return self.results_dir / f"{key}.json"
@@ -89,16 +84,16 @@ class ResultCache:
         try:
             entry = json.loads(path.read_text())
         except (OSError, ValueError):
-            self.misses += 1
+            self.misses.inc()
             return None
         if (
             not isinstance(entry, dict)
             or entry.get("format") != KEY_FORMAT
             or "row" not in entry
         ):
-            self.misses += 1
+            self.misses.inc()
             return None
-        self.hits += 1
+        self.hits.inc()
         return entry["row"]
 
     def put(

@@ -7,12 +7,11 @@ from .config import (
     TABLE2,
     sweep_config,
 )
-from .io import load_results, merge_results, normalize_row, save_results
+from .io import load_results, merge_results, save_results
 from .figures import FIGURE_METRICS, fig5, fig6, fig7, fig8, fig9, fig10, fig11
 from .runner import (
     average_over_seeds,
     format_table,
-    run_point,
     run_sweep,
     sweep_grid,
 )
@@ -24,10 +23,8 @@ __all__ = [
     "EVALUATION_SEEDS",
     "BENCH_LOADS",
     "sweep_config",
-    "run_point",
     "run_sweep",
     "sweep_grid",
-    "normalize_row",
     "average_over_seeds",
     "format_table",
     "table1",

@@ -12,21 +12,11 @@ import json
 import pathlib
 import typing
 
-from ..exec.hashing import jsonable, normalize_row
+from ..exec.hashing import jsonable
 
-__all__ = [
-    "save_results",
-    "load_results",
-    "merge_results",
-    "jsonable",
-    "normalize_row",
-]
+__all__ = ["save_results", "load_results", "merge_results"]
 
 _FORMAT = 1
-
-# canonical JSON coercion now lives in repro.exec.hashing (the cache
-# and journal share it); kept under its old private name for callers
-_jsonable = jsonable
 
 
 def save_results(
@@ -49,7 +39,7 @@ def save_results(
                 + "\n"
             )
         for row in rows:
-            fh.write(json.dumps(_jsonable(row)) + "\n")
+            fh.write(json.dumps(jsonable(row)) + "\n")
     return p
 
 

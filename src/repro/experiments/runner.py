@@ -2,34 +2,27 @@
 
 Execution is delegated to :mod:`repro.exec`: :func:`run_sweep` builds
 the ``schemes x loads x seeds`` grid of configs and hands it to a
-:class:`~repro.exec.SweepExecutor`.  The defaults (``workers=1``, no
-cache, no journal) reproduce the historical serial in-process
-behaviour exactly; pass ``workers``/``cache_dir``/``journal``/
-``resume`` — or a pre-built executor — to go parallel, cached and
-resumable.
+:class:`~repro.exec.SweepExecutor`.  The default executor runs the
+points serially in-process, with no cache and no journal; pass a
+configured one to go parallel, cached and resumable, or to observe
+per-point progress.
 """
 
 from __future__ import annotations
 
 import typing
 
-from ..exec import ExecutorConfig, PointRecord, SweepExecutor, default_point_fn
+from ..exec import SweepExecutor
 from ..metrics.stats import OnlineStats
 from ..network.bss import ScenarioConfig
 from .config import EVALUATION_LOADS, EVALUATION_SEEDS, sweep_config
 
 __all__ = [
-    "run_point",
     "run_sweep",
     "sweep_grid",
     "average_over_seeds",
     "format_table",
 ]
-
-
-def run_point(config: ScenarioConfig) -> dict[str, typing.Any]:
-    """Build and run one scenario, returning its results dict."""
-    return default_point_fn(config)
 
 
 def sweep_grid(
@@ -54,43 +47,17 @@ def run_sweep(
     seeds: typing.Sequence[int] = EVALUATION_SEEDS,
     sim_time: float = 60.0,
     warmup: float = 5.0,
-    progress: typing.Callable[[str], None] | None = None,
     *,
-    workers: int = 1,
-    cache_dir: str | None = None,
-    journal: str | None = None,
-    resume: bool = False,
-    timeout: float | None = None,
-    retries: int = 1,
     executor: SweepExecutor | None = None,
 ) -> list[dict[str, typing.Any]]:
-    """Run the evaluation grid through the execution subsystem.
+    """Run the evaluation grid through ``executor`` (default: serial).
 
-    ``progress`` keeps its historical one-message-per-point string
-    signature; pass an ``executor`` with its own
-    :class:`~repro.exec.PointRecord` callback for structured progress
-    and post-run telemetry (``executor.summary()``).
+    The executor's :class:`~repro.exec.ExecutorConfig` sets workers,
+    cache, journal and resume; its ``progress`` callback receives one
+    :class:`~repro.exec.PointRecord` per point, and ``executor.summary()``
+    reports the run afterwards.
     """
-    if executor is None:
-        executor = SweepExecutor(
-            ExecutorConfig(
-                workers=workers,
-                cache_dir=cache_dir,
-                journal=journal,
-                resume=resume,
-                timeout=timeout,
-                retries=retries,
-            )
-        )
-    if progress is not None and executor.progress is None:
-
-        def _relay(record: PointRecord) -> None:
-            progress(
-                f"{record.scheme} load={record.load} seed={record.seed} "
-                f"{record.status}"
-            )
-
-        executor.progress = _relay
+    executor = executor or SweepExecutor()
     return executor.run(sweep_grid(schemes, loads, seeds, sim_time, warmup))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from ..obs.registry import MetricsRegistry, counter_property
+from ..obs.registry import MetricsRegistry
 from ..phy.channel import Channel, ChannelListener
 from ..phy.timing import PhyTiming
 from ..sim.engine import Simulator, TimerHandle
@@ -76,32 +76,24 @@ _CFP_STAT_FIELDS = (
 
 
 class CfpStats:
-    """Aggregate CFP accounting, backed by a metrics registry.
+    """Aggregate CFP accounting, one registry counter per field.
 
-    Field access is unchanged from the original dataclass
-    (``stats.polls_sent += 1`` works), but every field is now a
-    ``cfp_<name>`` counter in the supplied
-    :class:`~repro.obs.registry.MetricsRegistry` — one standalone
-    registry per instance when none is shared in.
+    Every field is the ``cfp_<name>`` :class:`~repro.obs.registry.Counter`
+    of the supplied :class:`~repro.obs.registry.MetricsRegistry` — one
+    standalone registry per instance when none is shared in.  Write
+    with ``stats.polls_sent.inc()``, read with ``stats.polls_sent.value``.
     """
 
     def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self.metrics = metrics or MetricsRegistry()
-        self._counters = {
-            name: self.metrics.counter(f"cfp_{name}")
-            for name in _CFP_STAT_FIELDS
-        }
+        for name in _CFP_STAT_FIELDS:
+            setattr(self, name, self.metrics.counter(f"cfp_{name}"))
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{name}={self._counters[name].value}" for name in _CFP_STAT_FIELDS
+            f"{name}={getattr(self, name).value}" for name in _CFP_STAT_FIELDS
         )
         return f"CfpStats({inner})"
-
-
-for _field in _CFP_STAT_FIELDS:
-    setattr(CfpStats, _field, counter_property(_field))
-del _field
 
 
 class PcfCoordinator(ChannelListener):
@@ -221,7 +213,7 @@ class PcfCoordinator(ChannelListener):
         self._active = True
         self._cfp_start = self.sim.now
         self._deadline = self._cfp_start + self._deadline_duration
-        self.stats.cfps_started += 1
+        self.stats.cfps_started.inc()
         if self.trace is not None:
             self.trace.emit(
                 self._cfp_start, "cfp", "start",
@@ -267,7 +259,7 @@ class PcfCoordinator(ChannelListener):
             if sid in self.stations:
                 ids.append(sid)
             else:
-                self.stats.ghost_polls += 1
+                self.stats.ghost_polls.inc()
                 if self.trace is not None:
                     self.trace.emit(now, "cfp", "ghost", station=sid)
                 self._scheduler.on_response(sid, None, False, now)
@@ -277,10 +269,10 @@ class PcfCoordinator(ChannelListener):
         if self.trace is not None:
             self.trace.emit(now, "cfp", "poll", stations=list(ids))
         if len(ids) == 1:
-            self.stats.polls_sent += 1
+            self.stats.polls_sent.inc()
             frame = Frame(FrameType.CF_POLL, src=self.ap_id, dest=ids[0])
         else:
-            self.stats.multipolls_sent += 1
+            self.stats.multipolls_sent.inc()
             frame = Frame(
                 FrameType.CF_MULTIPOLL,
                 src=self.ap_id,
@@ -312,7 +304,7 @@ class PcfCoordinator(ChannelListener):
             self.sim.call_in(self.timing.sifs, self._responses, list(ids))
             return
         if retries_left > 0:
-            self.stats.poll_retries += 1
+            self.stats.poll_retries.inc()
             if self.trace is not None:
                 self.trace.emit(
                     self.sim.now, "cfp", "repoll",
@@ -323,7 +315,7 @@ class PcfCoordinator(ChannelListener):
             )
             return
         assert self._scheduler is not None
-        self.stats.polls_lost += 1
+        self.stats.polls_lost.inc()
         if self.trace is not None:
             self.trace.emit(self.sim.now, "cfp", "poll_lost", stations=list(ids))
         for sid in ids:
@@ -348,7 +340,7 @@ class PcfCoordinator(ChannelListener):
             # heard the poll.  Unlike a legit empty-buffer null this is
             # reported abnormal (ok=False) so the scheduler's miss
             # escalation runs.
-            self.stats.unreachable_nulls += 1
+            self.stats.unreachable_nulls.inc()
             if self.trace is not None:
                 self.trace.emit(
                     self.sim.now, "cfp", "null", station=sid, reason="radio_down"
@@ -362,7 +354,7 @@ class PcfCoordinator(ChannelListener):
         if frame is None:
             # No response: the point coordinator reclaims the medium
             # after PIFS (it has already waited SIFS).
-            self.stats.null_responses += 1
+            self.stats.null_responses.inc()
             if self.trace is not None:
                 self.trace.emit(
                     self.sim.now, "cfp", "null", station=sid, reason="empty"
@@ -372,7 +364,7 @@ class PcfCoordinator(ChannelListener):
                 self.timing.pifs - self.timing.sifs, self._responses, remaining
             )
             return
-        self.stats.responses += 1
+        self.stats.responses.inc()
         done = self.channel.transmit(frame, frame.airtime(self.timing), sender=station)
         scheduler = self._scheduler
 
@@ -405,7 +397,7 @@ class PcfCoordinator(ChannelListener):
 
     def _finished(self, cf_end_ok: bool = True) -> None:
         now = self.sim.now
-        self.stats.cfp_time += now - self._cfp_start
+        self.stats.cfp_time.inc(now - self._cfp_start)
         if self.trace is not None:
             self.trace.emit(
                 now, "cfp", "end",
@@ -418,7 +410,7 @@ class PcfCoordinator(ChannelListener):
             # armed until the beacon's announced deadline expires (the
             # duration-field fallback).  Leaving the shared NAV set
             # models exactly that — contention resumes at the deadline.
-            self.stats.cf_ends_lost += 1
+            self.stats.cf_ends_lost.inc()
         self._active = False
         scheduler, self._scheduler = self._scheduler, None
         on_end, self._on_end = self._on_end, None

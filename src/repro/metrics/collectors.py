@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import typing
 
-from ..obs.registry import CounterMap, MetricsRegistry
+from ..obs.registry import Counter, MetricsRegistry
 from ..traffic.base import Packet, TrafficKind
 from .stats import JitterTracker, OnlineStats, WindowedRatio
 
@@ -20,11 +20,11 @@ __all__ = ["MetricsCollector"]
 class MetricsCollector:
     """Collects packet- and call-level outcomes for one scenario run.
 
-    Per-kind delivered/loss tallies live in the scenario's
+    Per-kind delivered/loss tallies are counters of the scenario's
     :class:`~repro.obs.registry.MetricsRegistry` (``delivered{kind=..}``
-    / ``losses{kind=..}``), exposed through dict-like facades so call
-    sites are unchanged; access delays additionally feed per-kind
-    registry histograms for snapshotting.
+    / ``losses{kind=..}``), held in dicts keyed by
+    :class:`~repro.traffic.base.TrafficKind`; access delays additionally
+    feed per-kind registry histograms for snapshotting.
     """
 
     def __init__(
@@ -40,10 +40,13 @@ class MetricsCollector:
             k: self.metrics.histogram("access_delay", kind=k.value)
             for k in TrafficKind
         }
-        self.losses = CounterMap(self.metrics, "losses", TrafficKind, "kind")
-        self.delivered = CounterMap(
-            self.metrics, "delivered", TrafficKind, "kind"
-        )
+        self.losses: dict[TrafficKind, Counter] = {
+            k: self.metrics.counter("losses", kind=k.value) for k in TrafficKind
+        }
+        self.delivered: dict[TrafficKind, Counter] = {
+            k: self.metrics.counter("delivered", kind=k.value)
+            for k in TrafficKind
+        }
         self.jitter: dict[str, JitterTracker] = {}
         self.max_delay: dict[str, float] = {}
         self.dropping = WindowedRatio()  # handoff calls
@@ -58,9 +61,9 @@ class MetricsCollector:
             return
         kind = packet.kind
         if not delivered:
-            self.losses[kind] += 1
+            self.losses[kind].inc()
             return
-        self.delivered[kind] += 1
+        self.delivered[kind].inc()
         self.useful_bits += packet.bits
         delay = packet.access_delay()
         self.access_delay[kind].add(delay)
@@ -96,8 +99,9 @@ class MetricsCollector:
 
     # -- reporting ------------------------------------------------------------------
     def loss_rate(self, kind: TrafficKind) -> float:
-        total = self.delivered[kind] + self.losses[kind]
-        return self.losses[kind] / total if total else 0.0
+        lost = self.losses[kind].value
+        total = self.delivered[kind].value + lost
+        return lost / total if total else 0.0
 
     def worst_jitter(self) -> float:
         """Max observed voice jitter across all sources (Fig. 5 left)."""
@@ -130,6 +134,6 @@ class MetricsCollector:
             stats = self.access_delay[kind]
             out[f"{kind.value}_delay_mean"] = stats.mean
             out[f"{kind.value}_delay_var"] = stats.variance
-            out[f"{kind.value}_delivered"] = self.delivered[kind]
-            out[f"{kind.value}_losses"] = self.losses[kind]
+            out[f"{kind.value}_delivered"] = self.delivered[kind].value
+            out[f"{kind.value}_losses"] = self.losses[kind].value
         return out

@@ -486,16 +486,21 @@ class BssScenario:
     # -- fault telemetry ----------------------------------------------------
     def _fault_summary(self) -> dict[str, typing.Any]:
         """Degradation telemetry for a faulted run (results["faults"])."""
-        stats = self.ap.coordinator.stats
+        ap = self.ap
+        stats = ap.coordinator.stats
+        # only the proposed AP evicts sessions
+        evicting = isinstance(ap, QosAccessPoint)
         out: dict[str, typing.Any] = {
-            "poll_retries": stats.poll_retries,
-            "polls_lost": stats.polls_lost,
-            "ghost_polls": stats.ghost_polls,
-            "unreachable_nulls": stats.unreachable_nulls,
-            "cf_ends_lost": stats.cf_ends_lost,
-            "evictions": getattr(self.ap, "evictions", 0),
-            "readmissions": getattr(self.ap, "readmissions", 0),
-            "reclaimed_bandwidth": getattr(self.ap, "reclaimed_bandwidth", 0.0),
+            "poll_retries": stats.poll_retries.value,
+            "polls_lost": stats.polls_lost.value,
+            "ghost_polls": stats.ghost_polls.value,
+            "unreachable_nulls": stats.unreachable_nulls.value,
+            "cf_ends_lost": stats.cf_ends_lost.value,
+            "evictions": ap.evictions.value if evicting else 0,
+            "readmissions": ap.readmissions.value if evicting else 0,
+            "reclaimed_bandwidth": (
+                ap.reclaimed_bandwidth.value if evicting else 0.0
+            ),
         }
         if self.fault_driver is not None:
             out.update(

@@ -14,9 +14,8 @@ and the thing a perf PR measures against:
 * :class:`MetricsRegistry` — pure-Python counters, gauges and
   fixed-bucket histograms with optional labels (per-station,
   per-priority, per-BSS) and periodic sim-clock snapshotting.  The
-  ad-hoc counter dicts that used to live in ``qos_ap``/``bss``/
-  ``token_policy`` are now registry-backed behind compatible facades
-  (:func:`counter_property`, :class:`CounterMap`).
+  MAC, AP, metrics collector and result cache hold its counters
+  directly (``counter.inc()`` to write, ``.value`` to read).
 * :class:`EngineProfiler` — per-event-type handler timing and
   events/sec for :class:`~repro.sim.engine.Simulator`, surfaced
   through sweep telemetry and the ``python -m repro trace`` CLI.
@@ -27,14 +26,7 @@ level.
 """
 
 from .profiler import EngineProfiler, measure_allocations
-from .registry import (
-    Counter,
-    CounterMap,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter_property,
-)
+from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .report import render_category_counts, render_profile, render_timeline
 from .trace import (
     CATEGORIES,
@@ -53,11 +45,9 @@ __all__ = [
     "validate_trace_file",
     "validate_trace_line",
     "Counter",
-    "CounterMap",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "counter_property",
     "EngineProfiler",
     "measure_allocations",
     "render_category_counts",

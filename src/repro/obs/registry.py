@@ -10,14 +10,9 @@ per-priority, per-BSS, ...), rendered Prometheus-style in snapshots::
 
     ap_admitted{kind=new}  ->  17
 
-Facades for pre-existing call sites:
-
-* :func:`counter_property` — a class-level property that proxies an
-  ``obj.some_counter += 1`` attribute to a registry counter held in
-  ``obj._counters``;
-* :class:`CounterMap` — a dict-like view (``m[key] += 1``) over one
-  counter per key, for the per-kind counter dicts the metrics
-  collector keeps.
+Components hold their instruments as plain attributes (or dicts of
+them keyed by label value) and use them directly: ``counter.inc()``
+writes, ``counter.value`` reads.
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "CounterMap",
-    "counter_property",
     "DELAY_BUCKETS",
 ]
 
@@ -225,71 +218,3 @@ class MetricsRegistry:
             sim.call_in(interval, tick)
 
         sim.call_in(interval, tick)
-
-
-class CounterMap:
-    """Dict-like facade over one registry counter per fixed key.
-
-    Built for the per-:class:`~repro.traffic.base.TrafficKind` counter
-    dicts in the metrics collector: reads return plain numbers, and
-    ``m[key] += 1`` updates the underlying counter, so pre-registry
-    call sites keep working unchanged.
-    """
-
-    __slots__ = ("_counters",)
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        name: str,
-        keys: typing.Iterable[typing.Any],
-        label: str = "key",
-    ) -> None:
-        self._counters = {
-            key: registry.counter(
-                name, **{label: getattr(key, "value", str(key))}
-            )
-            for key in keys
-        }
-
-    def __getitem__(self, key: typing.Any) -> int | float:
-        return self._counters[key].value
-
-    def __setitem__(self, key: typing.Any, value: int | float) -> None:
-        self._counters[key].value = value
-
-    def __contains__(self, key: typing.Any) -> bool:
-        return key in self._counters
-
-    def __iter__(self) -> typing.Iterator[typing.Any]:
-        return iter(self._counters)
-
-    def __len__(self) -> int:
-        return len(self._counters)
-
-    def keys(self):
-        return self._counters.keys()
-
-    def values(self) -> list[int | float]:
-        return [c.value for c in self._counters.values()]
-
-    def items(self) -> list[tuple[typing.Any, int | float]]:
-        return [(k, c.value) for k, c in self._counters.items()]
-
-
-def counter_property(name: str, doc: str | None = None) -> property:
-    """Class-level facade: attribute access backed by a registry counter.
-
-    The owning class keeps a ``self._counters`` dict mapping ``name``
-    to a :class:`Counter`; ``obj.name`` then reads the counter's value
-    and ``obj.name += 1`` (property get + set) writes through, so
-    pre-registry call sites and tests keep working unchanged.
-    """
-
-    def fget(self) -> int | float:
-        return self._counters[name].value
-
-    def fset(self, value: int | float) -> None:
-        self._counters[name].value = value
-
-    return property(fget, fset, doc=doc or f"registry-backed counter {name!r}")

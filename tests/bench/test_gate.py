@@ -9,7 +9,6 @@ from repro.bench import (
     compare,
     load_report,
     main,
-    merge_section,
     run_benchmark,
     run_benchmarks,
     write_report,
@@ -97,13 +96,6 @@ class TestReportIO:
         path.write_text(json.dumps({"whatever": 1}))
         with pytest.raises(ValueError):
             load_report(path)
-
-    def test_merge_section_creates_and_updates(self, tmp_path):
-        path = tmp_path / "report.json"
-        merge_section(path, "parallel_sweep", {"speedup": 2.0})
-        merged = merge_section(path, "parallel_sweep", {"speedup": 3.0})
-        assert merged["parallel_sweep"] == {"speedup": 3.0}
-        assert load_report(path)["benchmarks"] == {}
 
 
 class TestMicro:

@@ -47,7 +47,7 @@ def test_request_admission_grant_flow():
     w.sim.run(until=0.1)
     assert sta.admitted
     assert sta.state in (RTState.WAIT, RTState.EMPTY)
-    assert w.ap.admitted_new == 1
+    assert w.ap.admitted_new.value == 1
     assert w.ap.admission.find("v0") is not None
     assert w.ap.policy.get("v0") is not None
 
@@ -73,7 +73,7 @@ def test_overloaded_admission_blocks_and_denies():
     a.start_admission_request()
     b.start_admission_request()
     w.sim.run(until=0.2)
-    assert w.ap.blocked_new >= 1
+    assert w.ap.blocked_new.value >= 1
     assert not (a.admitted and b.admitted)
     denied = b if a.admitted else a
     assert denied.state == RTState.EMPTY
@@ -85,8 +85,8 @@ def test_handoff_rejection_counted_separately():
     h = w.make_station("h", qos=heavy, handoff=True)
     h.start_admission_request()
     w.sim.run(until=0.2)
-    assert w.ap.rejected_handoff == 1
-    assert w.ap.blocked_new == 0
+    assert w.ap.rejected_handoff.value == 1
+    assert w.ap.blocked_new.value == 0
 
 
 def test_duplicate_request_is_idempotent():
@@ -99,7 +99,7 @@ def test_duplicate_request_is_idempotent():
     sta.start_admission_request()
     w.sim.run(until=0.1)
     assert sta.admitted
-    assert w.ap.admitted_new == 1  # no double admission
+    assert w.ap.admitted_new.value == 1  # no double admission
     assert len(w.ap.admission.voice_sessions) == 1
 
 
@@ -114,8 +114,8 @@ def test_reactivation_grants_token_without_readmission():
     sta.state = RTState.EMPTY
     sta.packet_arrival(w.pkt("v0", deadline_in=1.0))
     w.sim.run(until=0.2)
-    assert w.ap.reactivations >= 1
-    assert w.ap.admitted_new == 1
+    assert w.ap.reactivations.value >= 1
+    assert w.ap.admitted_new.value == 1
 
 
 def test_departed_station_fully_cleaned_up():

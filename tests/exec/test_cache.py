@@ -10,11 +10,11 @@ def test_miss_then_hit(tmp_path):
     key = config_key(cfg)
 
     assert cache.get(key) is None
-    assert (cache.hits, cache.misses) == (0, 1)
+    assert (cache.hits.value, cache.misses.value) == (0, 1)
 
     cache.put(key, {"scheme": "proposed", "x": 1.5}, cfg)
     assert cache.get(key) == {"scheme": "proposed", "x": 1.5}
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert (cache.hits.value, cache.misses.value) == (1, 1)
     assert len(cache) == 1
 
 
@@ -117,7 +117,7 @@ def test_entries_skip_corruption_without_charging_misses(tmp_path):
     scanned = list(cache.entries())
     assert [e.key for e in scanned] == [config_key(good)]
     assert scanned[0].config["seed"] == 1
-    assert (cache.hits, cache.misses) == (0, 0)
+    assert (cache.hits.value, cache.misses.value) == (0, 0)
 
 
 def test_hit_miss_counters_flow_through_registry(tmp_path):
@@ -135,7 +135,7 @@ def test_hit_miss_counters_flow_through_registry(tmp_path):
     assert counters["result_cache_hits"] == 1
     assert counters["result_cache_misses"] == 1
     # the int facades read the same instruments
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert (cache.hits.value, cache.misses.value) == (1, 1)
 
 
 def test_distinct_configs_do_not_collide(tmp_path):

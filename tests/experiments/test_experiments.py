@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exec import default_point_fn
 from repro.experiments import (
     EVALUATION_LOADS,
     average_over_seeds,
@@ -12,7 +13,6 @@ from repro.experiments import (
     format_table,
     render_table1,
     render_table2,
-    run_point,
     run_sweep,
     sweep_config,
     table1,
@@ -58,9 +58,9 @@ class TestRunner:
             cfg = sweep_config("proposed", load, 1)
             assert cfg.load == load
 
-    def test_run_point_returns_results(self):
+    def test_default_point_fn_returns_results(self):
         cfg = sweep_config("proposed", 0.5, 1, sim_time=8.0, warmup=1.0)
-        r = run_point(cfg)
+        r = default_point_fn(cfg)
         assert r["scheme"] == "proposed"
 
     def test_run_sweep_grid_size(self):

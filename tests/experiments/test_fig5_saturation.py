@@ -1,5 +1,6 @@
 """Edge cases of the Fig. 5 static-population builder."""
 
+from repro.exec import PointRecord, SweepExecutor
 from repro.experiments.figures import _static_bss
 from repro.experiments.runner import run_sweep
 
@@ -30,10 +31,12 @@ def test_voice_only_population():
 
 
 def test_sweep_progress_callback_invoked():
-    messages = []
+    records = []
     run_sweep(
-        ["proposed"], loads=[0.5], seeds=[1], sim_time=4.0, warmup=1.0,
-        progress=messages.append,
+        ["proposed", "conventional"], loads=[0.5], seeds=[1], sim_time=4.0,
+        warmup=1.0, executor=SweepExecutor(progress=records.append),
     )
-    assert len(messages) == 1
-    assert "proposed" in messages[0]
+    assert all(isinstance(r, PointRecord) for r in records)
+    assert [(r.scheme, r.status) for r in records] == [
+        ("proposed", "executed"), ("conventional", "executed"),
+    ]

@@ -57,8 +57,8 @@ def test_cfp_beacon_poll_response_cfend(world):
     sid, frame, ok, _ = sched.responses[0]
     assert sid == "s1" and ok and frame.payload_bits == 4096
     assert ended and ended[0] > 0
-    assert coord.stats.polls_sent == 1
-    assert coord.stats.cfps_started == 1
+    assert coord.stats.polls_sent.value == 1
+    assert coord.stats.cfps_started.value == 1
     assert not coord.active
 
 
@@ -70,7 +70,7 @@ def test_cfp_seizes_at_pifs(world):
     # beacon started exactly PIFS after the idle medium start (t=0)
     # CF-End follows beacon + SIFS; total time sanity:
     t = world.timing
-    assert coord.stats.cfp_time == pytest.approx(
+    assert coord.stats.cfp_time.value == pytest.approx(
         t.beacon_time() + t.sifs + t.poll_time(), rel=1e-6
     )
 
@@ -100,8 +100,8 @@ def test_multipoll_single_frame_multiple_responses(world):
     sched = ScriptedScheduler([PollAction(("s0", "s1", "s2"))])
     coord.start_cfp(sched, 0.05, lambda: None)
     world.sim.run()
-    assert coord.stats.multipolls_sent == 1
-    assert coord.stats.polls_sent == 0
+    assert coord.stats.multipolls_sent.value == 1
+    assert coord.stats.polls_sent.value == 0
     assert [r[0] for r in sched.responses] == ["s0", "s1", "s2"]
     # responses are ordered in time
     times = [r[3] for r in sched.responses]
@@ -125,7 +125,7 @@ def test_null_response_advances_after_pifs(world):
     sched = ScriptedScheduler([PollAction(("s1",))])
     coord.start_cfp(sched, 0.05, lambda: None)
     world.sim.run()
-    assert coord.stats.null_responses == 1
+    assert coord.stats.null_responses.value == 1
     assert sched.responses[0][1] is None
 
 
@@ -148,7 +148,7 @@ def test_budget_ends_cfp_early(world):
     budget = 0.01
     coord.start_cfp(sched, budget, lambda: None)
     world.sim.run()
-    assert coord.stats.cfp_time <= budget + 1e-9
+    assert coord.stats.cfp_time.value <= budget + 1e-9
     assert sched.responses >= 1
 
 
@@ -159,8 +159,8 @@ def test_poll_unregistered_station_degrades_to_abnormal_null(world):
     sched = ScriptedScheduler([PollAction(("ghost",))])
     coord.start_cfp(sched, 0.05, lambda: None)
     world.sim.run()
-    assert coord.stats.ghost_polls == 1
-    assert coord.stats.polls_sent == 0
+    assert coord.stats.ghost_polls.value == 1
+    assert coord.stats.polls_sent.value == 0
     assert sched.responses == [("ghost", None, False, sched.responses[0][3])]
 
 
@@ -171,10 +171,10 @@ def test_ghost_station_filtered_out_of_multipoll(world):
     sched = ScriptedScheduler([PollAction(("ghost", "s1"))])
     coord.start_cfp(sched, 0.05, lambda: None)
     world.sim.run()
-    assert coord.stats.ghost_polls == 1
+    assert coord.stats.ghost_polls.value == 1
     # the survivor was still polled (as a single poll, not a multipoll)
-    assert coord.stats.polls_sent == 1
-    assert coord.stats.multipolls_sent == 0
+    assert coord.stats.polls_sent.value == 1
+    assert coord.stats.multipolls_sent.value == 0
     by_sid = {r[0]: r for r in sched.responses}
     assert by_sid["ghost"][1] is None and by_sid["ghost"][2] is False
     assert by_sid["s1"][1] is not None

@@ -74,4 +74,4 @@ def test_station_departing_during_poll_airtime_yields_null():
     coord.start_cfp(sched, 0.05, lambda: None)
     world.sim.run()
     assert sched.outcomes == [("a", True), ("b", True)]
-    assert coord.stats.null_responses == 1
+    assert coord.stats.null_responses.value == 1

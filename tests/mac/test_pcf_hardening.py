@@ -77,8 +77,8 @@ class TestPollDelivery:
         sta = Station("s1")
         sched = Recorder([PollAction(("s1",))])
         world.run_cfp(sched, [sta])
-        assert world.coord.stats.poll_retries == 1
-        assert world.coord.stats.polls_lost == 0
+        assert world.coord.stats.poll_retries.value == 1
+        assert world.coord.stats.polls_lost.value == 0
         assert len(sta.polled_at) == 1  # only the delivered copy was heard
         (sid, frame, ok, _), = sched.responses
         assert sid == "s1" and ok and frame is not None
@@ -89,8 +89,8 @@ class TestPollDelivery:
         sta = Station("s1")
         sched = Recorder([PollAction(("s1",))])
         ended = world.run_cfp(sched, [sta])
-        assert world.coord.stats.poll_retries == world.coord.max_poll_retries
-        assert world.coord.stats.polls_lost == 1
+        assert world.coord.stats.poll_retries.value == world.coord.max_poll_retries
+        assert world.coord.stats.polls_lost.value == 1
         assert sta.polled_at == []  # the station never heard a thing
         (sid, frame, ok, _), = sched.responses
         assert (sid, frame, ok) == ("s1", None, False)
@@ -101,7 +101,7 @@ class TestPollDelivery:
         stations = [Station("s1"), Station("s2")]
         sched = Recorder([PollAction(("s1", "s2"))])
         world.run_cfp(sched, stations)
-        assert world.coord.stats.polls_lost == 1
+        assert world.coord.stats.polls_lost.value == 1
         assert [(r[0], r[2]) for r in sched.responses] == [
             ("s1", False), ("s2", False),
         ]
@@ -112,8 +112,8 @@ class TestPollDelivery:
         stations = [Station("s1"), Station("s2")]
         sched = Recorder([PollAction(("s1", "s2"))])
         world.run_cfp(sched, stations)
-        assert world.coord.stats.multipolls_sent == 1  # counted once
-        assert world.coord.stats.poll_retries == 1
+        assert world.coord.stats.multipolls_sent.value == 1  # counted once
+        assert world.coord.stats.poll_retries.value == 1
         assert [(r[0], r[2]) for r in sched.responses] == [
             ("s1", True), ("s2", True),
         ]
@@ -136,8 +136,8 @@ class TestUnreachableStation:
         sta = Station("s1", radio_down=True)
         sched = Recorder([PollAction(("s1",))])
         world.run_cfp(sched, [sta])
-        assert world.coord.stats.unreachable_nulls == 1
-        assert world.coord.stats.null_responses == 0  # not a legit null
+        assert world.coord.stats.unreachable_nulls.value == 1
+        assert world.coord.stats.null_responses.value == 0  # not a legit null
         assert sta.polled_at == []
         (sid, frame, ok, _), = sched.responses
         assert (sid, frame, ok) == ("s1", None, False)
@@ -160,7 +160,7 @@ class TestCfEndLoss:
     def test_default_mode_idealizes_cf_end_delivery(self):
         world = self.script_cf_end_loss()
         ended = world.run_cfp(Recorder([]))
-        assert world.coord.stats.cf_ends_lost == 0
+        assert world.coord.stats.cf_ends_lost.value == 0
         assert not world.nav.blocked(world.sim.now)
         assert ended
 
@@ -169,7 +169,7 @@ class TestCfEndLoss:
         world.coord.strict_cf_end = True
         duration = 0.05
         ended = world.run_cfp(Recorder([]), duration=duration)
-        assert world.coord.stats.cf_ends_lost == 1
+        assert world.coord.stats.cf_ends_lost.value == 1
         # the stations never heard the CF-End: their NAV holds until
         # the beacon's announced deadline, then contention resumes
         assert world.nav.blocked(world.sim.now)
@@ -181,5 +181,5 @@ class TestCfEndLoss:
         world = World()  # nothing corrupted
         world.coord.strict_cf_end = True
         world.run_cfp(Recorder([]))
-        assert world.coord.stats.cf_ends_lost == 0
+        assert world.coord.stats.cf_ends_lost.value == 0
         assert not world.nav.blocked(world.sim.now)

@@ -56,7 +56,7 @@ def test_txop_one_is_classic_pcf(world):
     coord.start_cfp(sched, 0.05, lambda: None)
     world.sim.run()
     assert sta.responses == 1  # one frame per poll
-    assert coord.stats.polls_sent == 1
+    assert coord.stats.polls_sent.value == 1
 
 
 def test_txop_burst_drains_backlog_on_single_poll(world):
@@ -67,7 +67,7 @@ def test_txop_burst_drains_backlog_on_single_poll(world):
     coord.start_cfp(sched, 0.05, lambda: None)
     world.sim.run()
     assert sta.responses == 4  # capped by the TXOP
-    assert coord.stats.polls_sent == 1
+    assert coord.stats.polls_sent.value == 1
     assert len(sched.responses) == 4
 
 
@@ -117,7 +117,7 @@ def test_txop_cheaper_than_repolling(world):
 
         coord.start_cfp(Repoll(), 0.05, lambda: None)
         w.sim.run()
-        return coord.stats.cfp_time
+        return coord.stats.cfp_time.value
 
     assert run(txop=4) < run(txop=1)
 

@@ -16,7 +16,7 @@ def pkt(created=1.0, completed=None, bits=4096, sid="voice/0",
 def test_delivered_packet_updates_delay_stats():
     c = MetricsCollector()
     c.packet_outcome(pkt(1.0, 1.01), True)
-    assert c.delivered[TrafficKind.VOICE] == 1
+    assert c.delivered[TrafficKind.VOICE].value == 1
     assert c.access_delay[TrafficKind.VOICE].mean == pytest.approx(0.01)
     assert c.useful_bits == 4096
 
@@ -24,16 +24,16 @@ def test_delivered_packet_updates_delay_stats():
 def test_lost_packet_counts_as_loss():
     c = MetricsCollector()
     c.packet_outcome(pkt(1.0), False)
-    assert c.losses[TrafficKind.VOICE] == 1
+    assert c.losses[TrafficKind.VOICE].value == 1
     assert c.loss_rate(TrafficKind.VOICE) == 1.0
 
 
 def test_warmup_filters_early_packets():
     c = MetricsCollector(warmup=5.0)
     c.packet_outcome(pkt(1.0, 1.01), True)
-    assert c.delivered[TrafficKind.VOICE] == 0
+    assert c.delivered[TrafficKind.VOICE].value == 0
     c.packet_outcome(pkt(6.0, 6.01), True)
-    assert c.delivered[TrafficKind.VOICE] == 1
+    assert c.delivered[TrafficKind.VOICE].value == 1
 
 
 def test_voice_jitter_tracked_per_source():

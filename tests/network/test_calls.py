@@ -52,7 +52,7 @@ def test_admitted_calls_generate_delivered_traffic():
     sim.run(until=10.0)
     from repro.traffic import TrafficKind
 
-    assert collector.delivered[TrafficKind.VOICE] > 50
+    assert collector.delivered[TrafficKind.VOICE].value > 50
 
 
 def test_calls_end_and_release_capacity():
@@ -110,8 +110,8 @@ def test_voice_and_video_mixes_coexist():
     sim.run(until=15.0)
     from repro.traffic import TrafficKind
 
-    assert collector.delivered[TrafficKind.VOICE] > 0
-    assert collector.delivered[TrafficKind.VIDEO] > 0
+    assert collector.delivered[TrafficKind.VOICE].value > 0
+    assert collector.delivered[TrafficKind.VIDEO].value > 0
 
 
 def test_mix_config_validation():

@@ -1,14 +1,13 @@
-"""MetricsRegistry instruments, snapshots and the compat facades."""
+"""MetricsRegistry instruments, snapshots, and the counters components hold."""
 
 import pytest
 
-from repro.obs import (
-    CounterMap,
-    Histogram,
-    MetricsRegistry,
-    counter_property,
-)
+from repro.exec.cache import ResultCache
+from repro.mac.pcf import CfpStats
+from repro.metrics.collectors import MetricsCollector
+from repro.obs import Histogram, MetricsRegistry
 from repro.sim import Simulator
+from repro.traffic.base import TrafficKind
 
 
 class TestInstruments:
@@ -116,30 +115,38 @@ class TestSnapshots:
             MetricsRegistry().start_snapshots(Simulator(), 0.0)
 
 
-class TestFacades:
-    def test_counter_map_reads_and_writes_through(self):
+class TestHeldCounters:
+    """Components hold the registry's own counters, under the registry
+    names; reads and writes go straight to them."""
+
+    def test_cfp_stats_fields_are_registry_counters(self):
         reg = MetricsRegistry()
-        m = CounterMap(reg, "losses", ("x", "y"))
-        m["x"] += 1
-        m["x"] += 1
-        m["y"] = 7
-        assert m["x"] == 2
-        assert dict(m.items()) == {"x": 2, "y": 7}
-        assert set(m.keys()) == {"x", "y"}
-        assert len(m) == 2 and "x" in m
-        assert reg.snapshot()["counters"]["losses{key=x}"] == 2
+        stats = CfpStats(reg)
+        stats.polls_sent.inc()
+        stats.cfp_time.inc(0.25)
+        assert stats.polls_sent is reg.counter("cfp_polls_sent")
+        counters = reg.snapshot()["counters"]
+        assert counters["cfp_polls_sent"] == 1
+        assert counters["cfp_cfp_time"] == 0.25
+        assert "polls_sent=1" in repr(stats)
 
-    def test_counter_property_facade(self):
+    def test_result_cache_hits_and_misses(self, tmp_path):
         reg = MetricsRegistry()
+        cache = ResultCache(tmp_path, registry=reg)
+        assert cache.get("absent") is None
+        assert cache.misses is reg.counter("result_cache_misses")
+        assert reg.snapshot()["counters"] == {
+            "result_cache_hits": 0,
+            "result_cache_misses": 1,
+        }
 
-        class Holder:
-            polls = counter_property("polls")
-
-            def __init__(self):
-                self._counters = {"polls": reg.counter("holder_polls")}
-
-        h = Holder()
-        h.polls += 1
-        h.polls += 1
-        assert h.polls == 2
-        assert reg.counter("holder_polls").value == 2
+    def test_collector_tallies_are_per_kind_counters(self):
+        reg = MetricsRegistry()
+        collector = MetricsCollector(metrics=reg)
+        for kind in TrafficKind:
+            assert collector.delivered[kind] is reg.counter(
+                "delivered", kind=kind.value
+            )
+            assert collector.losses[kind] is reg.counter(
+                "losses", kind=kind.value
+            )
