@@ -31,9 +31,10 @@ the agenda fires the exact engine would have dispatched:
 occurrence             exact-engine fires                    count
 =====================  ====================================  =====
 MSDU arrival           source process timeout                1
-backoff expiry         ``_backoff_complete`` timer           1
+backoff expiry         backoff agenda fire                   1
+                       (``_backoff_complete``)
 (skipped on 802.11 immediate access — fresh arrival on a
-medium already idle >= DIFS transmits without arming a timer)
+medium already idle >= DIFS transmits without arming a backoff)
 data transmission      channel ``_finish`` + done event      2
 data survived          ACK send timer + ACK ``_finish``
                        + ACK done event                      3

@@ -2,10 +2,22 @@
 
 One :class:`DcfTransmitter` serves one station's contention-period
 traffic.  It is event-driven (no per-slot events): when the medium goes
-idle the remaining backoff is scheduled as a single timer; when the
-medium goes busy the timer is cancelled and the elapsed whole slots are
-subtracted — the standard freeze-and-resume semantics, which the paper
-points out also auto-promotes stations that have waited long.
+idle the remaining backoff becomes one expiry time; when the medium
+goes busy the elapsed whole slots are subtracted and the countdown
+waits for the next idle period — the standard freeze-and-resume
+semantics, which the paper points out also auto-promotes stations that
+have waited long.
+
+The expiries of all DCFs on one channel live in a shared
+:class:`_BackoffAgenda`.  Only the earliest holds a simulator agenda
+entry, so a busy period cancels at most one entry however many
+stations were counting down.  Each DCF reserves its insertion number
+(:meth:`Simulator.reserve`) when it arms, and the entry is scheduled
+with that number, so same-instant ties fire in the order per-station
+timers would.  That a busy period may simply drop every frozen expiry
+relies on every armed DCF being attached: :meth:`DcfTransmitter.
+shutdown` withdraws the expiry and hands the entry on, and a departed
+engine never arms again.
 
 Faithful-to-the-paper simplifications (single BSS, all stations in
 range):
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import operator
 import typing
 
 import numpy as np
@@ -38,6 +51,9 @@ __all__ = ["DcfTransmitter", "DcfStats"]
 #: float rounding (fraction of one slot)
 _SLOT_EPSILON = 1e-6
 
+#: the order armed expiries fire in: time, then reserved insertion number
+_DUE_ORDER = operator.attrgetter("_due", "_due_seq")
+
 
 @dataclasses.dataclass
 class DcfStats:
@@ -49,7 +65,7 @@ class DcfStats:
     failures: int = 0  # collided or corrupted attempts
     drops: int = 0  # frames abandoned after retry_limit
     idle_slots_observed: int = 0
-    busy_freezes: int = 0
+    busy_freezes: int = 0  # countdowns frozen by a busy medium or a beacon
     rts_handshakes: int = 0
 
 
@@ -58,6 +74,53 @@ class _Entry:
     frame: Frame
     level: int
     on_done: typing.Callable[[bool], None] | None
+
+
+class _BackoffAgenda:
+    """The armed backoff expiries of every DCF on one channel.
+
+    ``armed`` holds the DCFs counting down; only ``head``, the earliest
+    by ``(_due, _due_seq)``, has a simulator entry (``handle``), keyed
+    by the insertion number the head reserved when it armed.  A
+    displaced head that becomes the earliest again is scheduled at that
+    same number.  The DCFs edit ``armed``/``head`` inline on their hot
+    callbacks (``_arm``, ``_freeze``); the methods here are the rare
+    paths.  ``head`` is None while expiries remain only inside
+    :meth:`fire`, until it promotes, and inside a busy fan-out, which
+    freezes every armed DCF except same-instant ties.
+    """
+
+    __slots__ = ("sim", "armed", "head", "handle")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.armed: list[DcfTransmitter] = []
+        self.head: DcfTransmitter | None = None
+        self.handle: TimerHandle | None = None
+
+    def promote(self) -> None:
+        """Give the earliest armed expiry the agenda entry."""
+        head = self.head = min(self.armed, key=_DUE_ORDER)
+        self.handle = self.sim.call_at(head._due, self.fire, seq=head._due_seq)
+
+    def fire(self) -> None:
+        head = self.head
+        assert head is not None
+        self.armed.remove(head)
+        self.head = self.handle = None
+        head._backoff_complete()
+        # ties at this instant kept their expiry through the busy fan-out
+        if self.armed and self.head is None:
+            self.promote()
+
+    def withdraw(self, dcf: "DcfTransmitter") -> None:
+        """Drop ``dcf``'s expiry outside a busy fan-out; hand the entry on."""
+        self.armed.remove(dcf)
+        if self.head is dcf:
+            self.handle.cancel()
+            self.head = self.handle = None
+            if self.armed:
+                self.promote()
 
 
 class DcfTransmitter(ChannelListener):
@@ -121,6 +184,13 @@ class DcfTransmitter(ChannelListener):
             + timing.slot
         )
         self._ifs_memo: dict[int, float] = {}
+        # a policy that keeps both observation hooks as the inherited
+        # no-ops is not called with idle-slot spans at all
+        cls = type(policy)
+        self._policy_observes = not (
+            cls.observe_span is BackoffPolicy.observe_span
+            and cls.observe_slots is BackoffPolicy.observe_slots
+        )
 
         self._queue: collections.deque[_Entry] = collections.deque()
         self._head: _Entry | None = None
@@ -128,12 +198,21 @@ class DcfTransmitter(ChannelListener):
         self._slots_left: int | None = None
         self._draw_value = 0
         self._count_begin: float | None = None
-        self._timer: TimerHandle | None = None
+        #: counting down: ``_due`` is in the channel's backoff agenda
+        self._armed = False
+        self._due = 0.0
+        self._due_seq = 0
         self._nav_timer: TimerHandle | None = None
         self._in_exchange = False
+        #: set by :meth:`shutdown`; a departed engine starts no attempt
+        self._departed = False
         #: optional :class:`repro.obs.trace.TraceRecorder` (``backoff``)
         self.trace = None
 
+        agenda = channel.backoff_agenda
+        if agenda is None:
+            agenda = channel.backoff_agenda = _BackoffAgenda(sim)
+        self._agenda = agenda
         channel.attach(self)
 
     # -- public API ----------------------------------------------------------
@@ -164,8 +243,17 @@ class DcfTransmitter(ChannelListener):
         return self._head is not None or bool(self._queue) or self._in_exchange
 
     def shutdown(self) -> None:
-        """Detach from the channel (departing station)."""
-        self._cancel_timer()
+        """Detach from the channel (departing station).
+
+        An exchange already on the air runs to its end, but the engine
+        starts no new attempt: it arms no backoff and takes no next
+        frame.
+        """
+        self._departed = True
+        if self._armed:
+            self._armed = False
+            self._agenda.withdraw(self)
+        self._count_begin = None
         if self._nav_timer is not None:
             self._nav_timer.cancel()
             self._nav_timer = None
@@ -182,7 +270,7 @@ class DcfTransmitter(ChannelListener):
         return ifs
 
     def _start_next(self, fresh_arrival: bool) -> None:
-        if self._head is not None or not self._queue:
+        if self._head is not None or not self._queue or self._departed:
             return
         self._head = self._queue.popleft()
         self._stage = 0
@@ -199,7 +287,7 @@ class DcfTransmitter(ChannelListener):
             self._transmit()
             return
         self._draw_backoff()
-        self._arm()
+        self._arm(now)
 
     def _draw_backoff(self) -> None:
         assert self._head is not None
@@ -222,81 +310,94 @@ class DcfTransmitter(ChannelListener):
                 window_width=width,
             )
 
-    def _arm(self) -> None:
-        """Schedule the backoff-completion timer if conditions allow."""
-        if self._head is None or self._slots_left is None or self._timer is not None:
+    def _arm(self, now: float) -> None:
+        """Start the backoff countdown if conditions allow.
+
+        Also the medium-idle callback (``on_medium_idle`` below): every
+        idle transition reaches every attached station, so the whole
+        arm happens in this one body.
+        """
+        head = self._head
+        if head is None or self._slots_left is None or self._armed:
             return
-        sim = self.sim
-        now = sim._now
-        if self.channel._active:
+        channel = self.channel
+        if channel._active:
             return  # on_medium_idle will re-arm
-        if self.nav.blocked(now):
+        until = self.nav.until
+        if now < until:  # NAV set: virtual carrier sense says busy
             if self._nav_timer is None:
-                self._nav_timer = sim.call_at(self.nav.until, self._nav_expired)
+                self._nav_timer = self.sim.call_at(until, self._nav_expired)
             return
         # Slot counting begins DIFS (plus the level's AIFS surcharge,
         # if the policy differentiates IFS) after the medium went idle —
         # or now, whichever is later: a frame that arrived mid-idle
         # cannot claim credit for slots it never observed.
-        begin = self.channel.idle_since + self._ifs(self._head.level)
+        ifs = self._ifs_memo.get(head.level)
+        if ifs is None:
+            ifs = self._ifs(head.level)
+        begin = channel.idle_since + ifs
         if begin < now:
             begin = now
         self._count_begin = begin
-        self._timer = sim.call_at(
-            begin + self._slots_left * self._slot, self._backoff_complete
-        )
+        self._due = due = begin + self._slots_left * self._slot
+        self._due_seq = seq = self.sim.reserve()
+        self._armed = True
+        agenda = self._agenda
+        agenda.armed.append(self)
+        # a later reservation never wins a tie, so only an earlier time
+        # takes the agenda entry over
+        first = agenda.head
+        if first is None or due < first._due:
+            if first is not None:
+                agenda.handle.cancel()
+            agenda.head = self
+            agenda.handle = self.sim.call_at(due, agenda.fire, seq=seq)
 
     def _nav_expired(self) -> None:
         self._nav_timer = None
-        self._arm()
+        self._arm(self.sim._now)
 
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._count_begin = None
+    def _freeze(self, now: float) -> None:
+        """Subtract the whole slots counted before ``now``; stop counting.
 
-    def _consume_elapsed_slots(self, now: float) -> None:
-        """Freeze: subtract the whole slots counted before ``now``."""
-        if self._count_begin is None or self._slots_left is None:
+        Also the medium-busy callback (``on_medium_busy`` below).  The
+        frozen expiry leaves the agenda without handing the entry on:
+        the same fan-out freezes every other armed DCF.
+        """
+        if not self._armed:
             return
-        elapsed = now - self._count_begin
-        if elapsed <= 0:
-            consumed = 0
-        else:
-            consumed = int(elapsed / self._slot + _SLOT_EPSILON)
-        consumed = min(consumed, self._slots_left)
-        start = self._draw_value - self._slots_left
-        self._slots_left -= consumed
-        self.stats.idle_slots_observed += consumed
-        self.policy.observe_span(start, start + consumed, interrupted=True)
-
-    # -- channel listener callbacks ----------------------------------------------
-    def on_medium_busy(self, now: float) -> None:
-        if self._timer is None:
-            return
-        # If our own timer is due exactly now (counter hit zero at this
+        slots_left = self._slots_left
+        begin = self._count_begin
+        if begin is not None:
+            elapsed = now - begin
+            consumed = int(elapsed / self._slot + _SLOT_EPSILON) if elapsed > 0 else 0
+            if consumed > slots_left:
+                consumed = slots_left
+            start = self._draw_value - slots_left
+            self._slots_left = slots_left = slots_left - consumed
+            self.stats.idle_slots_observed += consumed
+            if self._policy_observes:
+                self.policy.observe_span(start, start + consumed, interrupted=True)
+        # If our own expiry is due exactly now (counter hit zero at this
         # very slot boundary) we are *also* transmitting in this slot:
-        # leave the timer so the collision actually happens.
-        self._consume_elapsed_slots(now)
-        if self._slots_left == 0 and self._timer.time <= now + 1e-15:
+        # keep the expiry so the collision actually happens.
+        if slots_left == 0 and self._due <= now + 1e-15:
             self._count_begin = None
             return
         self.stats.busy_freezes += 1
-        self._cancel_timer()
+        self._armed = False
+        self._count_begin = None
+        agenda = self._agenda
+        agenda.armed.remove(self)
+        if agenda.head is self:
+            agenda.handle.cancel()
+            agenda.head = agenda.handle = None
 
-    def on_medium_idle(self, now: float) -> None:
-        # duplicate _arm()'s cheap rejects: most idle transitions reach
-        # a station with nothing to contend for, and the fan-out visits
-        # every attached station per transmission
-        if (
-            self._in_exchange
-            or self._head is None
-            or self._slots_left is None
-            or self._timer is not None
-        ):
-            return
-        self._arm()
+    # -- channel listener callbacks ----------------------------------------------
+    # aliases, not wrappers: the engine's own arm/freeze calls go
+    # through the underscored names and stay off the listener path
+    on_medium_busy = _freeze
+    on_medium_idle = _arm
 
     def on_frame(self, frame: Frame, ok: bool, now: float) -> None:
         if not ok:
@@ -304,21 +405,26 @@ class DcfTransmitter(ChannelListener):
         ftype = frame.ftype
         if ftype is FrameType.BEACON:
             self.nav.set(now + frame.nav_duration)
-            if self._timer is not None:
-                self._consume_elapsed_slots(now)
-                self._cancel_timer()
+            if self._armed:
+                self._freeze(now)
+                agenda = self._agenda
+                if agenda.head is None and agenda.armed:
+                    agenda.promote()
         elif ftype is FrameType.CF_END:
             self.nav.clear(now)
             # medium idle callback follows the CF-End and re-arms us
 
     # -- transmission ------------------------------------------------------------
     def _backoff_complete(self) -> None:
-        self._timer = None
+        """The agenda fired our expiry (already out of ``armed``)."""
+        self._armed = False
         self._count_begin = None
-        if self._slots_left:
-            self.stats.idle_slots_observed += self._slots_left
-            start = self._draw_value - self._slots_left
-            self.policy.observe_span(start, self._draw_value, interrupted=False)
+        slots_left = self._slots_left
+        if slots_left:
+            self.stats.idle_slots_observed += slots_left
+            if self._policy_observes:
+                start = self._draw_value - slots_left
+                self.policy.observe_span(start, self._draw_value, interrupted=False)
         self._slots_left = 0
         self._transmit()
 
@@ -403,8 +509,10 @@ class DcfTransmitter(ChannelListener):
             self.stats.drops += 1
             self._finish(entry, False)
             return
+        if self._departed:
+            return  # the retry would be a new attempt
         self._draw_backoff()
-        self._arm()
+        self._arm(self.sim._now)
 
     def _finish(self, entry: _Entry, success: bool) -> None:
         self._head = None

@@ -27,7 +27,12 @@ __all__ = ["Channel", "ChannelListener", "TxOutcome", "Transmission"]
 
 
 class ChannelListener:
-    """Callbacks a station registers with the channel (all optional)."""
+    """Callbacks a station registers with the channel (all optional).
+
+    A listener whose class inherits the no-op ``on_medium_busy`` or
+    ``on_medium_idle`` is not called for that transition at all; the
+    channel decides this per class when the listener attaches.
+    """
 
     def on_medium_busy(self, now: float) -> None:
         """Medium transitioned idle → busy."""
@@ -97,9 +102,10 @@ class Channel:
         self._listeners: list[ChannelListener] = []
         #: immutable snapshots of ``_listeners``, rebuilt on attach/detach —
         #: the hot path iterates these instead of copying the list per
-        #: frame; busy/idle carry pre-bound methods, the frame fan-out
-        #: carries (listener, bound on_frame) pairs so the sender can be
-        #: skipped by identity
+        #: frame; busy/idle carry pre-bound methods of the listeners whose
+        #: class overrides that callback (an inherited no-op is left out),
+        #: the frame fan-out carries (listener, bound on_frame) pairs so
+        #: the sender can be skipped by identity
         self._fanout: tuple[ChannelListener, ...] = ()
         self._fanout_busy: tuple = ()
         self._fanout_idle: tuple = ()
@@ -120,6 +126,9 @@ class Channel:
         #: optional :class:`repro.obs.trace.TraceRecorder` (``frame``
         #: category); None keeps the hot path to a single guard
         self.trace = None
+        #: the backoff agenda the DCFs on this channel share, created
+        #: by the first one (see :mod:`repro.mac.dcf`)
+        self.backoff_agenda = None
 
     # -- attachment ----------------------------------------------------------
     def attach(self, listener: ChannelListener) -> None:
@@ -136,9 +145,19 @@ class Channel:
 
     def _rebuild_fanout(self) -> None:
         listeners = self._listeners
+        # looked up at rebuild time, not import time, so a wrapper
+        # patched over a ChannelListener no-op still counts as the no-op
+        noop_busy = ChannelListener.on_medium_busy
+        noop_idle = ChannelListener.on_medium_idle
         self._fanout = tuple(listeners)
-        self._fanout_busy = tuple(l.on_medium_busy for l in listeners)
-        self._fanout_idle = tuple(l.on_medium_idle for l in listeners)
+        self._fanout_busy = tuple(
+            l.on_medium_busy for l in listeners
+            if type(l).on_medium_busy is not noop_busy
+        )
+        self._fanout_idle = tuple(
+            l.on_medium_idle for l in listeners
+            if type(l).on_medium_idle is not noop_idle
+        )
         self._fanout_frame = tuple((l, l.on_frame) for l in listeners)
 
     # -- sensing ---------------------------------------------------------------

@@ -12,6 +12,14 @@ Determinism: two events scheduled for the same instant fire in
 ``(priority, insertion order)`` — there is no reliance on hash order or
 wall-clock anywhere, so a run is exactly reproducible from its seed.
 
+Insertion numbers can be taken ahead of the entry that uses them:
+:meth:`Simulator.reserve` hands out the next number and
+``call_at(t, fn, seq=n)`` later schedules with it.  A component that
+keeps many candidate deadlines but puts only the earliest on the agenda
+(the DCF backoff agenda, :mod:`repro.mac.dcf`) reserves a number per
+candidate, so whichever one ends up scheduled fires exactly where its
+own ``call_at`` would have.
+
 Hot-path layout (see DESIGN.md "Performance"):
 
 * :meth:`Simulator.run` inlines the agenda loop — ``heappop`` is bound
@@ -85,6 +93,13 @@ class TimerHandle:
     def _fire(self) -> None:
         if not self.cancelled:
             self._fn(*self._args)
+
+    def __lt__(self, other: "TimerHandle") -> bool:
+        # Agenda keys tie only when a reserved insertion number is
+        # scheduled again after its entry was cancelled: the tombstone
+        # and the live entry may pop in either order, so they compare
+        # as equal.
+        return False
 
 
 class Simulator:
@@ -190,16 +205,40 @@ class Simulator:
     def _enqueue_at(self, time: float, priority: int, event: Event) -> None:
         self._push(time, priority, event)
 
+    def reserve(self) -> int:
+        """Take the next insertion number without scheduling anything.
+
+        Pass it later as ``call_at(..., seq=n)``: the entry then orders
+        among same-time, same-priority entries as if it had been
+        scheduled at the moment of the reservation.
+        """
+        self._seq = seq = self._seq + 1
+        return seq
+
     def call_at(
-        self, time: float, fn: typing.Callable, *args: typing.Any, priority: int = 0
+        self,
+        time: float,
+        fn: typing.Callable,
+        *args: typing.Any,
+        priority: int = 0,
+        seq: int | None = None,
     ) -> TimerHandle:
-        """Run ``fn(*args)`` at absolute simulation ``time``; cancellable."""
+        """Run ``fn(*args)`` at absolute simulation ``time``; cancellable.
+
+        ``seq`` is an insertion number from :meth:`reserve` (default: a
+        fresh one).  Each reserved number must key at most one live
+        entry; once that entry is cancelled the number may be scheduled
+        again.
+        """
         if time < self._now:
             raise ValueError(
                 f"cannot schedule in the past ({time} < now={self._now})"
             )
         handle = TimerHandle(time, fn, args, self)
-        self._seq = seq = self._seq + 1
+        if seq is None:
+            self._seq = seq = self._seq + 1
+        elif seq > self._seq:
+            raise ValueError(f"insertion number {seq} was never reserved")
         heapq.heappush(self._heap, (time, priority, seq, handle))
         return handle
 

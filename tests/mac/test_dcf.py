@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.mac import DcfTransmitter, Frame, FrameType, StandardBEB
+from repro.mac import BackoffPolicy, DcfTransmitter, Frame, FrameType, StandardBEB
 from repro.mac.backoff import LEVEL_NEW_OR_DATA
+from repro.phy import ChannelListener
 
 from .conftest import FixedBackoff, MacWorld
 
@@ -25,6 +26,48 @@ def make_tx(world, sid="sta", slots=(0,), retry_limit=7):
 
 def data_frame(sid, bits=8000, dest="ap"):
     return Frame(FrameType.DATA, src=sid, dest=dest, payload_bits=bits)
+
+
+class SpanBackoff(BackoffPolicy):
+    """Fixed draws; overrides only the positional observation hook."""
+
+    def __init__(self, slots):
+        self.slots = slots
+        self.spans = []
+
+    def draw_slots(self, level, stage, rng):
+        return self.slots
+
+    def observe_span(self, start, end, interrupted):
+        self.spans.append((start, end, interrupted))
+
+
+class Air(ChannelListener):
+    """Logs every finished frame as ``(start ms, type, src, ok)``."""
+
+    def __init__(self, world):
+        self.frames = []
+        self._timing = world.timing
+        world.channel.attach(self)
+
+    def on_frame(self, frame, ok, now):
+        start = now - frame.airtime(self._timing)
+        self.frames.append((round(start * 1e3, 3), frame.ftype.name, frame.src, ok))
+
+
+def contend(world, policies):
+    """One DCF per ``sid -> policy``, each enqueueing one DATA frame at 0.
+
+    Returns the transmitters and the ``(sid, ok, done at ms)`` log.
+    """
+    txs, done = {}, []
+    for sid, policy in policies.items():
+        txs[sid] = DcfTransmitter(world.sim, world.channel, world.timing, policy,
+                                  world.rng(sid), sid, world.nav)
+    for sid, tx in txs.items():
+        tx.enqueue(data_frame(sid), LEVEL_NEW_OR_DATA,
+                   lambda ok, sid=sid: done.append((sid, ok, round(world.sim.now * 1e3, 6))))
+    return txs, done
 
 
 def test_single_station_immediate_access_succeeds(world):
@@ -190,6 +233,79 @@ def test_shutdown_detaches(world):
     world.channel.transmit(data_frame("x"), 1e-3, sender=None)
     world.sim.run()
     assert tx.stats.attempts == 0
+
+
+def test_departed_engine_starts_no_new_attempt(world):
+    # a and b collide at DIFS + 2 slots; b departs just after the
+    # collided frames end, with its ACK timeout still pending
+    air = Air(world)
+    txs, done = contend(world, {"a": FixedBackoff([2, 1]), "b": FixedBackoff([2, 3])})
+    t = world.timing
+    collided_end = t.difs + 2 * t.slot + data_frame("b").airtime(t)
+    world.sim.call_at(collided_end + 1e-6, txs["b"].shutdown)
+    world.sim.run()
+    assert [f for f in air.frames if f[2] == "b"] == [(0.09, "DATA", "b", False)]
+    # a's retry no longer collides with a departed b
+    assert air.frames[2:] == [(1.286, "DATA", "a", True), (2.24, "ACK", "ap", True)]
+    assert done == [("a", True, 2.442364)]
+    assert txs["b"].stats.attempts == 1 and txs["b"].busy
+    assert world.sim.events_processed == 15
+
+
+def test_policies_receive_the_freeze_and_resume_observations(world):
+    # b overrides only observe_slots, c only observe_span: both hooks
+    # must keep arriving, including the zero-width spans of the
+    # freezes in the DATA->ACK gap
+    slots_only, span_only = FixedBackoff([4]), SpanBackoff(6)
+    _, done = contend(world, {"a": FixedBackoff([1]), "b": slots_only, "c": span_only})
+    world.sim.run()
+    assert slots_only.observed == [(1, 1), (0, 1), (3, 0)]
+    assert span_only.spans == [
+        (0, 1, True), (1, 1, True), (1, 4, True), (4, 4, True), (4, 6, False),
+    ]
+    assert [sid for sid, ok, _ in done if ok] == ["a", "b", "c"]
+    assert world.sim.events_processed == 18
+
+
+def test_shutdown_of_the_earliest_expiry_hands_the_agenda_entry_on(world):
+    txs, done = contend(world, {"a": FixedBackoff([2]), "b": FixedBackoff([5])})
+    t = world.timing
+    world.sim.call_at(t.difs + 1.5 * t.slot, txs["a"].shutdown)
+    world.sim.run()
+    expected = t.difs + 5 * t.slot + data_frame("b").airtime(t) + t.sifs + t.ack_time()
+    assert done == [("b", True, pytest.approx(expected * 1e3, abs=1e-6))]
+    assert done[0][2] == 1.306182
+    assert txs["a"].stats.attempts == 0
+    assert world.sim.events_processed == 7
+
+
+@pytest.mark.parametrize("b_departs", [False, True], ids=["b-stays", "b-departs"])
+def test_a_later_arm_with_an_earlier_expiry_takes_the_entry_over(world, b_departs):
+    # a arms first and holds the entry; b's earlier expiry takes it
+    # over.  If b departs, a is scheduled again at its own reserved
+    # number.
+    txs, done = contend(world, {"a": FixedBackoff([5]), "b": FixedBackoff([2])})
+    t = world.timing
+    if b_departs:
+        world.sim.call_at(t.difs + 1.5 * t.slot, txs["b"].shutdown)
+    world.sim.run()
+    if b_departs:
+        assert done == [("a", True, 1.306182)]
+        assert txs["b"].stats.attempts == 0
+        assert world.sim.events_processed == 7
+    else:
+        assert done == [("b", True, 1.246182), ("a", True, 2.512364)]
+        assert world.sim.events_processed == 12
+
+
+def test_three_way_same_slot_tie_collides_then_each_retry_completes(world):
+    txs, done = contend(world, {
+        "a": FixedBackoff([3, 1]), "b": FixedBackoff([3, 4]), "c": FixedBackoff([3, 7]),
+    })
+    world.sim.run()
+    assert done == [("a", True, 2.462364), ("b", True, 3.728545), ("c", True, 4.994727)]
+    assert all(tx.stats.failures == 1 for tx in txs.values())
+    assert world.sim.events_processed == 30
 
 
 def test_standard_beb_window_growth():

@@ -191,3 +191,27 @@ def test_detach_stops_callbacks():
     sim.run()
     assert rx.frames == []
     assert rx.busy == []
+
+
+def test_inherited_noop_callbacks_are_left_out_of_the_fanout(monkeypatch):
+    calls = []
+    # counted stand-ins for the no-ops, patched on the base class the
+    # way a profiling wrapper would be
+    monkeypatch.setattr(ChannelListener, "on_medium_busy",
+                        lambda self, now: calls.append(("busy", self)))
+    monkeypatch.setattr(ChannelListener, "on_medium_idle",
+                        lambda self, now: calls.append(("idle", self)))
+
+    class FramesOnly(ChannelListener):
+        def on_frame(self, frame, ok, now):
+            calls.append(("frame", self))
+
+    sim = Simulator()
+    ch = make_channel(sim)
+    quiet, rec = FramesOnly(), Recorder(sim)
+    ch.attach(quiet)
+    ch.attach(rec)
+    ch.transmit(FakeFrame(), 1e-3, sender=None)
+    sim.run()
+    assert calls == [("frame", quiet)]
+    assert rec.busy == [0.0] and rec.idle == [pytest.approx(1e-3)]

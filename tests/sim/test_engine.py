@@ -55,6 +55,37 @@ def test_priority_breaks_ties_before_insertion_order():
     assert seen == ["early", "late"]
 
 
+def test_reserved_number_orders_as_if_scheduled_at_reservation():
+    sim = Simulator()
+    seen = []
+    sim.call_at(1.0, seen.append, "first")
+    seq = sim.reserve()
+    sim.call_at(1.0, seen.append, "third")
+    sim.call_at(1.0, seen.append, "second", seq=seq)
+    sim.run()
+    assert seen == ["first", "second", "third"]
+
+
+def test_reserved_number_can_be_scheduled_again_after_a_cancel():
+    sim = Simulator()
+    seen = []
+    seq = sim.reserve()
+    for i in range(20):
+        sim.call_at(1.0, seen.append, f"other{i}")
+    sim.call_at(1.0, seen.append, "stale", seq=seq).cancel()
+    sim.call_at(1.0, seen.append, "reserved", seq=seq)
+    sim.run()
+    assert seen == ["reserved"] + [f"other{i}" for i in range(20)]
+
+
+def test_unreserved_number_rejected():
+    sim = Simulator()
+    seq = sim.reserve()
+    with pytest.raises(ValueError, match="never reserved"):
+        sim.call_at(1.0, lambda: None, seq=seq + 1)
+    sim.call_at(1.0, lambda: None, seq=seq)
+
+
 def test_timer_cancel_prevents_firing():
     sim = Simulator()
     seen = []
