@@ -21,15 +21,11 @@ def test_fig10(benchmark, sweep_rows):
         ),
     )
     proposed = by_scheme_load(rows, "proposed")
-    conventional = by_scheme_load(rows, "conventional")
     top = max(SWEEP_LOADS)
 
-    # heavy load: the proposed scheme sacrifices data
-    assert (
-        proposed[top]["data_delay_mean"]
-        > conventional[top]["data_delay_mean"]
-    )
-    # data delay rises steeply with load under the proposed scheme
+    # data delay rises steeply with load under the proposed scheme (its
+    # heavy-load reversal over conventional is validate's
+    # fig10.data-delay-reversal claim)
     assert (
         proposed[top]["data_delay_mean"]
         > 5 * proposed[min(SWEEP_LOADS)]["data_delay_mean"]

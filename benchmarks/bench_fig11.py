@@ -37,9 +37,6 @@ def test_fig11(benchmark, sweep_rows):
         proposed[top]["channel_busy_fraction"]
         < conventional[top]["channel_busy_fraction"]
     )
-    # multipoll never does worse than single-poll on goodput
-    assert (
-        multipoll[top]["goodput_utilization"]
-        >= 0.9 * proposed[top]["goodput_utilization"]
-    )
+    # (multipoll's heavy-load goodput against single-poll is validate's
+    # fig11.multipoll-efficiency claim)
 

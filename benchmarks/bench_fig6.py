@@ -21,22 +21,11 @@ def test_fig6(benchmark, sweep_rows):
         ),
     )
     proposed = by_scheme_load(rows, "proposed")
-    conventional = by_scheme_load(rows, "conventional")
-    top = max(SWEEP_LOADS)
 
-    # conventional dropping grows with load and ends clearly above the
-    # proposed scheme's
-    assert (
-        conventional[top]["dropping_probability"]
-        > conventional[min(SWEEP_LOADS)]["dropping_probability"]
-    )
-    assert (
-        proposed[top]["dropping_probability"]
-        < conventional[top]["dropping_probability"]
-    )
     # the protection holds the proposed scheme's dropping low on
     # average across the sweep (individual light-load points see very
-    # few handoff attempts, so they are noisy)
+    # few handoff attempts, so they are noisy); conventional's climb
+    # and heavy-load lead are validate's fig6.conventional-climbs claim
     mean_drop = sum(
         proposed[load]["dropping_probability"] for load in SWEEP_LOADS
     ) / len(SWEEP_LOADS)

@@ -25,12 +25,8 @@ def test_fig7(benchmark, sweep_rows):
     conventional = by_scheme_load(rows, "conventional")
     top = max(SWEEP_LOADS)
 
-    # at heavy load the proposed scheme is the conservative one
-    assert (
-        proposed[top]["blocking_probability"]
-        > conventional[top]["blocking_probability"]
-    )
-    # blocking grows with load for both schemes
+    # blocking grows with load for both schemes (their heavy-load
+    # ordering is validate's fig7.conservative-admission claim)
     assert (
         conventional[top]["blocking_probability"]
         >= conventional[min(SWEEP_LOADS)]["blocking_probability"]

@@ -12,7 +12,7 @@ chaos             run a fault-injection soak tier; emit a degradation
                   budgets gate the no-injection baseline mix)
 trace             run one scenario with tracing + profiling on; write
                   the JSONL event trace and metrics snapshots, print a
-                  CFP/CP timeline and the engine profile
+                  CFP/CP timeline and the run's cProfile table
 bench             run the pinned-seed perf microbenchmarks and gate
                   them against the committed BENCH_KERNEL.json baseline
                   (``--update`` rewrites the baseline deliberately)
@@ -195,15 +195,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    import cProfile
     import json
     import os
+    import pstats
+    import time
 
     from .network import BssScenario
     from .obs import (
-        EngineProfiler,
         TraceConfig,
         render_category_counts,
-        render_profile,
         render_timeline,
         validate_trace_file,
     )
@@ -217,11 +218,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         ),
     )
     scenario = BssScenario(cfg)
-    profiler = EngineProfiler()
-    # wall-clock profiling never feeds results, so attaching it cannot
-    # perturb the traced point's identity
-    scenario.sim.profiler = profiler
-    results = scenario.run()
+    profile = cProfile.Profile()
+    # wall-clock profiling never feeds results, so running under it
+    # cannot perturb the traced point's identity
+    start = time.perf_counter()
+    results = profile.runcall(scenario.run)
+    wall = time.perf_counter() - start
 
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.jsonl")
@@ -249,8 +251,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(render_timeline(scenario.trace))
     print()
-    print(render_profile(profiler))
-    print()
+    events = results["events_processed"]
+    print(
+        f"engine: {events} events in {wall:.3f} s wall, profiled "
+        f"({events / wall:,.0f} events/s)"
+    )
+    pstats.Stats(profile).strip_dirs().sort_stats("tottime").print_stats(15)
     for key in ("scheme", "load", "seed", "events_processed", "obs"):
         print(f"{key}: {results[key]}")
     return 0

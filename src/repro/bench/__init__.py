@@ -8,12 +8,10 @@
   ``BENCH_KERNEL.json`` baseline, failing on event-count drift or on
   throughput/allocation regressions beyond a tolerance; also hosts the
   scaled-down serial-vs-pool sweep section.
-* :mod:`repro.bench.serve` — closed-loop load benchmark for the
-  ``repro serve`` query API (``--with-serve``): requests/sec, hit
-  rate, server-side latency quantiles and a byte-determinism check,
-  reported in the ``serve_queries`` section.
 
-See DESIGN.md "Performance" for the fast-path invariants the gate
+The end-to-end benchmark, including the closed-loop serve benchmark
+(``query_mix``), is ``perfbench/`` at the repository root.  See
+DESIGN.md "Performance" for the fast-path invariants the gate
 protects, and README for day-to-day usage.
 """
 
@@ -26,7 +24,6 @@ from .gate import (
     write_report,
 )
 from .micro import BENCHMARKS, run_benchmark, run_benchmarks
-from .serve import run_serve_queries
 
 __all__ = [
     "BENCHMARKS",
@@ -37,6 +34,5 @@ __all__ = [
     "run_benchmark",
     "run_benchmarks",
     "run_parallel_sweep",
-    "run_serve_queries",
     "write_report",
 ]

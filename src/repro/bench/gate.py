@@ -15,11 +15,14 @@ run re-measures every benchmark it lists and fails (exit 1) when
 Wall-clock numbers are machine-relative; CI therefore runs the gate
 with a generous tolerance (``--tolerance 0.25``) while the exact
 ``events`` check stays machine-independent.  ``--update`` rewrites the
-baseline deliberately, preserving the ``pre_pr_baseline``,
-``parallel_sweep``, ``serve_queries`` and ``accel`` sections it does
-not re-measure (``--with-sweep`` / ``--with-serve`` / ``--with-accel``
-re-measure the latter three).  ``--with-accel`` additionally enforces
-the batched-tier speedup floor (see ``run_accel_section``).
+baseline deliberately, and only with what the run measured: a suite
+left out by ``--only`` keeps its baseline entry, a ``--skip-alloc`` run
+keeps each suite's baseline ``peak_kib``, and the ``pre_pr_baseline``,
+``parallel_sweep`` and ``accel`` sections are carried over unless
+``--with-sweep`` / ``--with-accel`` re-measure them.  ``--with-accel``
+additionally enforces the batched-tier speedup floor (see
+``run_accel_section``).  The serve loop is measured by perfbench's
+``query_mix`` workload, not here.
 """
 
 from __future__ import annotations
@@ -220,9 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "when the machine has at least as many CPU "
                              "cores as sweep workers (CI runners do, "
                              "1-core containers skip with a note)")
-    parser.add_argument("--with-serve", action="store_true",
-                        help="also measure the serving closed-loop section "
-                             "(requests/sec, hit rate, latency quantiles)")
     parser.add_argument("--with-accel", action="store_true",
                         help="also measure the accelerated-tier section "
                              "(batched ev/s speedup vs exact) and enforce "
@@ -269,9 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         pass
     if baseline is not None:
         # carry the sections a fresh run does not re-measure
-        for section in (
-            "pre_pr_baseline", "parallel_sweep", "serve_queries", "accel"
-        ):
+        for section in ("pre_pr_baseline", "parallel_sweep", "accel"):
             if section in baseline:
                 report[section] = baseline[section]
 
@@ -321,29 +319,21 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
 
-    if args.with_serve:
-        from .serve import run_serve_queries
-
-        report["serve_queries"] = serve = run_serve_queries()
-        print(
-            f"  serve_queries    {serve['requests']} requests, "
-            f"{serve['requests_per_sec']:,.0f} req/s, "
-            f"hit rate {serve['hit_rate']:.0%}, "
-            f"p99 {serve['latency_p99_ms']} ms",
-            file=sys.stderr,
-        )
-        if not serve["responses_identical"]:
-            print(
-                "error: repeated serve queries returned different bytes",
-                file=sys.stderr,
-            )
-            return 1
-
     write_report(args.out, report)
     print(f"  report written to {args.out}", file=sys.stderr)
 
     if args.update:
-        write_report(args.baseline, report)
+        # one entry per registered suite: fresh fields over baseline
+        # ones, so a suite this run skipped keeps its baseline entry and
+        # a --skip-alloc run keeps the baseline peak_kib (suites no
+        # longer registered drop out)
+        kept = (baseline or {}).get("benchmarks", {})
+        suites: dict[str, typing.Any] = {"cpu_cores": results["cpu_cores"]}
+        for name in BENCHMARKS:
+            entry = {**kept.get(name, {}), **results.get(name, {})}
+            if entry:
+                suites[name] = entry
+        write_report(args.baseline, {**report, "benchmarks": suites})
         print(f"  baseline updated: {args.baseline}", file=sys.stderr)
         return 0
     if baseline is None:

@@ -20,9 +20,9 @@ agenda fires.  The runner reports, per benchmark:
 from __future__ import annotations
 
 import time
+import tracemalloc
 import typing
 
-from ..obs.profiler import measure_allocations
 from ..sim.engine import Simulator
 
 __all__ = ["BENCHMARKS", "run_benchmark", "run_benchmarks"]
@@ -171,6 +171,28 @@ BENCHMARKS: dict[str, typing.Callable[[], int]] = {
     "end_to_end": _bench_end_to_end,
     "batched_end_to_end": _bench_batched_end_to_end,
 }
+
+
+def measure_allocations(fn: typing.Callable[[], typing.Any]) -> tuple:
+    """Run ``fn()`` under ``tracemalloc``; return ``(result, peak_kib)``.
+
+    Peak traced allocation is measured relative to the moment the call
+    starts, so a warm interpreter does not inflate the number.  Tracing
+    slows execution several-fold, so :func:`run_benchmark` keeps this
+    pass separate from its wall-clock timing pass.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base, _ = tracemalloc.get_traced_memory()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, max(0.0, (peak - base) / 1024.0)
 
 
 def run_benchmark(

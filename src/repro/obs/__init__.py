@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics registry, profiling.
+"""Observability: structured tracing and the metrics registry.
 
 This package is the run-time visibility layer of the reproduction —
 the substrate the exec, validate and faults subsystems report through,
@@ -16,18 +16,20 @@ and the thing a perf PR measures against:
   per-priority, per-BSS) and periodic sim-clock snapshotting.  The
   MAC, AP, metrics collector and result cache hold its counters
   directly (``counter.inc()`` to write, ``.value`` to read).
-* :class:`EngineProfiler` — per-event-type handler timing and
-  events/sec for :class:`~repro.sim.engine.Simulator`, surfaced
-  through sweep telemetry and the ``python -m repro trace`` CLI.
+* :func:`render_timeline` / :func:`render_category_counts` — the text
+  reports ``python -m repro trace`` prints over a recorded trace.
+
+Where the time went is answered with stdlib :mod:`cProfile`, not a
+profiler of this package's own: ``python -m repro trace`` prints a
+profile of its run, and ``perfbench`` attributes self-time to layers.
 
 Layering: ``repro.obs`` sits *below* the domain packages (sim, mac,
 core, network import it), so it must not import any of them at module
 level.
 """
 
-from .profiler import EngineProfiler, measure_allocations
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .report import render_category_counts, render_profile, render_timeline
+from .report import render_category_counts, render_timeline
 from .trace import (
     CATEGORIES,
     TraceConfig,
@@ -48,9 +50,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "EngineProfiler",
-    "measure_allocations",
     "render_category_counts",
-    "render_profile",
     "render_timeline",
 ]

@@ -1,29 +1,26 @@
-"""Human-readable reports over a recorded trace and profile.
+"""Human-readable reports over a recorded trace.
 
-The ``python -m repro trace`` CLI prints three sections built here:
+The ``python -m repro trace`` CLI prints two sections built here
+(followed by a cProfile table of the run, see ``repro.__main__``):
 
 * :func:`render_timeline` — the CFP/CP alternation reconstructed from
   the ``cfp`` trace category: one line per contention-free period
   (start, duration, polls/re-polls/responses/nulls) and the contention
   gap that followed it — the per-frame timeline view the 802.11e
   evaluation literature explains MAC behaviour with;
-* :func:`render_category_counts` — buffered event counts per category;
-* :func:`render_profile` — the engine profiler's per-handler timing
-  table and overall events/sec.
+* :func:`render_category_counts` — buffered event counts per category.
 """
 
 from __future__ import annotations
 
 import typing
 
-from .profiler import EngineProfiler
 from .trace import TraceRecorder
 
 __all__ = [
     "cfp_timeline",
     "render_timeline",
     "render_category_counts",
-    "render_profile",
 ]
 
 
@@ -113,27 +110,4 @@ def render_category_counts(recorder: TraceRecorder) -> str:
     ]
     for cat in sorted(counts):
         lines.append(f"  {cat:<10s} {counts[cat]}")
-    return "\n".join(lines)
-
-
-def render_profile(profiler: EngineProfiler, limit: int = 15) -> str:
-    """Per-handler timing table plus overall events/sec."""
-    summary = profiler.summary()
-    lines = [
-        f"engine: {summary['events']} events in "
-        f"{summary['wall_time_s']:.3f} s wall "
-        f"({summary['events_per_sec']:,.0f} events/s)"
-    ]
-    handlers = list(summary["handlers"].items())
-    if handlers:
-        lines.append(
-            f"  {'handler':<48s} {'calls':>8s} {'total ms':>10s} {'mean us':>9s}"
-        )
-        for key, h in handlers[:limit]:
-            lines.append(
-                f"  {key[:48]:<48s} {h['calls']:>8d} "
-                f"{h['total_s'] * 1000:>10.2f} {h['mean_us']:>9.2f}"
-            )
-        if len(handlers) > limit:
-            lines.append(f"  ... {len(handlers) - limit} more handler types elided")
     return "\n".join(lines)

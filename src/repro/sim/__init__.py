@@ -2,15 +2,14 @@
 
 The paper's evaluation was built on the commercial Simscript II.5 tool;
 this package is the from-scratch replacement: a deterministic
-process-oriented DES kernel with events, timers, interrupts, resources,
-named random streams and instrumentation.
+process-oriented DES kernel with timers, events, generator processes,
+interrupts and named random streams — exactly what the 802.11 stack
+uses — plus the ``step_observer`` hook the validation monitors attach.
 """
 
 from .engine import Simulator, StopSimulation, TimerHandle
-from .events import AllOf, AnyOf, Event, EventAlreadyTriggered, Timeout
-from .monitor import TimeSeries, TimeWeighted, Trace
+from .events import Event, EventAlreadyTriggered, Timeout
 from .process import Interrupt, Process
-from .resources import Resource, Store
 from .rng import RandomStreams
 
 __all__ = [
@@ -19,15 +18,8 @@ __all__ = [
     "TimerHandle",
     "Event",
     "Timeout",
-    "AnyOf",
-    "AllOf",
     "EventAlreadyTriggered",
     "Process",
     "Interrupt",
-    "Resource",
-    "Store",
     "RandomStreams",
-    "TimeSeries",
-    "TimeWeighted",
-    "Trace",
 ]

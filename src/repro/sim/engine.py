@@ -30,10 +30,9 @@ Hot-path layout (see DESIGN.md "Performance"):
   created; once they outnumber the live half of the heap the agenda is
   compacted in place.  Tombstones are never dispatched and never count
   toward :attr:`Simulator.events_processed` — only live fires do.
-* When an observer hook is attached (``step_observer`` for the
-  validation monitors, ``profiler`` for :class:`~repro.obs.profiler.
-  EngineProfiler`) the loop drops to an instrumented path with
-  identical semantics; a detached simulator pays nothing for either.
+* When ``step_observer`` is attached (the validation monitors'
+  hook) the loop drops to an instrumented path with identical
+  semantics; a detached simulator pays nothing for it.
 """
 
 from __future__ import annotations
@@ -141,10 +140,6 @@ class Simulator:
         #: optional ``fn(time)`` called before each agenda entry fires
         #: (the validation monitors' clock-monotonicity hook)
         self.step_observer: typing.Callable[[float], None] | None = None
-        #: optional :class:`repro.obs.profiler.EngineProfiler`; when
-        #: attached it fires (and times) every agenda item — detached,
-        #: the hot path pays one ``is None`` check
-        self.profiler: typing.Any | None = None
 
     # -- clock -----------------------------------------------------------
     @property
@@ -318,10 +313,7 @@ class Simulator:
         self.events_processed += 1
         if self.step_observer is not None:
             self.step_observer(time)
-        if self.profiler is not None:
-            self.profiler.fire(item)
-        else:
-            item._fire()
+        item._fire()
 
     def _loop(self, deadline: float) -> None:
         """Drain the agenda up to ``deadline`` (inclusive).
@@ -330,7 +322,7 @@ class Simulator:
         entry — leading tombstones are popped first, so the loop and
         :meth:`peek` agree on what the head of the agenda is.
         """
-        if self.step_observer is not None or self.profiler is not None:
+        if self.step_observer is not None:
             self._loop_instrumented(deadline)
             return
         heap = self._heap
@@ -392,7 +384,7 @@ class Simulator:
             ``None`` — run to agenda exhaustion.  A number — run until the
             clock would pass it (the clock is then set to it).  An
             :class:`Event` — run until that event is processed, returning
-            its value.
+            its value (at once, if it already was).
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
@@ -400,6 +392,8 @@ class Simulator:
         try:
             if isinstance(until, Event):
                 sentinel = until
+                if sentinel.processed:
+                    return sentinel.value
                 result: list[typing.Any] = []
 
                 def _stop(ev: Event) -> None:

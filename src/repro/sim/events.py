@@ -16,13 +16,7 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import Simulator
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "AnyOf",
-    "AllOf",
-    "EventAlreadyTriggered",
-]
+__all__ = ["Event", "Timeout", "EventAlreadyTriggered"]
 
 
 class EventAlreadyTriggered(RuntimeError):
@@ -119,15 +113,6 @@ class Event:
         self.sim._enqueue_triggered(self)
         return self
 
-    def trigger(self, other: "Event") -> None:
-        """Copy the outcome of an already-triggered ``other`` event."""
-        if not other.triggered:
-            raise RuntimeError("cannot mirror a pending event")
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            self.fail(other._value)
-
     # -- callbacks ---------------------------------------------------------
     def add_callback(self, fn: typing.Callable[["Event"], None]) -> None:
         """Register ``fn(event)`` to run when the event is processed.
@@ -216,58 +201,3 @@ class Timeout(Event):
         self._value = None
         self.delay = delay
         sim._enqueue_at(sim._now + delay, 0, self)
-
-
-class _Condition(Event):
-    """Common machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("_events", "_pending_count")
-
-    def __init__(self, sim: "Simulator", events: typing.Iterable[Event]) -> None:
-        super().__init__(sim)
-        self._events = tuple(events)
-        for ev in self._events:
-            if ev.sim is not sim:
-                raise ValueError("all events must belong to the same simulator")
-        self._pending_count = sum(1 for ev in self._events if not ev.processed)
-        if self._satisfied():
-            # Already satisfiable at construction time.
-            self.succeed(self._collect())
-        else:
-            for ev in self._events:
-                if not ev.processed:
-                    ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev._ok:
-            self.fail(ev._value)
-            return
-        self._pending_count -= 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _collect(self) -> dict[Event, typing.Any]:
-        return {ev: ev._value for ev in self._events if ev.processed and ev._ok}
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Succeeds as soon as any child event is processed successfully."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._pending_count < len(self._events) or not self._events
-
-
-class AllOf(_Condition):
-    """Succeeds once every child event has been processed successfully."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._pending_count == 0

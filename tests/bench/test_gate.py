@@ -213,3 +213,19 @@ class TestCli:
         updated = load_report(baseline)
         assert updated["pre_pr_baseline"] == {"note": "history"}
         assert updated["parallel_sweep"] == {"speedup": 2.0}
+
+    def test_partial_update_keeps_unmeasured_suites_and_peaks(self, tmp_path):
+        baseline = tmp_path / "BENCH.json"
+        end_to_end = entry(events=17_256, ev_s=44_000, peak=900.0)
+        write_report(baseline, report(
+            timer_chain=entry(events=30_000, ev_s=1, peak=12.5),
+            end_to_end=end_to_end,
+        ))
+        code = main(["--baseline", str(baseline),
+                     "--out", str(tmp_path / "fresh.json"),
+                     "--update"] + self._kernel_only())
+        assert code == 0
+        suites = load_report(baseline)["benchmarks"]
+        assert suites["end_to_end"] == end_to_end
+        assert suites["timer_chain"]["events"] == 30_000
+        assert suites["timer_chain"]["peak_kib"] == 12.5

@@ -35,6 +35,10 @@ def test_trace_subcommand_end_to_end(tmp_path, capsys):
     assert "CFP/CP timeline" in out
     assert "events/s" in out
     assert "schema ok" in out
+    # the run's cProfile table, heaviest self time first
+    assert "s wall, profiled (" in out
+    assert "Ordered by: internal time" in out
+    assert "ncalls  tottime  percall  cumtime" in out
 
 
 def test_trace_subcommand_category_filter(tmp_path):

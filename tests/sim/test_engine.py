@@ -139,6 +139,17 @@ def test_run_until_event_returns_its_value():
     assert sim.now == 3.0
 
 
+def test_run_until_processed_event_returns_its_value_at_once():
+    sim = Simulator()
+    ev = sim.timeout(1.0, value="done")
+    fired = []
+    sim.call_at(2.0, fired.append, "later")
+    assert sim.run(until=ev) == "done"
+    assert sim.run(until=ev) == "done"
+    assert sim.now == 1.0
+    assert fired == []
+
+
 def test_run_until_event_that_never_fires_raises():
     sim = Simulator()
     ev = sim.event()

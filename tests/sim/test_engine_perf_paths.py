@@ -198,13 +198,6 @@ class TestEventsProcessedAccounting:
         assert sim.events_processed == 2
 
     def test_profiled_run_counts_identically(self):
-        class CountingProfiler:
-            events = 0
-
-            def fire(self, item):
-                self.events += 1
-                item._fire() if hasattr(item, "_fn") else item._process()
-
         plain = Simulator()
         for i in range(20):
             h = plain.call_at(1.0 + i, lambda: None)
@@ -212,16 +205,18 @@ class TestEventsProcessedAccounting:
                 h.cancel()
         plain.run()
 
-        profiled = Simulator()
-        profiled.profiler = CountingProfiler()
+        # a step_observer sends the run through the instrumented loop
+        observed = []
+        instrumented = Simulator()
+        instrumented.step_observer = observed.append
         for i in range(20):
-            h = profiled.call_at(1.0 + i, lambda: None)
+            h = instrumented.call_at(1.0 + i, lambda: None)
             if i % 3 == 0:
                 h.cancel()
-        profiled.run()
+        instrumented.run()
 
-        assert profiled.events_processed == plain.events_processed
-        assert profiled.profiler.events == plain.events_processed
+        assert instrumented.events_processed == plain.events_processed
+        assert len(observed) == plain.events_processed
 
 
 class TestTimeoutFreeList:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Interrupt, Simulator
+from repro.sim import Interrupt, Simulator
 
 
 def test_process_timeout_advances_clock():
@@ -185,37 +185,6 @@ def test_process_start_is_deterministic_in_creation_order():
     sim.process(body("b"))
     sim.run()
     assert seen[:2] == ["a", "b"]
-
-
-def test_anyof_fires_on_first():
-    sim = Simulator()
-    got = []
-
-    def body():
-        t1 = sim.timeout(5.0, value="slow")
-        t2 = sim.timeout(2.0, value="fast")
-        result = yield AnyOf(sim, [t1, t2])
-        got.append((sim.now, sorted(result.values())))
-
-    sim.process(body())
-    sim.run()
-    assert got[0][0] == 2.0
-    assert "fast" in got[0][1]
-
-
-def test_allof_waits_for_all():
-    sim = Simulator()
-    got = []
-
-    def body():
-        t1 = sim.timeout(5.0, value="slow")
-        t2 = sim.timeout(2.0, value="fast")
-        result = yield AllOf(sim, [t1, t2])
-        got.append((sim.now, set(result.values())))
-
-    sim.process(body())
-    sim.run()
-    assert got == [(5.0, {"slow", "fast"})]
 
 
 def test_two_processes_interleave():
