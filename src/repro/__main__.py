@@ -40,15 +40,20 @@ Run with no command to see this help.
 Exit codes: 0 success (for ``serve``: clean shutdown on SIGINT);
 1 failed validation claims / chaos gates / perf-gate regressions /
 ESS conservation violations / redteam execution failures / (serve) an
-empty cache directory yielded no surfaces to serve; 2 sweep points
-permanently failed after retries, or (redteam) a genuinely new breach
-was found that is not yet in the archived reproducer corpus.
+empty cache directory yielded no surfaces to serve; 2 a malformed flag
+or a flag value a config rejects (argparse's ``error:`` line, before
+anything is simulated), sweep points permanently failed after retries,
+or (redteam) a genuinely new breach was found that is not yet in the
+archived reproducer corpus.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+
+from .obs.jsonutil import write_json
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -58,6 +63,18 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     print()
     print(render_table2())
     return 0
+
+
+@contextlib.contextmanager
+def _flag_values():
+    """Commands build their configs in this block before they simulate
+    anything: a ``ValueError`` raised here is a bad flag value, which
+    :func:`main` reports like argparse (exit 2, no traceback).  Once a
+    run has started, a ``ValueError`` propagates."""
+    try:
+        yield
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _scenario_config(args: argparse.Namespace, **extra):
@@ -82,7 +99,9 @@ def _scenario_config(args: argparse.Namespace, **extra):
 def _cmd_quick(args: argparse.Namespace) -> int:
     from .network import BssScenario
 
-    results = BssScenario(_scenario_config(args)).run()
+    with _flag_values():
+        cfg = _scenario_config(args)
+    results = BssScenario(cfg).run()
     for key in sorted(results):
         if key.startswith("analytic"):
             continue
@@ -93,6 +112,9 @@ def _cmd_quick(args: argparse.Namespace) -> int:
 def _cmd_fig5(args: argparse.Namespace) -> int:
     from .experiments import fig5, format_table
 
+    with _flag_values():
+        # no populations: checks --time, simulates nothing
+        fig5(populations=(), seed=args.seed, sim_time=args.time)
     rows = fig5(sim_time=args.time, seed=args.seed)
     table = [
         {
@@ -114,17 +136,13 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the one summary line every executor-backed command prints on stderr
+#: the one summary line every grid command prints on stderr
 _SUMMARY = (
     "  {label}: {total_points} points, {executed} simulated, "
     "{cache_hits} cached, {resumed} resumed in {wall_time:.1f}s "
     "(workers={workers}, utilization={worker_utilization:.0%}, "
     "{sim_events} sim events, {events_per_sec:,.0f} events/s)"
 )
-
-
-def _print_summary(label: str, executor) -> None:
-    print(_SUMMARY.format(label=label, **executor.summary()), file=sys.stderr)
 
 
 def _run_grid(args: argparse.Namespace, label: str, job):
@@ -137,23 +155,24 @@ def _run_grid(args: argparse.Namespace, label: str, job):
     """
     from .exec import ExecutorConfig, SweepExecutor
 
-    executor = SweepExecutor(
-        ExecutorConfig(
-            workers=args.workers,
-            schedule=args.schedule,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            journal=args.journal,
-            resume=args.resume,
-            timeout=args.timeout,
-        ),
-        progress=lambda rec: print(
-            f"  {rec.scheme} load={rec.load} seed={rec.seed} {rec.status}"
-            + (f" [{rec.wall_time:.2f}s]" if rec.status == "executed" else ""),
-            file=sys.stderr,
-        ),
-    )
+    with _flag_values():
+        executor = SweepExecutor(
+            ExecutorConfig(
+                workers=args.workers,
+                schedule=args.schedule,
+                cache_dir=None if args.no_cache else args.cache_dir,
+                journal=args.journal,
+                resume=args.resume,
+                timeout=args.timeout,
+            ),
+            progress=lambda rec: print(
+                f"  {rec.scheme} load={rec.load} seed={rec.seed} {rec.status}"
+                + (f" [{rec.wall_time:.2f}s]" if rec.status == "executed" else ""),
+                file=sys.stderr,
+            ),
+        )
     result = job(executor)
-    _print_summary(label, executor)
+    print(_SUMMARY.format(label=label, **executor.summary()), file=sys.stderr)
     return result
 
 
@@ -163,22 +182,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         FIGURE_METRICS,
         average_over_seeds,
         format_table,
-        run_sweep,
         save_results,
+        sweep_grid,
     )
 
-    rows = _run_grid(
-        args,
-        "sweep",
-        lambda executor: run_sweep(
+    with _flag_values():
+        grid = sweep_grid(
             tuple(args.schemes),
             loads=tuple(args.loads) if args.loads else BENCH_LOADS,
             seeds=tuple(range(1, args.seeds + 1)),
             sim_time=args.time,
             warmup=min(8.0, args.time / 8),
-            executor=executor,
-        ),
-    )
+        )
+    rows = _run_grid(args, "sweep", lambda executor: executor.run(grid))
     if args.out:
         path = save_results(rows, args.out)
         print(f"  rows archived to {path}", file=sys.stderr)
@@ -209,14 +225,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         validate_trace_file,
     )
 
-    cfg = _scenario_config(
-        args,
-        trace=TraceConfig(
-            categories=tuple(args.categories),
-            capacity=args.capacity,
-            snapshot_interval=args.snapshot_interval,
-        ),
-    )
+    with _flag_values():
+        cfg = _scenario_config(
+            args,
+            trace=TraceConfig(
+                categories=tuple(args.categories),
+                capacity=args.capacity,
+                snapshot_interval=args.snapshot_interval,
+            ),
+        )
     scenario = BssScenario(cfg)
     profile = cProfile.Profile()
     # wall-clock profiling never feeds results, so running under it
@@ -276,7 +293,7 @@ def _cmd_tier(args: argparse.Namespace) -> int:
         args, "grid", lambda executor: run_tier(args.tier, executor=executor)
     )
     out = args.out or f".repro-cache/{args.command}-{report.tier}-report.json"
-    path = report.save(out)
+    path = write_json(out, report.to_dict())
     print(f"  {kind} report written to {path}", file=sys.stderr)
     print(report.render())
     return 0 if report.passed else 1
@@ -318,27 +335,27 @@ def _parse_ap_fault(text: str):
 
 
 def _cmd_ess(args: argparse.Namespace) -> int:
-    from .ess import EssConfig, run_ess, save_report
+    from .ess import EssConfig, run_ess
 
-    config = EssConfig(
-        rows=args.rows,
-        cols=args.cols,
-        seed=args.seed,
-        epochs=args.epochs,
-        epoch_length=args.epoch,
-        new_call_rate=args.new_rate,
-        mean_holding=args.holding,
-        mean_residence=args.residence,
-        mobility=args.mobility,
-        capacity=args.capacity,
-        overlap=args.overlap,
-        disjoint_paths=args.disjoint_paths,
-        backhaul_faults=tuple(args.fault or ()),
-        ap_faults=tuple(args.ap_fault or ()),
-        fidelity=args.fidelity,
-        frames_time=args.frames_time,
-        scheme=args.scheme,
-    )
+    with _flag_values():
+        config = EssConfig(
+            rows=args.rows,
+            cols=args.cols,
+            seed=args.seed,
+            epochs=args.epochs,
+            epoch_length=args.epoch,
+            new_call_rate=args.new_rate,
+            mean_holding=args.holding,
+            mean_residence=args.residence,
+            capacity=args.capacity,
+            overlap=args.overlap,
+            disjoint_paths=args.disjoint_paths,
+            backhaul_faults=tuple(args.fault or ()),
+            ap_faults=tuple(args.ap_fault or ()),
+            fidelity=args.fidelity,
+            frames_time=args.frames_time,
+            scheme=args.scheme,
+        )
     if config.fidelity == "frames":
         report = _run_grid(
             args, "frames tier",
@@ -347,7 +364,7 @@ def _cmd_ess(args: argparse.Namespace) -> int:
     else:
         report = run_ess(config)
     out = args.out or ".repro-cache/ess-report.json"
-    path = save_report(report, out)
+    path = write_json(out, report)
     print(f"  ESS report written to {path}", file=sys.stderr)
     totals = report["totals"]
     backhaul = report["backhaul"]
@@ -387,25 +404,26 @@ def _cmd_redteam(args: argparse.Namespace) -> int:
         run_campaign,
     )
 
-    config = CampaignConfig(
-        budget=args.budget,
-        seed=args.seed,
-        surface=args.surface,
-        batch=args.batch,
-        explore_ratio=args.explore,
-        settings=DecodeSettings(sim_time=args.time),
-        objective=ObjectiveConfig(),
-        shrink=args.shrink,
-        shrink_budget=args.shrink_budget,
-    )
-    executor = SweepExecutor(
-        ExecutorConfig(
-            workers=args.workers,
-            schedule=args.schedule,
-            timeout=args.timeout,
-            on_failure="skip",
+    with _flag_values():
+        config = CampaignConfig(
+            budget=args.budget,
+            seed=args.seed,
+            surface=args.surface,
+            batch=args.batch,
+            explore_ratio=args.explore,
+            settings=DecodeSettings(sim_time=args.time),
+            objective=ObjectiveConfig(),
+            shrink=args.shrink,
+            shrink_budget=args.shrink_budget,
         )
-    )
+        executor = SweepExecutor(
+            ExecutorConfig(
+                workers=args.workers,
+                schedule=args.schedule,
+                timeout=args.timeout,
+                on_failure="skip",
+            )
+        )
     evaluator = ExecEvaluator(config.settings, config.objective, executor)
     archive_dir = None if args.no_archive else args.archive_dir
     try:
@@ -419,71 +437,14 @@ def _cmd_redteam(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     out = args.out or ".repro-cache/redteam-campaign.json"
-    path = report.save(out)
+    path = write_json(out, report.to_dict())
     print(f"  campaign report written to {path}", file=sys.stderr)
     print(report.render())
     return 2 if report.new_unarchived else 0
 
 
-def _parse_warm_spec(text: str) -> dict:
-    """``schemes=a,b loads=0.5,1.0 seeds=1,2 time=8 warmup=1`` -> kwargs."""
-    from .network.bss import SCHEMES
-
-    spec = {
-        "schemes": ("proposed",),
-        "loads": (0.5, 1.0),
-        "seeds": (1,),
-        "time": 8.0,
-        "warmup": 1.0,
-    }
-    for clause in text.split():
-        name, sep, value = clause.partition("=")
-        if not sep or name not in spec:
-            raise argparse.ArgumentTypeError(
-                f"bad warm clause {clause!r}: expected one of "
-                f"{sorted(spec)} as name=value"
-            )
-        try:
-            if name == "schemes":
-                schemes = tuple(value.split(","))
-                unknown = [s for s in schemes if s not in SCHEMES]
-                if unknown:
-                    raise ValueError(f"unknown scheme(s) {unknown}")
-                spec[name] = schemes
-            elif name == "loads":
-                spec[name] = tuple(float(v) for v in value.split(","))
-            elif name == "seeds":
-                spec[name] = tuple(int(v) for v in value.split(","))
-            else:
-                spec[name] = float(value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad warm clause {clause!r}: {exc}")
-    return spec
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .exec import ExecutorConfig, SweepExecutor
-    from .experiments import sweep_grid
     from .serve import build_server
-
-    if args.warm is not None:
-        spec = args.warm
-        grid = sweep_grid(
-            spec["schemes"],
-            loads=spec["loads"],
-            seeds=spec["seeds"],
-            sim_time=spec["time"],
-            warmup=spec["warmup"],
-        )
-        executor = SweepExecutor(
-            ExecutorConfig(
-                workers=args.workers,
-                cache_dir=args.cache_dir,
-                on_failure="skip",
-            )
-        )
-        executor.run(grid)
-        _print_summary("warm", executor)
 
     server = build_server(
         args.cache_dir,
@@ -496,7 +457,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not server.index.surfaces:
         print(
             f"error: no sweep surfaces in {args.cache_dir!r} — run a "
-            "cached sweep first (python -m repro sweep) or pass --warm",
+            "cached sweep into it first (python -m repro sweep "
+            "--cache-dir DIR)",
             file=sys.stderr,
         )
         server.stop()
@@ -591,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
             "  1  failed validation claims / chaos gates / perf-gate\n"
             "     regressions / ESS conservation violations / redteam\n"
             "     execution failures / (serve) no surfaces in the cache\n"
-            "  2  sweep points permanently failed after retries, or\n"
+            "  2  a malformed flag or a flag value a config rejects,\n"
+            "     sweep points permanently failed after retries, or\n"
             "     (redteam) a new breach not yet in the archived corpus"
         ),
     )
@@ -609,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                            parents=[grid("sweep")])
     sweep.add_argument("--loads", type=float, nargs="+", default=None,
                        help="load multipliers (default: the benchmark grid)")
-    sweep.add_argument("--seeds", type=int, default=2)
+    sweep.add_argument("--seeds", type=_positive_int, default=2)
     sweep.add_argument("--time", type=float, default=60.0)
     sweep.add_argument("--schemes", nargs="+", default=list(SCHEMES),
                        choices=list(SCHEMES),
@@ -670,9 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mean call holding time in s (default: 60)")
     ess.add_argument("--residence", type=float, default=45.0,
                      help="mean cell residence time in s (default: 45)")
-    ess.add_argument("--mobility", type=float, default=1.0,
-                     help="mobility intensity: scales 1/residence "
-                          "(default: 1.0)")
     ess.add_argument("--capacity", type=_positive_int, default=12,
                      help="per-cell admitted-call capacity (default: 12)")
     ess.add_argument("--overlap", type=float, default=0.25,
@@ -761,11 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-queue", type=_positive_int, default=64,
                        help="back-fill queue depth before shedding "
                             "(default: 64)")
-    serve.add_argument("--warm", type=_parse_warm_spec, default=None,
-                       metavar="SPEC",
-                       help="populate the cache before serving, e.g. "
-                            "'schemes=proposed,conventional "
-                            "loads=0.5,1.0,2.0 seeds=1,2 time=8'")
 
     # listed for --help only: main() hands ``bench`` to the gate, which
     # owns its flag set (repro.bench.gate.build_parser)
@@ -809,6 +764,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return _HANDLERS[args.command](args)
+    except argparse.ArgumentTypeError as exc:  # from _flag_values
+        parser.error(f"{args.command}: {exc}")
     except SweepExecutionError as exc:
         print(
             f"error: {len(exc.failures)} sweep point(s) permanently failed "

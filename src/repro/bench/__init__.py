@@ -6,8 +6,10 @@
   allocation.
 * :mod:`repro.bench.gate` — compares a fresh run against the committed
   ``BENCH_KERNEL.json`` baseline, failing on event-count drift or on
-  throughput/allocation regressions beyond a tolerance; also hosts the
-  scaled-down serial-vs-pool sweep section.
+  throughput/allocation regressions beyond a tolerance; also enforces
+  two constant speedup floors: batched over exact end-to-end (5×,
+  whenever a run measures both) and the scaled-down serial-vs-pool
+  sweep (2×, with ``--with-sweep``).
 
 The end-to-end benchmark, including the closed-loop serve benchmark
 (``query_mix``), is ``perfbench/`` at the repository root.  See
@@ -21,7 +23,6 @@ from .gate import (
     load_report,
     main,
     run_parallel_sweep,
-    write_report,
 )
 from .micro import BENCHMARKS, run_benchmark, run_benchmarks
 
@@ -34,5 +35,4 @@ __all__ = [
     "run_benchmark",
     "run_benchmarks",
     "run_parallel_sweep",
-    "write_report",
 ]

@@ -10,19 +10,21 @@ run re-measures every benchmark it lists and fails (exit 1) when
 * throughput or peak allocation regress beyond the tolerance:
   ``events_per_sec < base * (1 - tol)`` or
   ``peak_kib > base * (1 + tol) + 64``  (the 64 KiB absolute slack
-  absorbs interpreter-version noise in tiny workloads).
+  absorbs interpreter-version noise in tiny workloads), or
+* a speedup misses its constant floor: batched over exact end-to-end
+  (``MIN_BATCHED_SPEEDUP``, whenever a run measures both suites; see
+  ``run_accel_section``), or the ``--with-sweep`` pool over serial
+  (``MIN_SWEEP_SPEEDUP``, on a machine with a core per pool worker).
 
 Wall-clock numbers are machine-relative; CI therefore runs the gate
 with a generous tolerance (``--tolerance 0.25``) while the exact
 ``events`` check stays machine-independent.  ``--update`` rewrites the
 baseline deliberately, and only with what the run measured: a suite
 left out by ``--only`` keeps its baseline entry, a ``--skip-alloc`` run
-keeps each suite's baseline ``peak_kib``, and the ``pre_pr_baseline``,
-``parallel_sweep`` and ``accel`` sections are carried over unless
-``--with-sweep`` / ``--with-accel`` re-measure them.  ``--with-accel``
-additionally enforces the batched-tier speedup floor (see
-``run_accel_section``).  The serve loop is measured by perfbench's
-``query_mix`` workload, not here.
+keeps each suite's baseline ``peak_kib``, and the ``parallel_sweep``
+and ``accel`` sections are carried over unless the run re-measured
+them.  The serve loop is measured by perfbench's ``query_mix``
+workload, not here.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ import json
 import pathlib
 import typing
 
+from ..obs.jsonutil import write_json
 from .micro import BENCHMARKS, run_benchmarks
 
 __all__ = [
     "DEFAULT_BASELINE",
+    "MIN_BATCHED_SPEEDUP",
+    "MIN_SWEEP_SPEEDUP",
     "compare",
     "build_parser",
     "load_report",
-    "write_report",
     "main",
 ]
 
@@ -48,6 +52,12 @@ DEFAULT_BASELINE = "BENCH_KERNEL.json"
 
 #: absolute allocation slack (KiB) added on top of the relative tolerance
 _ALLOC_SLACK_KIB = 64.0
+
+#: required batched-tier ev/s multiple over exact ``end_to_end``
+MIN_BATCHED_SPEEDUP = 5.0
+
+#: required serial-over-pool wall ratio of the ``--with-sweep`` section
+MIN_SWEEP_SPEEDUP = 2.0
 
 _SCHEMA = 1
 
@@ -59,14 +69,6 @@ def load_report(path: str | pathlib.Path) -> dict[str, typing.Any]:
     if not isinstance(report, dict) or "benchmarks" not in report:
         raise ValueError(f"{path}: not a bench report (no 'benchmarks' key)")
     return report
-
-
-def write_report(path: str | pathlib.Path, report: dict[str, typing.Any]) -> None:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def compare(
@@ -126,7 +128,7 @@ def run_parallel_sweep(
     because the speedup is only meaningful relative to the cores the
     machine actually has (a 1-core container cannot beat ~1.0x no
     matter how warm the pool is — the gate skips its speedup floor
-    there, see ``--min-sweep-speedup``).
+    there, see ``MIN_SWEEP_SPEEDUP``).
     """
     import os as _os
     import time as _time
@@ -164,26 +166,16 @@ def run_parallel_sweep(
 
 # -- accelerated-tier wiring -------------------------------------------------
 
-def run_accel_section(
-    results: dict[str, typing.Any] | None = None, repeats: int = 3
-) -> dict[str, typing.Any]:
-    """Measure the batched tier against exact, same process.
+def run_accel_section(results: dict[str, typing.Any]) -> dict[str, typing.Any]:
+    """The batched tier against exact, from one run's ``results``.
 
     ``batched_speedup`` is the modeled events/s of
     ``batched_end_to_end`` over exact ``end_to_end`` (ratio of same-run
-    numbers, so shared machine noise cancels).  Reuses entries from
-    ``results`` (a fresh ``run_benchmarks`` dict) when present so a
-    gate run does not measure the suites twice.
+    numbers, so shared machine noise cancels); ``results`` (a fresh
+    ``run_benchmarks`` dict) must hold both entries.
     """
-    from .micro import run_benchmark
-
-    measured = {
-        name: (results or {}).get(name)
-        or run_benchmark(name, repeats=repeats, measure_alloc=False)
-        for name in ("end_to_end", "batched_end_to_end")
-    }
-    batched = measured["batched_end_to_end"]
-    exact = measured["end_to_end"]
+    batched = results["batched_end_to_end"]
+    exact = results["end_to_end"]
     return {
         "exact_events_per_sec": exact["events_per_sec"],
         "batched_events_per_sec": batched["events_per_sec"],
@@ -216,20 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--skip-alloc", action="store_true",
                         help="skip the tracemalloc allocation pass")
     parser.add_argument("--with-sweep", action="store_true",
-                        help="also measure the serial-vs-pool sweep section")
-    parser.add_argument("--min-sweep-speedup", type=float, default=None,
-                        help="with --with-sweep: fail unless the pool "
-                             "speedup reaches this floor; only enforced "
-                             "when the machine has at least as many CPU "
-                             "cores as sweep workers (CI runners do, "
-                             "1-core containers skip with a note)")
-    parser.add_argument("--with-accel", action="store_true",
-                        help="also measure the accelerated-tier section "
-                             "(batched ev/s speedup vs exact) and enforce "
-                             "the speedup floor")
-    parser.add_argument("--min-batched-speedup", type=float, default=5.0,
-                        help="with --with-accel: required batched ev/s "
-                             "multiple over exact end_to_end (default: 5)")
+                        help="also measure the serial-vs-pool sweep "
+                             "section; on a machine with a core per pool "
+                             "worker, fail unless the pool is "
+                             f"{MIN_SWEEP_SPEEDUP:g}x faster")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the baseline from this run and exit 0")
     return parser
@@ -269,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         pass
     if baseline is not None:
         # carry the sections a fresh run does not re-measure
-        for section in ("pre_pr_baseline", "parallel_sweep", "accel"):
+        for section in ("parallel_sweep", "accel"):
             if section in baseline:
                 report[section] = baseline[section]
 
@@ -284,26 +266,24 @@ def main(argv: list[str] | None = None) -> int:
         if not sweep["rows_identical"]:
             print("error: serial and pool sweep rows differ", file=sys.stderr)
             return 1
-        if args.min_sweep_speedup is not None:
-            cores = sweep["cpu_cores"]
-            pool_workers = sweep["parallel"]["workers"]
-            if cores >= pool_workers:
-                if sweep["speedup"] < args.min_sweep_speedup:
-                    print(
-                        f"error: sweep speedup {sweep['speedup']}x < "
-                        f"required {args.min_sweep_speedup}x "
-                        f"({pool_workers} workers on {cores} cores)",
-                        file=sys.stderr,
-                    )
-                    return 1
-            else:
-                print(
-                    f"  sweep speedup floor skipped: {cores} core(s) < "
-                    f"{pool_workers} workers (no parallelism to measure)",
-                    file=sys.stderr,
-                )
+        cores = sweep["cpu_cores"]
+        pool_workers = sweep["parallel"]["workers"]
+        if cores < pool_workers:
+            print(
+                f"  sweep speedup floor skipped: {cores} core(s) < "
+                f"{pool_workers} workers (no parallelism to measure)",
+                file=sys.stderr,
+            )
+        elif sweep["speedup"] < MIN_SWEEP_SPEEDUP:
+            print(
+                f"error: sweep speedup {sweep['speedup']}x < "
+                f"required {MIN_SWEEP_SPEEDUP}x "
+                f"({pool_workers} workers on {cores} cores)",
+                file=sys.stderr,
+            )
+            return 1
 
-    if args.with_accel:
+    if "end_to_end" in results and "batched_end_to_end" in results:
         report["accel"] = accel = run_accel_section(results)
         print(
             f"  accel            batched {accel['batched_speedup']}x ev/s "
@@ -311,15 +291,15 @@ def main(argv: list[str] | None = None) -> int:
             f"{accel['exact_events_per_sec']:,})",
             file=sys.stderr,
         )
-        if accel["batched_speedup"] < args.min_batched_speedup:
+        if accel["batched_speedup"] < MIN_BATCHED_SPEEDUP:
             print(
                 f"error: batched speedup {accel['batched_speedup']}x < "
-                f"required {args.min_batched_speedup}x",
+                f"required {MIN_BATCHED_SPEEDUP}x",
                 file=sys.stderr,
             )
             return 1
 
-    write_report(args.out, report)
+    write_json(args.out, report)
     print(f"  report written to {args.out}", file=sys.stderr)
 
     if args.update:
@@ -333,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
             entry = {**kept.get(name, {}), **results.get(name, {})}
             if entry:
                 suites[name] = entry
-        write_report(args.baseline, {**report, "benchmarks": suites})
+        write_json(args.baseline, {**report, "benchmarks": suites})
         print(f"  baseline updated: {args.baseline}", file=sys.stderr)
         return 0
     if baseline is None:

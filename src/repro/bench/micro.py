@@ -124,7 +124,7 @@ def _bench_pcf_polling() -> int:
 
 
 def _bench_end_to_end() -> int:
-    """The ``benchmarks/bench_simulator.py`` point, exactly."""
+    """One 10-simulated-second proposed-scheme BSS at nominal load."""
     return _scenario()
 
 

@@ -28,7 +28,6 @@ from .coordinator import (
     EssConfig,
     EssCoordinator,
     run_ess,
-    save_report,
 )
 from .routing import BackhaulRouter, RouteResult
 from .topology import (
@@ -58,7 +57,6 @@ __all__ = [
     "EssConfig",
     "EssCoordinator",
     "run_ess",
-    "save_report",
     "ESS_REPORT_SCHEMA",
     "FIDELITIES",
 ]

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
-import pathlib
 import typing
 import zlib
 
@@ -57,7 +55,6 @@ __all__ = [
     "EssConfig",
     "EssCoordinator",
     "run_ess",
-    "save_report",
 ]
 
 ESS_REPORT_SCHEMA = "repro/ess-report/2"
@@ -77,10 +74,9 @@ class EssConfig:
     #: fresh-call arrival rate per cell per traffic class (calls/s)
     new_call_rate: float = 0.08
     mean_holding: float = 60.0
-    #: base exponential cell-residence time; divided by ``mobility``
+    #: mean exponential cell-residence time (s); halve it to make
+    #: stations roam twice as often
     mean_residence: float = 45.0
-    #: roaming intensity multiplier (2.0 = stations move twice as often)
-    mobility: float = 1.0
     #: concurrent-call admission limit per cell (new calls)
     capacity: int = 12
     #: microcell overlap fraction — inbound handoffs may occupy the
@@ -114,8 +110,6 @@ class EssConfig:
             raise ValueError(
                 f"epoch_length must be > 0, got {self.epoch_length}"
             )
-        if self.mobility <= 0:
-            raise ValueError(f"mobility must be > 0, got {self.mobility}")
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError(f"overlap must be in [0, 1], got {self.overlap}")
         if self.disjoint_paths < 1:
@@ -149,7 +143,7 @@ class EssConfig:
         return CellConfig(
             new_call_rate=self.new_call_rate,
             mean_holding=self.mean_holding,
-            mean_residence=self.mean_residence / self.mobility,
+            mean_residence=self.mean_residence,
             capacity=capacity,
             handoff_capacity=int(capacity * (1.0 + self.overlap)),
         )
@@ -473,14 +467,3 @@ def run_ess(
             executor = SweepExecutor(ExecutorConfig(schedule="cost"))
         frames_rows = executor.run(coordinator.frames_grid())
     return coordinator.report(frames_rows)
-
-
-def save_report(
-    report: dict[str, typing.Any], path: str | pathlib.Path
-) -> pathlib.Path:
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

@@ -88,19 +88,8 @@ class BackhaulRouter:
         else:
             self.faulted_links.add(key)
 
-    def set_ap_health(self, ap: str, healthy: bool) -> None:
-        if ap not in self.graph.aps():
-            raise KeyError(f"no AP {ap!r} in the backhaul topology")
-        if healthy:
-            self.faulted_aps.discard(ap)
-        else:
-            self.faulted_aps.add(ap)
-
     def link_is_healthy(self, a: str, b: str) -> bool:
         return link_key(a, b) not in self.faulted_links
-
-    def ap_is_healthy(self, ap: str) -> bool:
-        return ap not in self.faulted_aps
 
     def path_is_healthy(self, path: typing.Sequence[str]) -> bool:
         if self.faulted_aps and any(ap in self.faulted_aps for ap in path):

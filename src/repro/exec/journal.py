@@ -123,9 +123,3 @@ class SweepJournal:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

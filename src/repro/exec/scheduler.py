@@ -152,6 +152,17 @@ class PointScheduler:
         self.model.observe(config, wall)
 
 
+class _GivenCosts(CostModel):
+    """A cost model whose estimate of point ``i`` is ``costs[i]``."""
+
+    def __init__(self, costs: typing.Sequence[float]) -> None:
+        super().__init__()
+        self.costs = costs
+
+    def estimate(self, config: typing.Any) -> float:
+        return self.costs[config]
+
+
 def simulate_schedule(
     costs: typing.Sequence[float],
     workers: int,
@@ -160,8 +171,10 @@ def simulate_schedule(
     """List-schedule ``costs`` onto ``workers`` identical machines.
 
     A deterministic pure model of the warm pool's dispatch loop:
-    whenever a worker is free and points are pending, the scheduler's
-    next point starts on it immediately.  ``policy="cost"`` dispatches
+    whenever a worker is free and points are pending, the next point
+    popped from a :class:`PointScheduler` — the same queue the pool
+    dispatches from, here estimating each point at its given cost —
+    starts on it immediately.  ``policy="cost"`` dispatches
     longest-first (LPT), ``"fifo"`` in the given order.
 
     Returns ``makespan``, per-point ``assignments`` (``(worker, start,
@@ -172,17 +185,14 @@ def simulate_schedule(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    order = list(range(len(costs)))
-    if policy == "cost":
-        order.sort(key=lambda i: (-costs[i], i))
-    elif policy != "fifo":
-        raise ValueError(
-            f"policy must be one of {SCHEDULE_POLICIES}, got {policy!r}"
-        )
+    scheduler = PointScheduler(policy, model=_GivenCosts(costs))
+    for i in range(len(costs)):
+        scheduler.add(i, i)
     free: list[tuple[float, int]] = [(0.0, w) for w in range(workers)]
     heapq.heapify(free)
     assignments: list[tuple[int, int, float, float]] = []
-    for i in order:
+    while scheduler:
+        i, _config = scheduler.pop()
         at, worker = heapq.heappop(free)
         assignments.append((i, worker, at, at + costs[i]))
         heapq.heappush(free, (at + costs[i], worker))

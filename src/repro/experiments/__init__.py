@@ -7,7 +7,7 @@ from .config import (
     TABLE2,
     sweep_config,
 )
-from .io import load_results, merge_results, save_results
+from .io import load_results, save_results
 from .figures import FIGURE_METRICS, fig5, fig6, fig7, fig8, fig9, fig10, fig11
 from .runner import (
     average_over_seeds,
@@ -41,5 +41,4 @@ __all__ = [
     "FIGURE_METRICS",
     "save_results",
     "load_results",
-    "merge_results",
 ]

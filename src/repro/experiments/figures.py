@@ -41,6 +41,9 @@ __all__ = [
 
 
 # --------------------------------------------------------------- figure 5 ----
+_FIG5_WARMUP = 1.0  # sim seconds every Fig. 5 run discards
+
+
 def _static_bss(
     n_voice: int, n_video: int, seed: int, sim_time: float
 ) -> dict[str, typing.Any]:
@@ -50,7 +53,7 @@ def _static_bss(
     streams = RandomStreams(seed)
     channel = Channel(sim, BitErrorModel(1e-5, streams.get("phy/errors")))
     nav = Nav()
-    collector = MetricsCollector(warmup=1.0)
+    collector = MetricsCollector(warmup=_FIG5_WARMUP)
     ap = QosAccessPoint(
         sim,
         channel,
@@ -128,7 +131,14 @@ def fig5(
     The paper's point: the analytical jitter/delay bounds are
     worst-case and therefore conservative — the simulated maxima sit
     strictly below them, tracking the same growth with population.
+    A ``sim_time`` within the warm-up would measure nothing, so it is
+    refused before any population runs.
     """
+    if not sim_time > _FIG5_WARMUP:
+        raise ValueError(
+            f"sim_time must exceed Fig. 5's {_FIG5_WARMUP:g} s warm-up, "
+            f"got {sim_time:g}"
+        )
     return [
         _static_bss(nv, nd, seed=seed, sim_time=sim_time)
         for nv, nd in populations

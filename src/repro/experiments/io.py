@@ -14,7 +14,7 @@ import typing
 
 from ..exec.hashing import jsonable
 
-__all__ = ["save_results", "load_results", "merge_results"]
+__all__ = ["save_results", "load_results"]
 
 _FORMAT = 1
 
@@ -63,11 +63,3 @@ def load_results(path: str | pathlib.Path) -> list[dict]:
             if line:
                 rows.append(json.loads(line))
     return rows
-
-
-def merge_results(paths: typing.Iterable[str | pathlib.Path]) -> list[dict]:
-    """Concatenate several archives (e.g. per-scheme shards)."""
-    merged: list[dict] = []
-    for p in paths:
-        merged.extend(load_results(p))
-    return merged

@@ -28,8 +28,6 @@ gate failed, 2 = grid points permanently failed to execute.
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 import typing
 
 from ..exec import SweepExecutor
@@ -322,13 +320,6 @@ class ChaosReport:
             "mixes": [m.as_dict() for m in self.mixes],
             "telemetry": self.telemetry,
         }
-
-    def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Write the JSON degradation report; returns the path."""
-        p = pathlib.Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return p
 
     def render(self) -> str:
         """Human-readable per-mix degradation summary."""

@@ -26,6 +26,7 @@ import json
 import pathlib
 import typing
 
+from ..obs.jsonutil import write_json
 from .genome import DecodeSettings, ScenarioGenome
 from .objective import BreachVerdict, ObjectiveConfig
 
@@ -102,8 +103,6 @@ def archive_reproducer(
     campaign: "CampaignConfig",
 ) -> pathlib.Path:
     """Write one fixture (idempotent — same genome overwrites in place)."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     name = reproducer_name(genome)
     rep = Reproducer(
         name=name,
@@ -113,11 +112,7 @@ def archive_reproducer(
         objective=campaign.objective,
         campaign_seed=campaign.seed,
     )
-    path = directory / f"{name}.json"
-    path.write_text(
-        json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    return path
+    return write_json(pathlib.Path(directory) / f"{name}.json", rep.to_dict())
 
 
 def load_reproducers(

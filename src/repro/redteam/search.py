@@ -29,7 +29,6 @@ runs and machines.
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 import random
 import typing
@@ -246,14 +245,6 @@ class CampaignReport:
             ],
             "new_unarchived": self.new_unarchived,
         }
-
-    def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        p = pathlib.Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        return p
 
     def render(self) -> str:
         lines = [

@@ -4,12 +4,12 @@
 :class:`~repro.exec.SweepExecutor` — no web framework, no
 dependencies.  Endpoints:
 
-``GET/POST /query``
-    Answer one capacity-planning query (:mod:`repro.serve.queries`).
-    GET passes parameters in the query string (``?kind=operating_point
-    &scheme=proposed&load=1.25``); POST passes a JSON object.  Answers
-    are 200 with a deterministic body; a coordinate whose enclosing
-    grid cell is missing corners is a **miss**: the missing configs
+``GET /query``
+    Answer one capacity-planning query (:mod:`repro.serve.queries`)
+    whose parameters ride in the query string (``?kind=operating_point
+    &scheme=proposed&load=1.25``).  Answers are 200 with a
+    deterministic body; a coordinate whose enclosing grid cell is
+    missing corners is a **miss**: the missing configs
     are enqueued to the back-fill executor and the reply is 202 with a
     ``Retry-After`` header, so the cache back-fills under live traffic
     and the same query succeeds once the rows land.
@@ -25,6 +25,8 @@ dependencies.  Endpoints:
     per-endpoint request counters, request-latency histogram, result
     cache hit/miss counters, back-fill counters.
 
+Every endpoint is GET-only; another method gets http.server's 501.
+
 Concurrency: request handlers share one lock around the index (reads
 are sub-millisecond), and the back-fill queue is **bounded** with
 **single-flight dedup by cache key** — a thundering herd on one cold
@@ -35,6 +37,7 @@ rather than queueing without bound.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import typing
@@ -47,7 +50,7 @@ from ..network.bss import ScenarioConfig
 from ..obs.registry import MetricsRegistry
 from .metrics import render_prometheus
 from .queries import QueryError, answer_query
-from .surface import CANDIDATE_AXES, SurfaceError, SurfaceIndex
+from .surface import SurfaceError, SurfaceIndex
 
 __all__ = ["BackfillQueue", "QueryServer", "build_server"]
 
@@ -251,12 +254,15 @@ class QueryServer(ThreadingHTTPServer):
 
 
 def _coerce(value: str) -> typing.Any:
-    """Query-string scalar -> number where it parses, string otherwise."""
+    """Query-string scalar -> finite number where it parses to one,
+    string otherwise (so ``nan`` echoes as valid JSON)."""
     try:
         as_float = float(value)
     except ValueError:
         return value
-    return int(as_float) if as_float == int(as_float) else as_float
+    if not math.isfinite(as_float):
+        return value
+    return int(as_float) if as_float.is_integer() else as_float
 
 
 def _parse_constraints(text: str) -> dict[str, float]:
@@ -332,25 +338,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoints ---------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 — http.server contract
-        self._route("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 — http.server contract
-        self._route("POST")
-
-    def _route(self, method: str) -> None:
         started = time.perf_counter()
         split = urllib.parse.urlsplit(self.path)
         endpoint = split.path.rstrip("/") or "/"
         status = 500
         try:
-            if endpoint == "/healthz" and method == "GET":
+            if endpoint == "/healthz":
                 status = self._healthz()
-            elif endpoint == "/surfaces" and method == "GET":
+            elif endpoint == "/surfaces":
                 status = self._surfaces()
-            elif endpoint == "/metrics" and method == "GET":
+            elif endpoint == "/metrics":
                 status = self._metrics()
             elif endpoint == "/query":
-                status = self._query(method, split)
+                status = self._query(split)
             else:
                 status = 404
                 self._send_json(
@@ -399,18 +399,8 @@ class _Handler(BaseHTTPRequestHandler):
         return 200
 
     def _query_params(
-        self, method: str, split: urllib.parse.SplitResult
+        self, split: urllib.parse.SplitResult
     ) -> dict[str, typing.Any]:
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b""
-            try:
-                params = json.loads(raw.decode("utf-8")) if raw else {}
-            except (UnicodeDecodeError, ValueError):
-                raise QueryError("bad_request", "body must be a JSON object")
-            if not isinstance(params, dict):
-                raise QueryError("bad_request", "body must be a JSON object")
-            return params
         params: dict[str, typing.Any] = {}
         for name, values in urllib.parse.parse_qs(split.query).items():
             value = values[-1]
@@ -422,9 +412,9 @@ class _Handler(BaseHTTPRequestHandler):
                 params[name] = _coerce(value)
         return params
 
-    def _query(self, method: str, split: urllib.parse.SplitResult) -> int:
+    def _query(self, split: urllib.parse.SplitResult) -> int:
         try:
-            params = self._query_params(method, split)
+            params = self._query_params(split)
             kind = params.pop("kind", None)
             if not isinstance(kind, str):
                 raise QueryError(
@@ -487,7 +477,6 @@ def build_server(
     workers: int = 1,
     backfill: bool = True,
     max_queue: int = 64,
-    axes: typing.Sequence[str] = CANDIDATE_AXES,
     registry: MetricsRegistry | None = None,
     point_fn: typing.Callable[[ScenarioConfig], dict] | None = None,
 ) -> QueryServer:
@@ -499,7 +488,7 @@ def build_server(
     """
     registry = registry if registry is not None else MetricsRegistry()
     cache = ResultCache(cache_dir, registry=registry)
-    index = SurfaceIndex.from_cache(cache, axes=axes)
+    index = SurfaceIndex.from_cache(cache)
     registry.gauge("serve_surfaces").set(float(len(index.surfaces)))
     registry.gauge("serve_index_rows").set(float(index.rows))
     lock = threading.Lock()

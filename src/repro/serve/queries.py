@@ -33,9 +33,10 @@ parameters produce byte-identical result dicts.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
-from .surface import SurfaceError, SurfaceIndex, SurfaceLookup
+from .surface import CANDIDATE_AXES, SurfaceError, SurfaceIndex, SurfaceLookup
 
 __all__ = [
     "QUERY_KINDS",
@@ -103,7 +104,7 @@ def _axis_params(
     index: SurfaceIndex, params: typing.Mapping[str, typing.Any]
 ) -> dict[str, float]:
     at: dict[str, float] = {}
-    for axis in index.axes:
+    for axis in CANDIDATE_AXES:
         if axis in params and params[axis] is not None:
             try:
                 at[axis] = float(params[axis])
@@ -112,6 +113,12 @@ def _axis_params(
                     "bad_request",
                     f"axis {axis!r} must be numeric, "
                     f"got {params[axis]!r}",
+                    axis=axis,
+                )
+            if not math.isfinite(at[axis]):
+                raise QueryError(
+                    "bad_request",
+                    f"axis {axis!r} must be finite, got {params[axis]!r}",
                     axis=axis,
                 )
     return at
@@ -210,6 +217,14 @@ def admissible_calls(
             raise QueryError(
                 "bad_request", "constraint ceilings must be numeric"
             )
+        for metric, ceiling in sorted(constraints.items()):
+            if not math.isfinite(ceiling):
+                raise QueryError(
+                    "bad_request",
+                    f"'constraints' ceiling for {metric!r} must be "
+                    f"finite, got {ceiling!r}",
+                    constraint=metric,
+                )
 
     loads = surface.axis_values().get("load", [])
     if not loads:

@@ -132,7 +132,6 @@ class SweepSurface:
     scheme: str
     #: the residual config: axes, seed and ess stripped
     residual: dict[str, typing.Any]
-    axes: tuple[str, ...]
     points: dict[tuple[float, ...], GridPoint] = dataclasses.field(
         default_factory=dict
     )
@@ -155,7 +154,7 @@ class SweepSurface:
     def axis_values(self) -> dict[str, list[float]]:
         """Sorted unique observed coordinates per axis."""
         out: dict[str, list[float]] = {}
-        for i, axis in enumerate(self.axes):
+        for i, axis in enumerate(CANDIDATE_AXES):
             out[axis] = sorted({coords[i] for coords in self.points})
         return out
 
@@ -180,7 +179,7 @@ class SweepSurface:
     def _bracket(self, axis_index: int, value: float) -> tuple[float, float]:
         """The grid values enclosing ``value`` on one axis (lo == hi
         for an exact hit); refuses values outside the observed range."""
-        axis = self.axes[axis_index]
+        axis = CANDIDATE_AXES[axis_index]
         uniques = sorted({c[axis_index] for c in self.points})
         if value in uniques:
             return value, value
@@ -213,7 +212,7 @@ class SweepSurface:
         """
         values = self.axis_values()
         target: list[float] = []
-        for axis in self.axes:
+        for axis in CANDIDATE_AXES:
             if axis in at:
                 target.append(float(at[axis]))
             elif len(values[axis]) == 1:
@@ -236,7 +235,7 @@ class SweepSurface:
                 "no cached rows at exactly this coordinate "
                 "(require_exact refused interpolation)",
                 surface_id=self.surface_id,
-                missing=[dict(zip(self.axes, target))],
+                missing=[dict(zip(CANDIDATE_AXES, target))],
             )
         corners = sorted(set(itertools.product(*brackets)))
         missing = [c for c in corners if c not in self.points]
@@ -247,7 +246,7 @@ class SweepSurface:
                 "have no cached rows",
                 surface_id=self.surface_id,
                 missing=[
-                    dict(zip(self.axes, corner)) for corner in missing
+                    dict(zip(CANDIDATE_AXES, corner)) for corner in missing
                 ],
             )
 
@@ -273,11 +272,11 @@ class SweepSurface:
         exact = all(lo == hi for lo, hi in brackets)
         return SurfaceLookup(
             surface=self,
-            at=dict(zip(self.axes, target)),
+            at=dict(zip(CANDIDATE_AXES, target)),
             mode="exact" if exact else "interpolated",
             metrics=metrics,
             keys=keys,
-            corners=[dict(zip(self.axes, c)) for c in corners],
+            corners=[dict(zip(CANDIDATE_AXES, c)) for c in corners],
         )
 
     def missing_configs(
@@ -290,7 +289,7 @@ class SweepSurface:
         configs: list[dict[str, typing.Any]] = []
         for corner in missing:
             base = dict(self.residual)
-            for axis in self.axes:
+            for axis in CANDIDATE_AXES:
                 value = float(corner[axis])
                 base[axis] = self.axis_originals.get(axis, {}).get(
                     value, value
@@ -335,8 +334,7 @@ def _surface_identity(residual: typing.Mapping[str, typing.Any]) -> str:
 class SurfaceIndex:
     """Every surface recoverable from one result-cache directory."""
 
-    def __init__(self, axes: typing.Sequence[str] = CANDIDATE_AXES) -> None:
-        self.axes = tuple(axes)
+    def __init__(self) -> None:
         self.surfaces: dict[str, SweepSurface] = {}
         #: entries whose config was absent/foreign or rejected by
         #: ``ScenarioConfig.from_dict`` — counted, not fatal
@@ -344,12 +342,8 @@ class SurfaceIndex:
         self.rows = 0
 
     @classmethod
-    def from_cache(
-        cls,
-        cache: ResultCache,
-        axes: typing.Sequence[str] = CANDIDATE_AXES,
-    ) -> "SurfaceIndex":
-        index = cls(axes)
+    def from_cache(cls, cache: ResultCache) -> "SurfaceIndex":
+        index = cls()
         for entry in cache.entries():
             index.add_entry(entry.key, entry.config, entry.row)
         return index
@@ -374,7 +368,7 @@ class SurfaceIndex:
         residual = {
             k: v
             for k, v in config.items()
-            if k not in self.axes and k not in ("seed", "ess")
+            if k not in CANDIDATE_AXES and k not in ("seed", "ess")
         }
         surface_id = _surface_identity(residual)
         surface = self.surfaces.get(surface_id)
@@ -383,9 +377,8 @@ class SurfaceIndex:
                 surface_id=surface_id,
                 scheme=str(residual.get("scheme", "?")),
                 residual=residual,
-                axes=self.axes,
             )
-        coords = tuple(float(config[axis]) for axis in self.axes)
+        coords = tuple(float(config[axis]) for axis in CANDIDATE_AXES)
         point = surface.points.get(coords)
         if point is None:
             point = surface.points[coords] = GridPoint(coords=coords)
@@ -399,14 +392,14 @@ class SurfaceIndex:
             surface.seeds.add(config["seed"])
         if config.get("ess") is not None:
             surface.ess_rows += 1
-        for axis in self.axes:
+        for axis in CANDIDATE_AXES:
             surface.axis_originals.setdefault(axis, {})[
                 float(config[axis])
             ] = config[axis]
         return surface
 
     def _accepts(self, config: typing.Mapping[str, typing.Any]) -> bool:
-        if any(axis not in config for axis in self.axes):
+        if any(axis not in config for axis in CANDIDATE_AXES):
             return False
         try:
             ScenarioConfig.from_dict(config)
@@ -455,7 +448,7 @@ class SurfaceIndex:
     def describe(self) -> dict[str, typing.Any]:
         """JSON-ready summary for ``/surfaces`` and ``/healthz``."""
         return {
-            "axes": list(self.axes),
+            "axes": list(CANDIDATE_AXES),
             "rows": self.rows,
             "skipped_entries": self.skipped,
             "key_format": KEY_FORMAT,

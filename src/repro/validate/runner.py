@@ -15,8 +15,6 @@ covers the whole evaluation load axis for release-grade checks.
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 import typing
 
 from ..exec import SweepExecutor
@@ -148,13 +146,6 @@ class ValidationReport:
             "claims": [c.as_dict() for c in self.claims],
             "telemetry": self.telemetry,
         }
-
-    def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Write the JSON verdict report; returns the path."""
-        p = pathlib.Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return p
 
     def render(self) -> str:
         """Human-readable one-line-per-claim summary."""

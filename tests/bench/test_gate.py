@@ -11,8 +11,9 @@ from repro.bench import (
     main,
     run_benchmark,
     run_benchmarks,
-    write_report,
 )
+from repro.bench import gate
+from repro.obs.jsonutil import write_json
 
 
 def entry(events=1000, ev_s=100_000, peak=50.0, wall=0.01):
@@ -88,7 +89,7 @@ class TestReportIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
         original = report(a=entry())
-        write_report(path, original)
+        write_json(path, original)
         assert load_report(path) == original
 
     def test_load_rejects_non_reports(self, tmp_path):
@@ -171,7 +172,7 @@ class TestCli:
 
     def test_regression_exits_nonzero(self, tmp_path):
         baseline = tmp_path / "BENCH.json"
-        write_report(baseline, report(
+        write_json(baseline, report(
             timer_chain=entry(events=30_000, ev_s=10**9)
         ))
         code = main(["--baseline", str(baseline),
@@ -183,7 +184,7 @@ class TestCli:
         self, tmp_path
     ):
         baseline = tmp_path / "BENCH.json"
-        write_report(baseline, report(timer_chain=entry(events=1, ev_s=1)))
+        write_json(baseline, report(timer_chain=entry(events=1, ev_s=1)))
         code = main(["--baseline", str(baseline),
                      "--out", str(tmp_path / "fresh.json"),
                      "--tolerance", "1000"] + self._kernel_only())
@@ -191,7 +192,7 @@ class TestCli:
 
     def test_only_subset_ignores_other_baselined_benchmarks(self, tmp_path):
         baseline = tmp_path / "BENCH.json"
-        write_report(baseline, report(
+        write_json(baseline, report(
             timer_chain=entry(events=30_000, ev_s=1),
             end_to_end=entry(events=12345, ev_s=10**9),
         ))
@@ -203,21 +204,19 @@ class TestCli:
     def test_update_preserves_unmeasured_sections(self, tmp_path):
         baseline = tmp_path / "BENCH.json"
         seeded = report(timer_chain=entry(events=30_000, ev_s=1))
-        seeded["pre_pr_baseline"] = {"note": "history"}
         seeded["parallel_sweep"] = {"speedup": 2.0}
-        write_report(baseline, seeded)
+        write_json(baseline, seeded)
         code = main(["--baseline", str(baseline),
                      "--out", str(tmp_path / "fresh.json"),
                      "--update"] + self._kernel_only())
         assert code == 0
         updated = load_report(baseline)
-        assert updated["pre_pr_baseline"] == {"note": "history"}
         assert updated["parallel_sweep"] == {"speedup": 2.0}
 
     def test_partial_update_keeps_unmeasured_suites_and_peaks(self, tmp_path):
         baseline = tmp_path / "BENCH.json"
         end_to_end = entry(events=17_256, ev_s=44_000, peak=900.0)
-        write_report(baseline, report(
+        write_json(baseline, report(
             timer_chain=entry(events=30_000, ev_s=1, peak=12.5),
             end_to_end=end_to_end,
         ))
@@ -229,3 +228,85 @@ class TestCli:
         assert suites["end_to_end"] == end_to_end
         assert suites["timer_chain"]["events"] == 30_000
         assert suites["timer_chain"]["peak_kib"] == 12.5
+
+
+class TestSpeedupFloors:
+    """The batched and pool floors are constants every run enforces."""
+
+    def _stub_suites(self, monkeypatch, batched_ev_s):
+        def fake_run_benchmarks(names=None, repeats=5, measure_alloc=True,
+                                progress=None):
+            results = {name: entry(ev_s=100_000) for name in names or BENCHMARKS}
+            if "batched_end_to_end" in results:
+                results["batched_end_to_end"] = entry(ev_s=batched_ev_s)
+            return results
+
+        monkeypatch.setattr(gate, "run_benchmarks", fake_run_benchmarks)
+
+    def _full_run(self, tmp_path):
+        baseline = tmp_path / "BENCH.json"
+        suites = {name: entry(ev_s=100_000) for name in BENCHMARKS}
+        suites["batched_end_to_end"] = entry(ev_s=1)
+        write_json(baseline, report(**suites))
+        out = tmp_path / "fresh.json"
+        return main(["--baseline", str(baseline), "--out", str(out)]), out
+
+    def test_full_run_below_the_batched_floor_exits_one(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self._stub_suites(monkeypatch, batched_ev_s=490_000)
+        code, _out = self._full_run(tmp_path)
+        assert code == 1
+        assert "batched speedup 4.9x < required 5.0x" in capsys.readouterr().err
+
+    def test_full_run_measures_the_accel_section_unasked(
+        self, tmp_path, monkeypatch
+    ):
+        self._stub_suites(monkeypatch, batched_ev_s=500_000)
+        code, out = self._full_run(tmp_path)
+        assert code == 0
+        assert load_report(out)["accel"] == {
+            "exact_events_per_sec": 100_000,
+            "batched_events_per_sec": 500_000,
+            "batched_speedup": 5.0,
+        }
+
+    def test_only_run_carries_the_baseline_accel_section(self, tmp_path):
+        baseline = tmp_path / "BENCH.json"
+        seeded = report(timer_chain=entry(events=30_000, ev_s=1))
+        # below the floor: a run that measured neither suite checks none
+        seeded["accel"] = {"batched_speedup": 1.0}
+        write_json(baseline, seeded)
+        out = tmp_path / "fresh.json"
+        code = main(["--baseline", str(baseline), "--out", str(out),
+                     "--only", "timer_chain", "--repeats", "1",
+                     "--skip-alloc"])
+        assert code == 0
+        assert load_report(out)["accel"] == {"batched_speedup": 1.0}
+
+    @pytest.mark.parametrize(
+        "cores, speedup, code",
+        [(4, 1.5, 1), (2, 1.5, 0), (4, 2.0, 0)],
+        ids=["slow-pool", "too-few-cores", "at-the-floor"],
+    )
+    def test_sweep_floor_applies_only_with_enough_cores(
+        self, tmp_path, monkeypatch, capsys, cores, speedup, code
+    ):
+        monkeypatch.setattr(gate, "run_parallel_sweep", lambda: {
+            "points": 8,
+            "cpu_cores": cores,
+            "rows_identical": True,
+            "parallel": {"workers": 4},
+            "speedup": speedup,
+        })
+        baseline = tmp_path / "BENCH.json"
+        write_json(baseline, report(timer_chain=entry(events=30_000, ev_s=1)))
+        assert main(["--baseline", str(baseline),
+                     "--out", str(tmp_path / "fresh.json"), "--with-sweep",
+                     "--only", "timer_chain", "--repeats", "1",
+                     "--skip-alloc"]) == code
+        err = capsys.readouterr().err
+        assert ("sweep speedup floor skipped: 2 core(s) < 4 workers" in err) == (
+            cores == 2
+        )
+        assert ("error: sweep speedup 1.5x < required 2.0x" in err) == (code == 1)

@@ -1,4 +1,5 @@
-"""Exit codes of ``chaos``, ``redteam`` and ``serve``, with stubbed runners.
+"""Exit codes of ``chaos``, ``redteam`` and ``serve``, with stubbed runners,
+and of every command given a flag value its config rejects.
 
 Each test replaces the subsystem entry point the handler imports at
 call time, so only the CLI wiring runs: report writing, the summary
@@ -23,10 +24,8 @@ class FakeReport:
         self.passed = passed
         self.new_unarchived = new_unarchived
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"passed": self.passed}, fh)
-        return path
+    def to_dict(self):
+        return {"passed": self.passed}
 
     def render(self):
         return "PASSED" if self.passed else "FAILED"
@@ -120,3 +119,39 @@ class TestServe:
         code = main(["serve", "--cache-dir", str(tmp_path), "--port", "0"])
         assert code == 1
         assert "no sweep surfaces" in capsys.readouterr().err
+
+
+class TestBadFlagValues:
+    """A flag value a config rejects exits 2 like a malformed flag:
+    argparse's ``error:`` line, no traceback, nothing simulated."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # grid commands default into ./.repro-cache
+
+        def started(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr("repro.sim.engine.Simulator.run", started)
+        monkeypatch.setattr("repro.exec.SweepExecutor.run", started)
+        monkeypatch.setattr("repro.ess.EssCoordinator.run", started)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--timeout", "0"],
+        ["chaos", "--timeout", "-1"],
+        ["sweep", "--loads", "-1"],
+        ["ess", "--epoch", "0"],
+        ["redteam", "--explore", "2"],
+        ["trace", "--capacity", "-5"],
+        ["quick", "--time", "-1"],
+        ["sweep", "--seeds", "0"],
+        ["fig5", "--time", "0"],
+    ], ids="_".join)
+    def test_exits_two_with_an_error_line(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []

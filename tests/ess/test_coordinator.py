@@ -17,10 +17,10 @@ from repro.ess import (
     EssConfig,
     EssCoordinator,
     run_ess,
-    save_report,
 )
 from repro.exec import ExecutorConfig, SweepExecutor, canonical_json
 from repro.faults import LinkFault
+from repro.obs.jsonutil import write_json
 from repro.validate import EssLedgerSnapshot, conservation_violations
 
 FAULTED = EssConfig(
@@ -39,8 +39,6 @@ class TestEssConfig:
         with pytest.raises(ValueError):
             EssConfig(overlap=1.5)
         with pytest.raises(ValueError):
-            EssConfig(mobility=0)
-        with pytest.raises(ValueError):
             EssConfig(fidelity="packets")
         with pytest.raises(ValueError):
             EssConfig(frames_time=1.0)
@@ -58,10 +56,6 @@ class TestEssConfig:
         assert cfg.cell_config().handoff_capacity == 15
         cfg = EssConfig(capacity=12, overlap=0.0)
         assert cfg.cell_config().handoff_capacity == 12
-
-    def test_mobility_scales_residence(self):
-        cfg = EssConfig(mean_residence=40.0, mobility=2.0)
-        assert cfg.cell_config().mean_residence == pytest.approx(20.0)
 
     def test_round_trips_through_dict(self):
         rebuilt = EssConfig.from_dict(FAULTED.to_dict())
@@ -195,7 +189,7 @@ class TestValidateHelpers:
 
     def test_save_report_writes_json(self, tmp_path):
         report = run_ess(EssConfig(rows=2, cols=2, epochs=1))
-        path = save_report(report, tmp_path / "sub" / "report.json")
+        path = write_json(tmp_path / "sub" / "report.json", report)
         assert path.exists()
         import json
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.experiments.io import load_results, merge_results, save_results
+from repro.experiments.io import load_results, save_results
 
 
 def test_roundtrip(tmp_path):
@@ -39,12 +39,6 @@ def test_append_mode(tmp_path):
 def test_append_to_missing_file_creates_it(tmp_path):
     p = save_results([{"i": 1}], tmp_path / "new.jsonl", append=True)
     assert load_results(p) == [{"i": 1}]
-
-
-def test_merge(tmp_path):
-    a = save_results([{"i": 1}], tmp_path / "a.jsonl")
-    b = save_results([{"i": 2}, {"i": 3}], tmp_path / "b.jsonl")
-    assert [r["i"] for r in merge_results([a, b])] == [1, 2, 3]
 
 
 def test_headerless_file_tolerated(tmp_path):

@@ -13,6 +13,7 @@ from repro.faults.chaos import (
     fault_mix,
     run_chaos,
 )
+from repro.obs.jsonutil import write_json
 
 TINY = ChaosTierSpec(
     name="tiny",
@@ -166,7 +167,7 @@ class TestReportArtifact:
 
     def test_save_writes_loadable_json(self, tmp_path):
         report = self.make_report()
-        path = report.save(tmp_path / "sub" / "report.json")
+        path = write_json(tmp_path / "sub" / "report.json", report.to_dict())
         data = json.loads(path.read_text())
         assert data["passed"] is True
         assert data["tier"] == "tiny"

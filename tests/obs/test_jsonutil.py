@@ -1,13 +1,17 @@
-"""The shared JSON coercion helper (repro.obs.jsonutil).
+"""The shared JSON helpers (repro.obs.jsonutil).
 
-Extracted from the duplicate copies in ``exec.hashing`` and
-``obs.trace``; both now import :func:`jsonable` from here, so this is
-the single place the numpy-scalar/tuple coercion contract is pinned.
+:func:`jsonable` was extracted from the duplicate copies in
+``exec.hashing`` and ``obs.trace``; both now import it from here, so
+this is the single place the numpy-scalar/tuple coercion contract is
+pinned.  :func:`write_json` is the one writer of every JSON report and
+fixture.
 """
+
+import json
 
 import numpy as np
 
-from repro.obs.jsonutil import jsonable
+from repro.obs.jsonutil import jsonable, write_json
 
 
 class TestScalars:
@@ -51,3 +55,12 @@ class TestContainers:
 
         assert hashing.jsonable is jsonable
         assert trace._jsonable is jsonable
+
+
+class TestWriteJson:
+    def test_writes_sorted_indented_json_with_a_newline(self, tmp_path):
+        payload = {"b": [1, 2.5, None], "a": {"z": "\u00e9", "y": True}}
+        path = write_json(tmp_path / "deep" / "dir" / "report.json", payload)
+        assert path == tmp_path / "deep" / "dir" / "report.json"
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")

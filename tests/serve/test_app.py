@@ -112,7 +112,7 @@ class TestQueries:
         result = json.loads(first[1])
         assert result["provenance"]["mode"] == "exact"
 
-    def test_post_json_body(self, server):
+    def test_post_is_not_implemented(self, server):
         request = urllib.request.Request(
             server.url + "/query",
             data=json.dumps(
@@ -121,9 +121,29 @@ class TestQueries:
             ).encode(),
             headers={"Content-Type": "application/json"},
         )
-        with urllib.request.urlopen(request, timeout=10) as response:
-            result = json.loads(response.read())
-        assert result["provenance"]["mode"] == "interpolated"
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 501
+
+    @pytest.mark.parametrize("query, parameter", [
+        ("kind=operating_point&scheme=proposed&load=nan", "load"),
+        ("kind=operating_point&scheme=proposed&load=inf", "load"),
+        ("kind=operating_point&scheme=proposed&load=1.0"
+         "&n_data_stations=nan", "n_data_stations"),
+        ("kind=admissible_calls&scheme=proposed"
+         "&constraints=blocking_probability:nan", "constraints"),
+    ], ids=["load-nan", "load-inf", "stations-nan", "ceiling-nan"])
+    def test_non_finite_number_is_400(self, server, query, parameter):
+        status, body = _get(server.url + "/query?" + query)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not valid JSON")
+
+        error = json.loads(body, parse_constant=refuse)["error"]
+        assert status == 400
+        assert error["code"] == "bad_request"
+        assert f"'{parameter}'" in error["message"]
+        assert "must be finite" in error["message"]
 
     def test_extrapolation_is_422(self, server):
         status, body = _get(

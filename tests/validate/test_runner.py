@@ -7,6 +7,7 @@ import pytest
 from repro.__main__ import main
 from repro.exec import PointFailure, SweepExecutionError, SweepExecutor
 from repro.network.bss import SCHEMES, ScenarioConfig
+from repro.obs.jsonutil import write_json
 from repro.validate import (
     TIERS,
     ClaimResult,
@@ -81,7 +82,9 @@ class TestValidationReport:
         assert len(d["claims"]) == 3
 
     def test_save_writes_json(self, tmp_path):
-        path = _report([True]).save(tmp_path / "sub" / "report.json")
+        path = write_json(
+            tmp_path / "sub" / "report.json", _report([True]).to_dict()
+        )
         loaded = json.loads(path.read_text())
         assert loaded["passed"] is True and loaded["tier"] == "smoke"
 
