@@ -130,6 +130,20 @@ class EssConfig:
             )
         if not isinstance(self.ap_faults, tuple):
             object.__setattr__(self, "ap_faults", tuple(self.ap_faults))
+        if self.backhaul_faults or self.ap_faults:
+            graph = grid_topology(self.rows, self.cols)
+            for fault in self.backhaul_faults:
+                if not graph.has_link(fault.a, fault.b):
+                    raise ValueError(
+                        f"backhaul fault names a link the topology lacks: "
+                        f"{fault.a!r}-{fault.b!r}"
+                    )
+            for ap_fault in self.ap_faults:
+                if not graph.has_ap(ap_fault.ap):
+                    raise ValueError(
+                        f"AP fault names an AP the topology lacks: "
+                        f"{ap_fault.ap!r}"
+                    )
         # CellConfig re-validates rates/holding/capacity
         self.cell_config()
 
@@ -186,19 +200,6 @@ class EssCoordinator:
             capacity=config.link_capacity,
             latency=config.link_latency,
         )
-        for fault in config.backhaul_faults:
-            if not self.graph.has_link(fault.a, fault.b):
-                raise ValueError(
-                    f"backhaul fault names a link the topology lacks: "
-                    f"{fault.a!r}-{fault.b!r}"
-                )
-        ap_ids = set(self.graph.aps())
-        for ap_fault in config.ap_faults:
-            if ap_fault.ap not in ap_ids:
-                raise ValueError(
-                    f"AP fault names an AP the topology lacks: "
-                    f"{ap_fault.ap!r}"
-                )
         self.metrics = MetricsRegistry(subsystem="ess", seed=config.seed)
         self.router = BackhaulRouter(
             self.graph, k=config.disjoint_paths, metrics=self.metrics

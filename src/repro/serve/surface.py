@@ -11,6 +11,9 @@ metric values are means over the sorted contributing cache keys, so
 the aggregate is byte-deterministic no matter what order entries were
 scanned or back-filled in.
 
+Each surface answers lookups from a compiled form — sorted axes, each
+point's means and sorted keys — built on the first read after a change
+and dropped by every ``SurfaceIndex.add_entry`` that lands on it.
 Lookups between grid points use multilinear interpolation over the
 enclosing cell and **refuse to extrapolate**: a coordinate outside an
 axis's observed range raises ``extrapolation_refused`` rather than
@@ -22,6 +25,7 @@ the serve app turns that into a 202 + back-fill enqueue.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import itertools
@@ -124,6 +128,18 @@ class GridPoint:
         return {name: sums[name] / counts[name] for name in sorted(sums)}
 
 
+@dataclasses.dataclass(frozen=True)
+class _Compiled:
+    """What every lookup reads, built once per change of the points."""
+
+    #: sorted unique coordinates, one tuple per axis
+    axes: tuple[tuple[float, ...], ...]
+    #: coordinate -> that point's ``GridPoint.metrics()``
+    metrics: dict[tuple[float, ...], dict[str, float]]
+    #: coordinate -> that point's sorted cache keys
+    keys: dict[tuple[float, ...], list[str]]
+
+
 @dataclasses.dataclass
 class SweepSurface:
     """One residual config's grid of aggregated result rows."""
@@ -144,6 +160,24 @@ class SweepSurface:
     axis_originals: dict[str, dict[float, typing.Any]] = dataclasses.field(
         default_factory=dict
     )
+    #: built on the first read after a change; ``SurfaceIndex.add_entry``
+    #: drops it (both run under the server lock)
+    _compiled: _Compiled | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _compile(self) -> _Compiled:
+        if self._compiled is None:
+            points = self.points
+            self._compiled = _Compiled(
+                axes=tuple(
+                    tuple(sorted({coords[i] for coords in points}))
+                    for i in range(len(CANDIDATE_AXES))
+                ),
+                metrics={c: p.metrics() for c, p in points.items()},
+                keys={c: p.keys for c, p in points.items()},
+            )
+        return self._compiled
 
     @property
     def backfillable(self) -> bool:
@@ -153,10 +187,10 @@ class SweepSurface:
 
     def axis_values(self) -> dict[str, list[float]]:
         """Sorted unique observed coordinates per axis."""
-        out: dict[str, list[float]] = {}
-        for i, axis in enumerate(CANDIDATE_AXES):
-            out[axis] = sorted({coords[i] for coords in self.points})
-        return out
+        return {
+            axis: list(values)
+            for axis, values in zip(CANDIDATE_AXES, self._compile().axes)
+        }
 
     def describe(self) -> dict[str, typing.Any]:
         """JSON-ready summary for ``/surfaces``."""
@@ -179,11 +213,12 @@ class SweepSurface:
     def _bracket(self, axis_index: int, value: float) -> tuple[float, float]:
         """The grid values enclosing ``value`` on one axis (lo == hi
         for an exact hit); refuses values outside the observed range."""
-        axis = CANDIDATE_AXES[axis_index]
-        uniques = sorted({c[axis_index] for c in self.points})
-        if value in uniques:
+        uniques = self._compile().axes[axis_index]
+        i = bisect.bisect_left(uniques, value)
+        if i < len(uniques) and uniques[i] == value:
             return value, value
-        if value < uniques[0] or value > uniques[-1]:
+        if i == 0 or i == len(uniques):
+            axis = CANDIDATE_AXES[axis_index]
             raise SurfaceError(
                 "extrapolation_refused",
                 f"{axis}={value:g} is outside the surface's observed "
@@ -192,9 +227,7 @@ class SweepSurface:
                 value=value,
                 observed=[uniques[0], uniques[-1]],
             )
-        lo = max(u for u in uniques if u < value)
-        hi = min(u for u in uniques if u > value)
-        return lo, hi
+        return uniques[i - 1], uniques[i]
 
     def lookup(
         self,
@@ -210,20 +243,20 @@ class SweepSurface:
         requested coordinate itself — the progressive-refinement miss
         the serve app turns into a back-fill enqueue.
         """
-        values = self.axis_values()
+        compiled = self._compile()
         target: list[float] = []
-        for axis in CANDIDATE_AXES:
+        for axis, values in zip(CANDIDATE_AXES, compiled.axes):
             if axis in at:
                 target.append(float(at[axis]))
-            elif len(values[axis]) == 1:
-                target.append(values[axis][0])
+            elif len(values) == 1:
+                target.append(values[0])
             else:
                 raise SurfaceError(
                     "axis_required",
                     f"axis {axis!r} varies on this surface "
-                    f"({values[axis]}); the query must pin it",
+                    f"({list(values)}); the query must pin it",
                     axis=axis,
-                    observed=values[axis],
+                    observed=list(values),
                 )
 
         brackets = [
@@ -238,7 +271,7 @@ class SweepSurface:
                 missing=[dict(zip(CANDIDATE_AXES, target))],
             )
         corners = sorted(set(itertools.product(*brackets)))
-        missing = [c for c in corners if c not in self.points]
+        missing = [c for c in corners if c not in compiled.metrics]
         if missing:
             raise SurfaceError(
                 "missing_points",
@@ -250,7 +283,7 @@ class SweepSurface:
                 ],
             )
 
-        weighted: list[tuple[float, GridPoint]] = []
+        corner_metrics: list[tuple[float, dict[str, float]]] = []
         for corner in corners:
             weight = 1.0
             for (lo, hi), x, c in zip(brackets, target, corner):
@@ -258,17 +291,19 @@ class SweepSurface:
                     continue
                 t = (x - lo) / (hi - lo)
                 weight *= t if c == hi else 1.0 - t
-            weighted.append((weight, self.points[corner]))
+            corner_metrics.append((weight, compiled.metrics[corner]))
 
-        metrics: dict[str, float] = {}
-        corner_metrics = [(w, p.metrics()) for w, p in weighted]
-        # only metrics present on every corner interpolate honestly
-        shared = sorted(
-            set.intersection(*(set(m) for _w, m in corner_metrics))
-        )
-        for name in shared:
-            metrics[name] = sum(w * m[name] for w, m in corner_metrics)
-        keys = sorted({k for _w, p in weighted for k in p.keys})
+        # only metrics present on every corner interpolate honestly;
+        # GridPoint.metrics() is name-sorted, so filtering keeps order
+        shared = list(corner_metrics[0][1])
+        for _w, m in corner_metrics[1:]:
+            shared = [name for name in shared if name in m]
+        # one row of weighted terms per corner: each metric is the
+        # builtin ``sum`` of its column, its corners' terms in corner
+        # order, so the bytes match a per-metric ``sum`` over corners
+        terms = [[w * m[name] for name in shared] for w, m in corner_metrics]
+        metrics = dict(zip(shared, map(sum, zip(*terms))))
+        keys = sorted({k for c in corners for k in compiled.keys[c]})
         exact = all(lo == hi for lo, hi in brackets)
         return SurfaceLookup(
             surface=self,
@@ -388,6 +423,7 @@ class SurfaceIndex:
         if key not in point.rows:
             self.rows += 1
         point.rows[key] = metrics
+        surface._compiled = None
         if isinstance(config.get("seed"), int):
             surface.seeds.add(config["seed"])
         if config.get("ess") is not None:
@@ -415,7 +451,8 @@ class SurfaceIndex:
 
         With several surfaces per scheme (different sim_time, mixes,
         ...), the one with the most rows wins — ties broken by id so
-        selection is deterministic; pass ``surface_id`` to pin.
+        selection is deterministic; pass ``surface_id`` to pin.  A pin
+        to another scheme's surface is refused, never served.
         """
         if surface_id is not None:
             surface = self.surfaces.get(surface_id)
@@ -425,6 +462,15 @@ class SurfaceIndex:
                     f"no surface with id {surface_id!r}",
                     surface_id=surface_id,
                     available=sorted(self.surfaces),
+                )
+            if surface.scheme != scheme:
+                raise SurfaceError(
+                    "unknown_surface",
+                    f"surface {surface_id!r} is scheme "
+                    f"{surface.scheme!r}, not {scheme!r}",
+                    surface_id=surface_id,
+                    scheme=scheme,
+                    surface_scheme=surface.scheme,
                 )
             return surface
         candidates = [

@@ -146,6 +146,10 @@ class TestBadFlagValues:
         ["quick", "--time", "-1"],
         ["sweep", "--seeds", "0"],
         ["fig5", "--time", "0"],
+        ["ess", "--rows", "2", "--cols", "2", "--epochs", "1",
+         "--fault", "ap/0x0-ap/9x9"],
+        ["ess", "--rows", "2", "--cols", "2", "--epochs", "1",
+         "--ap-fault", "ap/7x7"],
     ], ids="_".join)
     def test_exits_two_with_an_error_line(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

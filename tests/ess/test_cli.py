@@ -60,10 +60,15 @@ class TestEssCli:
             {"a": "ap/0x0", "b": "ap/0x1", "start": 0.0, "end": None}
         ]
 
-    def test_unknown_fault_link_is_a_usage_error(self, tmp_path):
-        with pytest.raises(ValueError):
+    def test_unknown_fault_link_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(SMOKE_ARGS + ["--fault", "ap/9x9-ap/9x8",
                                "--out", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "link the topology lacks" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_frames_fidelity_runs(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,6 +1,9 @@
 """The HTTP serving layer, end to end over a real socket."""
 
 import json
+import socket
+import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -10,7 +13,7 @@ import pytest
 
 from repro.exec import ResultCache, config_key
 from repro.experiments import sweep_config
-from repro.serve import build_server
+from repro.serve import SurfaceIndex, answer_query, build_server
 
 
 def _row(load, seed):
@@ -157,6 +160,62 @@ class TestQueries:
         status, body = _get(server.url + "/query?scheme=proposed")
         assert status == 400
 
+    def test_pin_to_another_schemes_surface_is_404(self, server):
+        (surface_id,) = server.index.surfaces
+        status, body = _get(
+            server.url + "/query?kind=operating_point&scheme=conventional"
+            f"&surface_id={surface_id}&load=1.0"
+        )
+        assert status == 404
+        error = json.loads(body)["error"]
+        assert error["code"] == "unknown_surface"
+        assert error["scheme"] == "conventional"
+        assert error["surface_scheme"] == "proposed"
+        # the same pin under its own scheme still answers
+        status, _body = _get(
+            server.url + "/query?kind=operating_point&scheme=proposed"
+            f"&surface_id={surface_id}&load=1.0"
+        )
+        assert status == 200
+
+
+class TestOneWrite:
+    def test_each_reply_leaves_in_one_send(self, server, monkeypatch):
+        sent = []
+        for name in ("send", "sendall"):
+            original = getattr(socket.socket, name)
+
+            def counting(sock, data, *args, _original=original):
+                if threading.current_thread() is not threading.main_thread():
+                    sent.append(len(data))  # a server handler thread
+                return _original(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, counting)
+        status, body = _get(
+            server.url + "/query?kind=operating_point&scheme=proposed&load=1.0"
+        )
+        assert status == 200
+        assert len(sent) == 1
+        assert sent[0] > len(body)  # the headers rode along
+
+    def test_reset_clients_leave_no_traceback(self, server, capsys):
+        host, port = server.server_address[:2]
+        for _ in range(10):
+            sock = socket.create_connection((host, port), timeout=10)
+            sock.sendall(
+                b"GET /query?kind=admissible_calls&scheme=proposed"
+                b" HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+            # linger 0: close with a reset, before the reply is read
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+        time.sleep(0.5)
+        status, _body = _get(server.url + "/healthz")
+        assert status == 200
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestBackfill:
     def test_miss_backfills_then_answers(self, server):
@@ -231,6 +290,66 @@ class TestBackfill:
         finally:
             srv.stop()
             thread.join(timeout=10)
+
+    def test_reads_racing_backfill_match_a_fresh_index(self, tmp_path):
+        """Handler threads compile the surface while the back-fill
+        worker drops it; once the rows land, every answer must equal
+        one from an index built afresh from the same cache."""
+        _seed(tmp_path / "cache", loads=(0.5, 2.0), seeds=(1, 2))
+        srv = build_server(
+            str(tmp_path / "cache"), port=0, point_fn=_stub_point
+        )
+        serving = threading.Thread(target=srv.serve_forever, daemon=True)
+        serving.start()
+        base = "/query?kind=operating_point&scheme=proposed"
+        cold = [f"{base}&load={x}&exact=true" for x in (0.75, 1.0, 1.5)]
+        reads = ["/query?kind=admissible_calls&scheme=proposed",
+                 f"{base}&load=1.1", "/surfaces"]
+        unexpected = []
+
+        def client():
+            pending = list(cold)
+            deadline = time.monotonic() + 20
+            while pending and time.monotonic() < deadline:
+                for path in [*pending, *reads]:
+                    status, body = _get(srv.url + path)
+                    if status == 200 and path in pending:
+                        pending.remove(path)
+                    elif status not in (200, 202):
+                        unexpected.append((path, status, body))
+            if pending:
+                unexpected.append(("never answered", pending))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in clients)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert unexpected == []
+            fresh = SurfaceIndex.from_cache(ResultCache(tmp_path / "cache"))
+            assert fresh.rows == srv.index.rows == 10
+            for path in [*cold, *reads[:2]]:
+                params = dict(
+                    pair.split("=") for pair in path.split("?")[1].split("&")
+                )
+                expected = answer_query(fresh, params.pop("kind"), params)
+                status, body = _get(srv.url + path)
+                assert status == 200
+                served = json.loads(body)
+                for part in ("values", "provenance"):
+                    assert json.dumps(served[part], sort_keys=True) == (
+                        json.dumps(getattr(expected, part), sort_keys=True)
+                    ), (path, part)
+        finally:
+            srv.stop()
+            serving.join(timeout=10)
 
     def test_empty_cache_serves_no_surfaces(self, tmp_path):
         srv = build_server(str(tmp_path / "empty"), port=0, backfill=False)
