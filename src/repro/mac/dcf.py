@@ -8,16 +8,21 @@ waits for the next idle period — the standard freeze-and-resume
 semantics, which the paper points out also auto-promotes stations that
 have waited long.
 
-The expiries of all DCFs on one channel live in a shared
-:class:`_BackoffAgenda`.  Only the earliest holds a simulator agenda
-entry, so a busy period cancels at most one entry however many
-stations were counting down.  Each DCF reserves its insertion number
-(:meth:`Simulator.reserve`) when it arms, and the entry is scheduled
-with that number, so same-instant ties fire in the order per-station
-timers would.  That a busy period may simply drop every frozen expiry
-relies on every armed DCF being attached: :meth:`DcfTransmitter.
-shutdown` withdraws the expiry and hands the entry on, and a departed
-engine never arms again.
+The DCFs on one channel share a :class:`_BackoffAgenda`, the channel's
+only busy/idle listener for them.  It counts their backoff on one idle-
+slot clock per IFS class (:class:`_SlotClock`), the way slot-level
+802.11 models do: a busy or idle transition costs one step per class,
+not one freeze or re-arm per station.  A DCF that arms outside an idle
+transition (a fresh arrival, a retry, a NAV-timer expiry) keeps its
+own expiry until the next busy transition, then joins its class.  Of
+all those expiries only the earliest holds a simulator agenda entry.
+Each idle transition reserves one insertion number
+(:meth:`Simulator.reserve`) for every clock, and a per-station arm
+reserves its own; entries are scheduled with that number and ties go
+to the lower fan-out index, so same-instant ties fire in the order
+per-station timers would.  If a DCF's policy observes idle-slot spans,
+the whole channel counts one station at a time instead, in fan-out
+order, as the spans must arrive.
 
 Faithful-to-the-paper simplifications (single BSS, all stations in
 range):
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import heapq
 import operator
 import typing
 
@@ -51,8 +57,11 @@ __all__ = ["DcfTransmitter", "DcfStats"]
 #: float rounding (fraction of one slot)
 _SLOT_EPSILON = 1e-6
 
-#: the order armed expiries fire in: time, then reserved insertion number
-_DUE_ORDER = operator.attrgetter("_due", "_due_seq")
+#: the order armed expiries fire in: time, reserved insertion number,
+#: then fan-out index (members of the clocks started by one idle
+#: transition share its number)
+_DUE_ORDER = operator.attrgetter("_due", "_due_seq", "_index")
+_FANOUT_ORDER = operator.attrgetter("_index")
 
 
 @dataclasses.dataclass
@@ -65,7 +74,7 @@ class DcfStats:
     failures: int = 0  # collided or corrupted attempts
     drops: int = 0  # frames abandoned after retry_limit
     idle_slots_observed: int = 0
-    busy_freezes: int = 0  # countdowns frozen by a busy medium or a beacon
+    busy_freezes: int = 0  # countdowns frozen by a busy medium
     rts_handshakes: int = 0
 
 
@@ -76,51 +85,253 @@ class _Entry:
     on_done: typing.Callable[[bool], None] | None
 
 
-class _BackoffAgenda:
-    """The armed backoff expiries of every DCF on one channel.
+class _SlotClock:
+    """One idle-slot clock: the DCFs whose current frame waits one IFS.
 
-    ``armed`` holds the DCFs counting down; only ``head``, the earliest
-    by ``(_due, _due_seq)``, has a simulator entry (``handle``), keyed
-    by the insertion number the head reserved when it armed.  A
-    displaced head that becomes the earliest again is scheduled at that
-    same number.  The DCFs edit ``armed``/``head`` inline on their hot
-    callbacks (``_arm``, ``_freeze``); the methods here are the rare
-    paths.  ``head`` is None while expiries remain only inside
-    :meth:`fire`, until it promotes, and inside a busy fan-out, which
-    freezes every armed DCF except same-instant ties.
+    ``members`` is a heap of ``(target, fan-out index, dcf)``; a member
+    has ``target - consumed`` slots left.  ``consumed`` counts the idle
+    slots the clock counted while armed and ``freezes`` the busy
+    transitions that stopped it; a member settles both into its
+    :class:`DcfStats` when it leaves.  The clock is ``counting`` from a
+    NAV-clear idle transition to the next busy one, on a slot grid
+    starting at ``begin``.
     """
 
-    __slots__ = ("sim", "armed", "head", "handle")
+    __slots__ = ("ifs", "begin", "counting", "consumed", "freezes", "members")
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, ifs: float) -> None:
+        self.ifs = ifs
+        self.begin = 0.0
+        self.counting = False
+        self.consumed = 0
+        self.freezes = 0
+        self.members: list[tuple[int, int, DcfTransmitter]] = []
+
+
+class _BackoffAgenda(ChannelListener):
+    """The backoff countdowns of every DCF on one channel.
+
+    The channel's only busy/idle listener for its DCFs (``dcfs``, in
+    fan-out order).  A countdown is either on its IFS class's clock in
+    ``clocks`` or a per-station expiry in ``armed``.  Only ``head``,
+    the earliest by ``(due, insertion number, fan-out index)``, has a
+    simulator entry (``handle``).  A displaced head that becomes the
+    earliest again is scheduled at its same number; ``seq`` is the one
+    the last armed idle transition reserved for the clocks.
+
+    ``per_station`` latches when a DCF attaches whose policy observes
+    idle-slot spans, or whose NAV or slot time differs from the first
+    DCF's: from then on every transition reaches every DCF's own
+    ``_freeze``/``_arm``, and the clocks stay empty.
+
+    ``loose`` holds DCFs that went NAV-waiting mid-idle; the next busy
+    transition puts them on their clocks.  ``head`` is None while
+    expiries remain only inside :meth:`fire`, until it promotes, and
+    inside a busy transition, which freezes every armed DCF except
+    same-instant ties.
+    """
+
+    __slots__ = (
+        "sim", "nav", "slot", "dcfs", "armed", "head", "handle", "clocks",
+        "seq", "loose", "per_station", "_attached",
+    )
+
+    def __init__(self, sim: Simulator, channel: Channel, nav: Nav, slot: float) -> None:
         self.sim = sim
+        self.nav = nav
+        self.slot = slot
+        self.dcfs: list[DcfTransmitter] = []
         self.armed: list[DcfTransmitter] = []
         self.head: DcfTransmitter | None = None
         self.handle: TimerHandle | None = None
+        self.clocks: dict[float, _SlotClock] = {}
+        self.seq = 0
+        self.loose: list[DcfTransmitter] = []
+        self.per_station = False
+        self._attached = 0
+        channel.attach(self)
 
+    # -- membership ------------------------------------------------------------
+    def attach(self, dcf: "DcfTransmitter") -> None:
+        """Add ``dcf`` to the fan-out; latch the per-station path if it needs it."""
+        dcf._index = self._attached
+        self._attached += 1
+        self.dcfs.append(dcf)
+        if not self.per_station and (
+            dcf._policy_observes or dcf.nav is not self.nav or dcf._slot != self.slot
+        ):
+            for clock in self.clocks.values():
+                for entry in clock.members:
+                    self.unclock(entry[2])
+            self.clocks.clear()
+            self.loose.clear()
+            self.per_station = True
+
+    def detach(self, dcf: "DcfTransmitter") -> None:
+        """Drop ``dcf``'s countdown outside a transition; hand the entry on."""
+        if dcf._clock is not None:
+            self.leave(dcf)
+        if dcf._armed:
+            dcf._armed = False
+            self.armed.remove(dcf)
+            if self.head is dcf:
+                self.handle.cancel()
+                self.head = self.handle = None
+                self.promote()
+        self.dcfs.remove(dcf)
+        if dcf in self.loose:
+            self.loose = [other for other in self.loose if other is not dcf]
+
+    def join(self, dcf: "DcfTransmitter") -> None:
+        """Put a frozen countdown on its IFS class's (stopped) clock."""
+        ifs = dcf._ifs(dcf._head.level)
+        clock = self.clocks.get(ifs)
+        if clock is None:
+            clock = self.clocks[ifs] = _SlotClock(ifs)
+        consumed = clock.consumed
+        dcf._clock = clock
+        dcf._clock_entry = entry = (consumed + dcf._slots_left, dcf._index, dcf)
+        dcf._clock_slots = consumed
+        dcf._clock_freezes = clock.freezes
+        heapq.heappush(clock.members, entry)
+
+    def leave(self, dcf: "DcfTransmitter") -> None:
+        """Take ``dcf`` off its clock's heap and back to per-station fields."""
+        members = dcf._clock.members
+        members.remove(dcf._clock_entry)
+        heapq.heapify(members)
+        self.unclock(dcf)
+
+    def unclock(self, dcf: "DcfTransmitter") -> None:
+        """Move a member, already off its clock's heap, to per-station fields.
+
+        A member of a counting clock comes back armed, at the due time
+        and insertion number its clock gave it.
+        """
+        clock = dcf._clock
+        dcf._settle(clock)
+        dcf._slots_left = left = dcf._clock_entry[0] - clock.consumed
+        dcf._clock = dcf._clock_entry = None
+        if clock.counting:
+            dcf._count_begin = begin = clock.begin
+            dcf._due = begin + left * self.slot
+            dcf._due_seq = self.seq
+            dcf._armed = True
+            self.armed.append(dcf)
+
+    # -- the agenda entry --------------------------------------------------------
     def promote(self) -> None:
-        """Give the earliest armed expiry the agenda entry."""
-        head = self.head = min(self.armed, key=_DUE_ORDER)
-        self.handle = self.sim.call_at(head._due, self.fire, seq=head._due_seq)
+        """Give the earliest countdown, if any, the agenda entry."""
+        head = min(self.armed, key=_DUE_ORDER) if self.armed else None
+        if head is not None:
+            key = (head._due, head._due_seq, head._index)
+        for clock in self.clocks.values():
+            if clock.counting and clock.members:
+                target, index, dcf = clock.members[0]
+                due = clock.begin + (target - clock.consumed) * self.slot
+                if head is None or (due, self.seq, index) < key:
+                    head, key = dcf, (due, self.seq, index)
+        if head is not None:
+            self.head = head
+            self.handle = self.sim.call_at(key[0], self.fire, seq=key[1])
 
     def fire(self) -> None:
         head = self.head
         assert head is not None
-        self.armed.remove(head)
         self.head = self.handle = None
+        clock = head._clock
+        if clock is not None:
+            heapq.heappop(clock.members)  # a clock's head is its earliest member
+            self.unclock(head)
+        self.armed.remove(head)
         head._backoff_complete()
-        # ties at this instant kept their expiry through the busy fan-out
+        # ties at this instant kept their expiry through the busy transition
         if self.armed and self.head is None:
             self.promote()
 
-    def withdraw(self, dcf: "DcfTransmitter") -> None:
-        """Drop ``dcf``'s expiry outside a busy fan-out; hand the entry on."""
-        self.armed.remove(dcf)
-        if self.head is dcf:
+    # -- channel listener callbacks ----------------------------------------------
+    def on_medium_busy(self, now: float) -> None:
+        if self.per_station:
+            freeze = DcfTransmitter._freeze
+            for dcf in self.dcfs:
+                freeze(dcf, now)
+            return
+        slot = self.slot
+        for clock in self.clocks.values():
+            if not clock.counting:
+                continue
+            elapsed = now - clock.begin
+            limit = clock.consumed + (
+                int(elapsed / slot + _SLOT_EPSILON) if elapsed > 0 else 0
+            )
+            members = clock.members
+            # members whose count runs out at this boundary (ties with
+            # the sender, float-capped counts) take the per-station path
+            while members and members[0][0] <= limit:
+                self.unclock(heapq.heappop(members)[2])
+            clock.consumed = limit
+            clock.freezes += 1
+            clock.counting = False
+        head = self.head
+        if head is not None and head._clock is not None:
             self.handle.cancel()
             self.head = self.handle = None
-            if self.armed:
-                self.promote()
+        armed = self.armed
+        if armed:
+            for dcf in armed[:]:
+                dcf._freeze(now)
+                if not dcf._armed:
+                    self.join(dcf)
+        if self.loose:
+            for dcf in self.loose:
+                dcf._arm(now)
+            self.loose.clear()
+        if armed and self.head is None:
+            self.promote()
+
+    def on_medium_idle(self, now: float) -> None:
+        if self.per_station:
+            arm = DcfTransmitter._arm
+            for dcf in self.dcfs:
+                arm(dcf, now)
+            return
+        if now < self.nav.until:
+            # NAV set: each member without a NAV timer takes its own, in
+            # fan-out order
+            waiting = [
+                entry[2] for clock in self.clocks.values() for entry in clock.members
+                if entry[2]._nav_timer is None
+            ]
+            if waiting:
+                waiting.sort(key=_FANOUT_ORDER)
+                for dcf in waiting:
+                    dcf._arm(now)
+            return
+        slot = self.slot
+        seq = 0
+        head = None
+        for clock in self.clocks.values():
+            members = clock.members
+            if not members:
+                continue
+            if not seq:
+                self.seq = seq = self.sim.reserve()
+            clock.counting = True
+            clock.begin = begin = now + clock.ifs
+            target, index, dcf = members[0]
+            due = begin + (target - clock.consumed) * slot
+            if head is None or due < head_due or (due == head_due and index < head_index):
+                head, head_due, head_index = dcf, due, index
+        if head is None:
+            return
+        # an expiry armed before this transition holds an earlier
+        # reservation, so only an earlier time takes the entry over
+        first = self.head
+        if first is None or head_due < self.handle.time:
+            if first is not None:
+                self.handle.cancel()
+            self.head = head
+            self.handle = self.sim.call_at(head_due, self.fire, seq=seq)
 
 
 class DcfTransmitter(ChannelListener):
@@ -169,7 +380,7 @@ class DcfTransmitter(ChannelListener):
         self.nav = nav
         self.retry_limit = retry_limit
         self.rts_threshold = rts_threshold
-        self.stats = DcfStats()
+        self._stats = DcfStats()
 
         # hot-path constants: every derived duration below is a pure
         # function of the (immutable) timing bundle, and the per-level
@@ -198,10 +409,16 @@ class DcfTransmitter(ChannelListener):
         self._slots_left: int | None = None
         self._draw_value = 0
         self._count_begin: float | None = None
-        #: counting down: ``_due`` is in the channel's backoff agenda
+        #: counting down on its own: ``_due`` is in the backoff agenda
         self._armed = False
         self._due = 0.0
         self._due_seq = 0
+        #: counting on a slot clock: the clock, this DCF's heap entry
+        #: and the clock's counters when it joined (or last settled)
+        self._clock: _SlotClock | None = None
+        self._clock_entry: tuple | None = None
+        self._clock_slots = 0
+        self._clock_freezes = 0
         self._nav_timer: TimerHandle | None = None
         self._in_exchange = False
         #: set by :meth:`shutdown`; a departed engine starts no attempt
@@ -211,8 +428,9 @@ class DcfTransmitter(ChannelListener):
 
         agenda = channel.backoff_agenda
         if agenda is None:
-            agenda = channel.backoff_agenda = _BackoffAgenda(sim)
+            agenda = channel.backoff_agenda = _BackoffAgenda(sim, channel, nav, self._slot)
         self._agenda = agenda
+        agenda.attach(self)
         channel.attach(self)
 
     # -- public API ----------------------------------------------------------
@@ -227,10 +445,17 @@ class DcfTransmitter(ChannelListener):
         ``on_done(success)`` fires when the frame is either acknowledged
         or dropped after the retry limit.
         """
-        self.stats.enqueued += 1
+        self._stats.enqueued += 1
         self._queue.append(_Entry(frame, level, on_done))
         if self._head is None and not self._in_exchange:
             self._start_next(fresh_arrival=True)
+
+    @property
+    def stats(self) -> DcfStats:
+        """Counters exposed for tests and metrics, slot-clock counts settled."""
+        if self._clock is not None:
+            self._settle(self._clock)
+        return self._stats
 
     @property
     def pending(self) -> int:
@@ -250,9 +475,7 @@ class DcfTransmitter(ChannelListener):
         frame.
         """
         self._departed = True
-        if self._armed:
-            self._armed = False
-            self._agenda.withdraw(self)
+        self._agenda.detach(self)
         self._count_begin = None
         if self._nav_timer is not None:
             self._nav_timer.cancel()
@@ -260,6 +483,14 @@ class DcfTransmitter(ChannelListener):
         self.channel.detach(self)
 
     # -- contention machinery --------------------------------------------------
+    def _settle(self, clock: _SlotClock) -> None:
+        """Credit the slots and freezes ``clock`` counted since the last settle."""
+        stats = self._stats
+        stats.idle_slots_observed += clock.consumed - self._clock_slots
+        stats.busy_freezes += clock.freezes - self._clock_freezes
+        self._clock_slots = clock.consumed
+        self._clock_freezes = clock.freezes
+
     def _ifs(self, level: int) -> float:
         """DIFS plus the policy's (static) AIFS surcharge for ``level``."""
         ifs = self._ifs_memo.get(level)
@@ -313,21 +544,33 @@ class DcfTransmitter(ChannelListener):
     def _arm(self, now: float) -> None:
         """Start the backoff countdown if conditions allow.
 
-        Also the medium-idle callback (``on_medium_idle`` below): every
-        idle transition reaches every attached station, so the whole
-        arm happens in this one body.
+        Also each DCF's medium-idle step when the agenda counts one
+        station at a time, so the whole arm happens in this one body.
+        On the slot clocks, a countdown that has to wait for the next
+        idle transition waits on its class's clock.
         """
         head = self._head
         if head is None or self._slots_left is None or self._armed:
             return
+        clock = self._clock
+        if clock is not None and clock.counting:
+            return
         channel = self.channel
+        agenda = self._agenda
         if channel._active:
-            return  # on_medium_idle will re-arm
+            if clock is None and not agenda.per_station:
+                agenda.join(self)
+            return  # the next idle transition re-arms
         until = self.nav.until
         if now < until:  # NAV set: virtual carrier sense says busy
             if self._nav_timer is None:
                 self._nav_timer = self.sim.call_at(until, self._nav_expired)
+            if clock is None and not agenda.per_station:
+                agenda.loose.append(self)
             return
+        if clock is not None:
+            # the NAV expired on its own: count alone from here
+            agenda.leave(self)
         # Slot counting begins DIFS (plus the level's AIFS surcharge,
         # if the policy differentiates IFS) after the medium went idle —
         # or now, whichever is later: a frame that arrived mid-idle
@@ -342,12 +585,11 @@ class DcfTransmitter(ChannelListener):
         self._due = due = begin + self._slots_left * self._slot
         self._due_seq = seq = self.sim.reserve()
         self._armed = True
-        agenda = self._agenda
         agenda.armed.append(self)
         # a later reservation never wins a tie, so only an earlier time
         # takes the agenda entry over
         first = agenda.head
-        if first is None or due < first._due:
+        if first is None or due < agenda.handle.time:
             if first is not None:
                 agenda.handle.cancel()
             agenda.head = self
@@ -360,9 +602,9 @@ class DcfTransmitter(ChannelListener):
     def _freeze(self, now: float) -> None:
         """Subtract the whole slots counted before ``now``; stop counting.
 
-        Also the medium-busy callback (``on_medium_busy`` below).  The
-        frozen expiry leaves the agenda without handing the entry on:
-        the same fan-out freezes every other armed DCF.
+        The per-station busy step.  The frozen expiry leaves the agenda
+        without handing the entry on: the same busy transition freezes
+        every other armed DCF.
         """
         if not self._armed:
             return
@@ -375,7 +617,7 @@ class DcfTransmitter(ChannelListener):
                 consumed = slots_left
             start = self._draw_value - slots_left
             self._slots_left = slots_left = slots_left - consumed
-            self.stats.idle_slots_observed += consumed
+            self._stats.idle_slots_observed += consumed
             if self._policy_observes:
                 self.policy.observe_span(start, start + consumed, interrupted=True)
         # If our own expiry is due exactly now (counter hit zero at this
@@ -384,7 +626,7 @@ class DcfTransmitter(ChannelListener):
         if slots_left == 0 and self._due <= now + 1e-15:
             self._count_begin = None
             return
-        self.stats.busy_freezes += 1
+        self._stats.busy_freezes += 1
         self._armed = False
         self._count_begin = None
         agenda = self._agenda
@@ -393,23 +635,14 @@ class DcfTransmitter(ChannelListener):
             agenda.handle.cancel()
             agenda.head = agenda.handle = None
 
-    # -- channel listener callbacks ----------------------------------------------
-    # aliases, not wrappers: the engine's own arm/freeze calls go
-    # through the underscored names and stay off the listener path
-    on_medium_busy = _freeze
-    on_medium_idle = _arm
-
+    # -- channel listener callback ------------------------------------------------
     def on_frame(self, frame: Frame, ok: bool, now: float) -> None:
         if not ok:
             return
         ftype = frame.ftype
         if ftype is FrameType.BEACON:
+            # the beacon's own busy start froze every countdown
             self.nav.set(now + frame.nav_duration)
-            if self._armed:
-                self._freeze(now)
-                agenda = self._agenda
-                if agenda.head is None and agenda.armed:
-                    agenda.promote()
         elif ftype is FrameType.CF_END:
             self.nav.clear(now)
             # medium idle callback follows the CF-End and re-arms us
@@ -421,7 +654,7 @@ class DcfTransmitter(ChannelListener):
         self._count_begin = None
         slots_left = self._slots_left
         if slots_left:
-            self.stats.idle_slots_observed += slots_left
+            self._stats.idle_slots_observed += slots_left
             if self._policy_observes:
                 start = self._draw_value - slots_left
                 self.policy.observe_span(start, self._draw_value, interrupted=False)
@@ -433,7 +666,7 @@ class DcfTransmitter(ChannelListener):
         entry = self._head
         self._in_exchange = True
         self._slots_left = None
-        self.stats.attempts += 1
+        self._stats.attempts += 1
         if (
             entry.frame.ftype is FrameType.DATA
             and entry.frame.payload_bits > self.rts_threshold
@@ -449,7 +682,7 @@ class DcfTransmitter(ChannelListener):
 
     # -- RTS/CTS handshake -------------------------------------------------
     def _send_rts(self, entry: _Entry) -> None:
-        self.stats.rts_handshakes += 1
+        self._stats.rts_handshakes += 1
         rts = Frame(FrameType.RTS, src=entry.frame.src, dest=entry.frame.dest)
         done = self.channel.transmit(rts, rts.airtime(self.timing), sender=self)
         done.add_callback(lambda ev: self._rts_done(entry, ev.value))
@@ -500,13 +733,13 @@ class DcfTransmitter(ChannelListener):
         self._in_exchange = False
         self.policy.observe_outcome(success)
         if success:
-            self.stats.successes += 1
+            self._stats.successes += 1
             self._finish(entry, True)
             return
-        self.stats.failures += 1
+        self._stats.failures += 1
         self._stage += 1
         if self._stage >= self.retry_limit:
-            self.stats.drops += 1
+            self._stats.drops += 1
             self._finish(entry, False)
             return
         if self._departed:

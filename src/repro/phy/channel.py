@@ -29,9 +29,9 @@ __all__ = ["Channel", "ChannelListener", "TxOutcome", "Transmission"]
 class ChannelListener:
     """Callbacks a station registers with the channel (all optional).
 
-    A listener whose class inherits the no-op ``on_medium_busy`` or
-    ``on_medium_idle`` is not called for that transition at all; the
-    channel decides this per class when the listener attaches.
+    A listener whose class inherits one of these no-ops is not called
+    for that callback at all; the channel decides this per class when
+    the listener attaches.
     """
 
     def on_medium_busy(self, now: float) -> None:
@@ -102,10 +102,10 @@ class Channel:
         self._listeners: list[ChannelListener] = []
         #: immutable snapshots of ``_listeners``, rebuilt on attach/detach —
         #: the hot path iterates these instead of copying the list per
-        #: frame; busy/idle carry pre-bound methods of the listeners whose
-        #: class overrides that callback (an inherited no-op is left out),
-        #: the frame fan-out carries (listener, bound on_frame) pairs so
-        #: the sender can be skipped by identity
+        #: frame; each carries only the listeners whose class overrides
+        #: that callback (an inherited no-op is left out): busy/idle as
+        #: pre-bound methods, the frame fan-out as (listener, bound
+        #: on_frame) pairs so the sender can be skipped by identity
         self._fanout: tuple[ChannelListener, ...] = ()
         self._fanout_busy: tuple = ()
         self._fanout_idle: tuple = ()
@@ -127,7 +127,7 @@ class Channel:
         #: category); None keeps the hot path to a single guard
         self.trace = None
         #: the backoff agenda the DCFs on this channel share, created
-        #: by the first one (see :mod:`repro.mac.dcf`)
+        #: (and attached) by the first one (see :mod:`repro.mac.dcf`)
         self.backoff_agenda = None
 
     # -- attachment ----------------------------------------------------------
@@ -149,6 +149,7 @@ class Channel:
         # patched over a ChannelListener no-op still counts as the no-op
         noop_busy = ChannelListener.on_medium_busy
         noop_idle = ChannelListener.on_medium_idle
+        noop_frame = ChannelListener.on_frame
         self._fanout = tuple(listeners)
         self._fanout_busy = tuple(
             l.on_medium_busy for l in listeners
@@ -158,7 +159,10 @@ class Channel:
             l.on_medium_idle for l in listeners
             if type(l).on_medium_idle is not noop_idle
         )
-        self._fanout_frame = tuple((l, l.on_frame) for l in listeners)
+        self._fanout_frame = tuple(
+            (l, l.on_frame) for l in listeners
+            if type(l).on_frame is not noop_frame
+        )
 
     # -- sensing ---------------------------------------------------------------
     @property

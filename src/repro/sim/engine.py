@@ -16,9 +16,12 @@ Insertion numbers can be taken ahead of the entry that uses them:
 :meth:`Simulator.reserve` hands out the next number and
 ``call_at(t, fn, seq=n)`` later schedules with it.  A component that
 keeps many candidate deadlines but puts only the earliest on the agenda
-(the DCF backoff agenda, :mod:`repro.mac.dcf`) reserves a number per
-candidate, so whichever one ends up scheduled fires exactly where its
-own ``call_at`` would have.
+(the DCF backoff agenda, :mod:`repro.mac.dcf`) reserves a number when it
+sets a deadline, so whichever one ends up scheduled fires exactly where
+its own ``call_at`` would have.  Deadlines set together may share one
+number if the component orders their ties itself: the DCF agenda
+reserves one per armed idle transition, not one per station, and breaks
+ties by fan-out index.
 
 Hot-path layout (see DESIGN.md "Performance"):
 

@@ -8,13 +8,16 @@ from repro.phy import BitErrorModel, Channel, PhyTiming
 from repro.sim import RandomStreams, Simulator
 
 
-class FixedBackoff(BackoffPolicy):
-    """Deterministic policy: pops preset slot counts (then repeats last)."""
+class DrawOnlyBackoff(BackoffPolicy):
+    """Deterministic policy: pops preset slot counts (then repeats last).
+
+    It observes no idle-slot spans, so its DCFs count their backoff on
+    the channel's slot clocks.
+    """
 
     def __init__(self, slots):
         self.slots = list(slots)
         self.draws = []
-        self.observed = []
         self.outcomes = []
 
     def draw_slots(self, level, stage, rng):
@@ -22,11 +25,22 @@ class FixedBackoff(BackoffPolicy):
         self.draws.append((level, stage, value))
         return value
 
-    def observe_slots(self, idle_slots, busy_events):
-        self.observed.append((idle_slots, busy_events))
-
     def observe_outcome(self, success):
         self.outcomes.append(success)
+
+
+class FixedBackoff(DrawOnlyBackoff):
+    """:class:`DrawOnlyBackoff` that also records its slot observations.
+
+    Observing spans puts the whole channel on the per-station path.
+    """
+
+    def __init__(self, slots):
+        super().__init__(slots)
+        self.observed = []
+
+    def observe_slots(self, idle_slots, busy_events):
+        self.observed.append((idle_slots, busy_events))
 
 
 class MacWorld:

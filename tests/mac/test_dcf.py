@@ -2,15 +2,27 @@
 
 import pytest
 
+from repro.core.edcf import AifsDifferentiation
 from repro.mac import BackoffPolicy, DcfTransmitter, Frame, FrameType, StandardBEB
 from repro.mac.backoff import LEVEL_NEW_OR_DATA
 from repro.phy import ChannelListener
 
-from .conftest import FixedBackoff, MacWorld
+from .conftest import DrawOnlyBackoff, FixedBackoff, MacWorld
 
 
-def make_tx(world, sid="sta", slots=(0,), retry_limit=7):
-    policy = FixedBackoff(list(slots))
+@pytest.fixture
+def backoff():
+    """The scripted policy of the contention tests below.
+
+    :class:`FixedBackoff` observes slots, so these tests drive the
+    per-station path; :class:`TestOnTheSlotClock` reruns them with a
+    policy that observes nothing, on the slot clocks.
+    """
+    return FixedBackoff
+
+
+def make_tx(world, sid="sta", slots=(0,), retry_limit=7, policy_cls=FixedBackoff):
+    policy = policy_cls(list(slots))
     tx = DcfTransmitter(
         world.sim,
         world.channel,
@@ -108,10 +120,10 @@ def test_backoff_slots_delay_transmission(world):
     assert done_at[0] == pytest.approx(expected, rel=1e-9)
 
 
-def test_two_stations_same_slot_collide_then_retry(world):
+def test_two_stations_same_slot_collide_then_retry(world, backoff):
     # Both pick slot 2 initially -> collision; retries pick 1 and 4.
-    tx_a, pol_a = make_tx(world, "a", slots=[2, 1])
-    tx_b, pol_b = make_tx(world, "b", slots=[2, 4])
+    tx_a, pol_a = make_tx(world, "a", slots=[2, 1], policy_cls=backoff)
+    tx_b, pol_b = make_tx(world, "b", slots=[2, 4], policy_cls=backoff)
     results = {}
     tx_a.enqueue(data_frame("a"), LEVEL_NEW_OR_DATA, lambda ok: results.setdefault("a", ok))
     tx_b.enqueue(data_frame("b"), LEVEL_NEW_OR_DATA, lambda ok: results.setdefault("b", ok))
@@ -126,11 +138,11 @@ def test_two_stations_same_slot_collide_then_retry(world):
     assert pol_b.draws[1][1] == 1
 
 
-def test_loser_freezes_and_resumes_backoff(world):
+def test_loser_freezes_and_resumes_backoff(world, backoff):
     # a picks 1 slot, b picks 4; a transmits first, b freezes with 3 left
     # and resumes after a's exchange, transmitting without a new draw.
-    tx_a, _ = make_tx(world, "a", slots=[1])
-    tx_b, pol_b = make_tx(world, "b", slots=[4])
+    tx_a, _ = make_tx(world, "a", slots=[1], policy_cls=backoff)
+    tx_b, pol_b = make_tx(world, "b", slots=[4], policy_cls=backoff)
     order = []
     tx_a.enqueue(data_frame("a"), LEVEL_NEW_OR_DATA, lambda ok: order.append(("a", ok)))
     tx_b.enqueue(data_frame("b"), LEVEL_NEW_OR_DATA, lambda ok: order.append(("b", ok)))
@@ -138,14 +150,17 @@ def test_loser_freezes_and_resumes_backoff(world):
     assert order == [("a", True), ("b", True)]
     # b drew exactly once (no re-draw after freeze)
     assert len(pol_b.draws) == 1
-    assert tx_b.stats.busy_freezes >= 1
+    # frozen by a's DATA (1 slot counted) and by its ACK (none)
+    assert tx_b.stats.busy_freezes == 2
+    assert tx_b.stats.idle_slots_observed == 4
+    assert world.sim.events_processed == 12
 
 
-def test_retry_limit_drops_frame(world):
+def test_retry_limit_drops_frame(world, backoff):
     # Station b transmits a long frame whenever a does, forever: rig by
     # making both always draw slot 0 -> permanent collision.
-    tx_a, _ = make_tx(world, "a", slots=[0], retry_limit=3)
-    tx_b, _ = make_tx(world, "b", slots=[0], retry_limit=3)
+    tx_a, _ = make_tx(world, "a", slots=[0], retry_limit=3, policy_cls=backoff)
+    tx_b, _ = make_tx(world, "b", slots=[0], retry_limit=3, policy_cls=backoff)
     results = []
     tx_a.enqueue(data_frame("a"), LEVEL_NEW_OR_DATA, results.append)
     tx_b.enqueue(data_frame("b"), LEVEL_NEW_OR_DATA, results.append)
@@ -178,8 +193,11 @@ def test_nav_blocks_contention_until_expiry(world):
     assert done_at[0] >= 2.0
 
 
-def test_beacon_frame_sets_nav(world):
-    tx, _ = make_tx(world, slots=(10,))
+def test_beacon_frame_sets_nav(world, backoff):
+    # the beacon's busy start freezes the countdown with 9 of its 10
+    # slots left; the rest runs once the NAV the beacon set expires
+    air = Air(world)
+    tx, _ = make_tx(world, slots=(10,), policy_cls=backoff)
     tx.enqueue(data_frame("sta"), LEVEL_NEW_OR_DATA, None)
     beacon = Frame(FrameType.BEACON, src="ap", dest="*", nav_duration=0.5)
 
@@ -190,6 +208,44 @@ def test_beacon_frame_sets_nav(world):
     world.sim.run()
     # NAV must have been set by the beacon payload
     assert world.nav.until >= world.timing.difs + 0.5
+    resumed = world.nav.until + 9 * world.timing.slot
+    assert air.frames == [
+        (0.07, "BEACON", "ap", True),
+        (round(resumed * 1e3, 3), "DATA", "sta", True),
+        (501.432, "ACK", "ap", True),
+    ]
+    assert air.frames[1][0] == 500.478
+    assert tx.stats.busy_freezes == 1
+    assert tx.stats.idle_slots_observed == 10
+    assert world.sim.events_processed == 10
+
+
+@pytest.mark.parametrize(
+    "policy_cls", [FixedBackoff, DrawOnlyBackoff], ids=["per-station", "slot-clock"]
+)
+def test_countdowns_the_nav_stopped_resume_in_fan_out_order(world, policy_cls):
+    # a beacon freezes a and b with 9 slots left and c with 11.  Their
+    # NAV timers are set in fan-out order, so a resumes first and wins
+    # the tie with b: the collided frames end in the order a, b
+    air = Air(world)
+    txs, done = contend(world, {
+        "a": policy_cls([10, 2]), "b": policy_cls([10, 5]), "c": policy_cls([12]),
+    })
+    beacon = Frame(FrameType.BEACON, src="ap", dest="*", nav_duration=0.002)
+    world.sim.call_at(world.timing.difs + world.timing.slot,
+                      lambda: world.channel.transmit(beacon, beacon.airtime(world.timing),
+                                                     sender=None))
+    world.sim.run()
+    assert air.frames[:4] == [
+        (0.07, "BEACON", "ap", True),
+        (2.478, "DATA", "a", False), (2.478, "DATA", "b", False),
+        (3.512, "DATA", "c", True),
+    ]
+    assert done == [("c", True, 4.668545), ("a", True, 5.914727), ("b", True, 7.180909)]
+    counted = {sid: (tx.stats.idle_slots_observed, tx.stats.busy_freezes)
+               for sid, tx in txs.items()}
+    assert counted == {"a": (12, 2), "b": (15, 4), "c": (12, 2)}
+    assert world.sim.events_processed == 32
 
 
 def test_cf_end_clears_nav(world):
@@ -235,11 +291,11 @@ def test_shutdown_detaches(world):
     assert tx.stats.attempts == 0
 
 
-def test_departed_engine_starts_no_new_attempt(world):
+def test_departed_engine_starts_no_new_attempt(world, backoff):
     # a and b collide at DIFS + 2 slots; b departs just after the
     # collided frames end, with its ACK timeout still pending
     air = Air(world)
-    txs, done = contend(world, {"a": FixedBackoff([2, 1]), "b": FixedBackoff([2, 3])})
+    txs, done = contend(world, {"a": backoff([2, 1]), "b": backoff([2, 3])})
     t = world.timing
     collided_end = t.difs + 2 * t.slot + data_frame("b").airtime(t)
     world.sim.call_at(collided_end + 1e-6, txs["b"].shutdown)
@@ -267,8 +323,8 @@ def test_policies_receive_the_freeze_and_resume_observations(world):
     assert world.sim.events_processed == 18
 
 
-def test_shutdown_of_the_earliest_expiry_hands_the_agenda_entry_on(world):
-    txs, done = contend(world, {"a": FixedBackoff([2]), "b": FixedBackoff([5])})
+def test_shutdown_of_the_earliest_expiry_hands_the_agenda_entry_on(world, backoff):
+    txs, done = contend(world, {"a": backoff([2]), "b": backoff([5])})
     t = world.timing
     world.sim.call_at(t.difs + 1.5 * t.slot, txs["a"].shutdown)
     world.sim.run()
@@ -280,11 +336,11 @@ def test_shutdown_of_the_earliest_expiry_hands_the_agenda_entry_on(world):
 
 
 @pytest.mark.parametrize("b_departs", [False, True], ids=["b-stays", "b-departs"])
-def test_a_later_arm_with_an_earlier_expiry_takes_the_entry_over(world, b_departs):
+def test_a_later_arm_with_an_earlier_expiry_takes_the_entry_over(world, backoff, b_departs):
     # a arms first and holds the entry; b's earlier expiry takes it
     # over.  If b departs, a is scheduled again at its own reserved
     # number.
-    txs, done = contend(world, {"a": FixedBackoff([5]), "b": FixedBackoff([2])})
+    txs, done = contend(world, {"a": backoff([5]), "b": backoff([2])})
     t = world.timing
     if b_departs:
         world.sim.call_at(t.difs + 1.5 * t.slot, txs["b"].shutdown)
@@ -298,14 +354,143 @@ def test_a_later_arm_with_an_earlier_expiry_takes_the_entry_over(world, b_depart
         assert world.sim.events_processed == 12
 
 
-def test_three_way_same_slot_tie_collides_then_each_retry_completes(world):
+def test_three_way_same_slot_tie_collides_then_each_retry_completes(world, backoff):
     txs, done = contend(world, {
-        "a": FixedBackoff([3, 1]), "b": FixedBackoff([3, 4]), "c": FixedBackoff([3, 7]),
+        "a": backoff([3, 1]), "b": backoff([3, 4]), "c": backoff([3, 7]),
     })
     world.sim.run()
     assert done == [("a", True, 2.462364), ("b", True, 3.728545), ("c", True, 4.994727)]
     assert all(tx.stats.failures == 1 for tx in txs.values())
     assert world.sim.events_processed == 30
+
+
+class TestOnTheSlotClock:
+    """The scripted contention tests again, with a policy that observes
+    nothing: the same times, orders and event counts, counted on the
+    channel's slot clocks."""
+
+    @pytest.fixture
+    def backoff(self):
+        return DrawOnlyBackoff
+
+    test_two_stations_same_slot_collide_then_retry = staticmethod(
+        test_two_stations_same_slot_collide_then_retry
+    )
+    test_loser_freezes_and_resumes_backoff = staticmethod(
+        test_loser_freezes_and_resumes_backoff
+    )
+    test_retry_limit_drops_frame = staticmethod(test_retry_limit_drops_frame)
+    test_beacon_frame_sets_nav = staticmethod(test_beacon_frame_sets_nav)
+    test_departed_engine_starts_no_new_attempt = staticmethod(
+        test_departed_engine_starts_no_new_attempt
+    )
+    test_shutdown_of_the_earliest_expiry_hands_the_agenda_entry_on = staticmethod(
+        test_shutdown_of_the_earliest_expiry_hands_the_agenda_entry_on
+    )
+    test_a_later_arm_with_an_earlier_expiry_takes_the_entry_over = staticmethod(
+        test_a_later_arm_with_an_earlier_expiry_takes_the_entry_over
+    )
+    test_three_way_same_slot_tie_collides_then_each_retry_completes = staticmethod(
+        test_three_way_same_slot_tie_collides_then_each_retry_completes
+    )
+
+
+@pytest.mark.parametrize(
+    "policy_cls", [FixedBackoff, DrawOnlyBackoff], ids=["per-station", "slot-clock"]
+)
+def test_a_departing_head_mid_count_hands_the_entry_to_the_next_countdown(world, policy_cls):
+    # after a's exchange b (4 slots left) and c (6 left) count down
+    # together; b departs mid-count and c transmits on time
+    air = Air(world)
+    txs, done = contend(world, {"a": policy_cls([1]), "b": policy_cls([5]), "c": policy_cls([7])})
+    t = world.timing
+    ack_end = t.difs + t.slot + data_frame("a").airtime(t) + t.sifs + t.ack_time()
+    world.sim.call_at(ack_end + t.difs + 2.5 * t.slot, txs["b"].shutdown)
+    world.sim.run()
+    assert air.frames[2:] == [(1.396, "DATA", "c", True), (2.35, "ACK", "ap", True)]
+    assert air.frames[2][0] == round((ack_end + t.difs + 6 * t.slot) * 1e3, 3)
+    assert done == [("a", True, 1.226182), ("c", True, 2.552364)]
+    counted = {sid: (tx.stats.idle_slots_observed, tx.stats.busy_freezes)
+               for sid, tx in txs.items()}
+    assert counted == {"a": (1, 0), "b": (1, 2), "c": (7, 2)}
+    assert world.sim.events_processed == 13
+
+
+def test_an_observing_policy_arriving_mid_count_gets_every_span(world):
+    # a and b observe nothing, so after a's exchange b counts its 4
+    # slots on a slot clock.  c's policy observes spans: when c arrives
+    # the channel goes back to per-station countdowns, b keeps its
+    # expiry, and c sees its freezes by b's DATA and ACK
+    air = Air(world)
+    txs, done = contend(world, {"a": DrawOnlyBackoff([1]), "b": DrawOnlyBackoff([5])})
+    t = world.timing
+    ack_end = t.difs + t.slot + data_frame("a").airtime(t) + t.sifs + t.ack_time()
+    observer = FixedBackoff([6])
+
+    def arrive():
+        txs["c"] = DcfTransmitter(world.sim, world.channel, t, observer, world.rng("c"),
+                                  "c", world.nav)
+        txs["c"].enqueue(data_frame("c"), LEVEL_NEW_OR_DATA,
+                         lambda ok: done.append(("c", ok, round(world.sim.now * 1e3, 6))))
+
+    world.sim.call_at(ack_end + 0.5 * t.slot, arrive)
+    world.sim.run()
+    assert [f[:3] for f in air.frames[2:]] == [
+        (1.356, "DATA", "b"), (2.31, "ACK", "ap"), (2.602, "DATA", "c"), (3.556, "ACK", "ap"),
+    ]
+    assert done == [("a", True, 1.226182), ("b", True, 2.512364), ("c", True, 3.758545)]
+    assert observer.observed == [(4, 1), (0, 1), (2, 0)]
+    counted = {sid: (tx.stats.idle_slots_observed, tx.stats.busy_freezes)
+               for sid, tx in txs.items()}
+    assert counted == {"a": (1, 0), "b": (5, 2), "c": (6, 2)}
+    assert world.sim.events_processed == 19
+
+
+class ScriptedAifs(AifsDifferentiation):
+    """Extra AIFS of 0, 2 and 4 slots by level, with scripted draws."""
+
+    def __init__(self, timing, slots):
+        super().__init__(timing, aifs_slots=(0, 2, 4))
+        self.slots = list(slots)
+
+    def draw_slots(self, level, stage, rng):
+        return self.slots.pop(0) if len(self.slots) > 1 else self.slots[0]
+
+
+class ObservingScriptedAifs(ScriptedAifs):
+    def observe_slots(self, idle_slots, busy_events):
+        """Observing spans puts the channel on the per-station path."""
+
+
+@pytest.mark.parametrize(
+    "policy_cls", [ObservingScriptedAifs, ScriptedAifs], ids=["per-station", "slot-clock"]
+)
+def test_aifs_levels_count_on_their_own_slot_grids(world, policy_cls):
+    # b (AIFS +2) wins at DIFS + 4 slots.  a (AIFS 0) freezes with 5 of
+    # its 9 slots left, c (AIFS +4) with its 1 slot, each on its own
+    # IFS class's grid: both run out DIFS + 5 slots after the ACK, at
+    # the very same float, so the lower fan-out index, a, transmits
+    # first and they collide.  The retries draw 3 and 5 slots.
+    air = Air(world)
+    done, txs = [], {}
+    for sid, level, slots in (("a", 0, [9, 3]), ("b", 1, [2]), ("c", 2, [1, 5])):
+        tx = DcfTransmitter(world.sim, world.channel, world.timing,
+                            policy_cls(world.timing, slots), world.rng(sid), sid, world.nav)
+        txs[sid] = tx
+        tx.enqueue(data_frame(sid, bits=2000 if sid == "b" else 8000), level,
+                   lambda ok, sid=sid: done.append((sid, ok, round(world.sim.now * 1e3, 6))))
+    world.sim.run()
+    assert air.frames == [
+        (0.13, "DATA", "b", True), (0.539, "ACK", "ap", True),
+        (0.891, "DATA", "a", False), (0.891, "DATA", "c", False),
+        (2.127, "DATA", "a", True), (3.081, "ACK", "ap", True),
+        (3.453, "DATA", "c", True), (4.407, "ACK", "ap", True),
+    ]
+    assert done == [("b", True, 0.740727), ("a", True, 3.283091), ("c", True, 4.609273)]
+    counted = {sid: (tx.stats.idle_slots_observed, tx.stats.busy_freezes)
+               for sid, tx in txs.items()}
+    assert counted == {"a": (12, 2), "b": (2, 0), "c": (6, 4)}
+    assert world.sim.events_processed == 26
 
 
 def test_standard_beb_window_growth():

@@ -198,20 +198,31 @@ def test_inherited_noop_callbacks_are_left_out_of_the_fanout(monkeypatch):
     # counted stand-ins for the no-ops, patched on the base class the
     # way a profiling wrapper would be
     monkeypatch.setattr(ChannelListener, "on_medium_busy",
-                        lambda self, now: calls.append(("busy", self)))
+                        lambda self, now: calls.append(("noop busy", self)))
     monkeypatch.setattr(ChannelListener, "on_medium_idle",
-                        lambda self, now: calls.append(("idle", self)))
+                        lambda self, now: calls.append(("noop idle", self)))
+    monkeypatch.setattr(ChannelListener, "on_frame",
+                        lambda self, frame, ok, now: calls.append(("noop frame", self)))
 
     class FramesOnly(ChannelListener):
         def on_frame(self, frame, ok, now):
             calls.append(("frame", self))
 
+    class CarrierOnly(ChannelListener):
+        def on_medium_busy(self, now):
+            calls.append(("busy", self))
+
+        def on_medium_idle(self, now):
+            calls.append(("idle", self))
+
     sim = Simulator()
     ch = make_channel(sim)
-    quiet, rec = FramesOnly(), Recorder(sim)
+    quiet, carrier, rec = FramesOnly(), CarrierOnly(), Recorder(sim)
     ch.attach(quiet)
+    ch.attach(carrier)
     ch.attach(rec)
     ch.transmit(FakeFrame(), 1e-3, sender=None)
     sim.run()
-    assert calls == [("frame", quiet)]
+    assert calls == [("busy", carrier), ("frame", quiet), ("idle", carrier)]
     assert rec.busy == [0.0] and rec.idle == [pytest.approx(1e-3)]
+    assert rec.frames == [("f", True, pytest.approx(1e-3))]
