@@ -30,14 +30,14 @@ the agenda fires the exact engine would have dispatched:
 =====================  ====================================  =====
 occurrence             exact-engine fires                    count
 =====================  ====================================  =====
-MSDU arrival           source process timeout                1
+MSDU arrival           source process wake-up                1
 backoff expiry         backoff agenda fire                   1
                        (``_backoff_complete``)
 (skipped on 802.11 immediate access — fresh arrival on a
 medium already idle >= DIFS transmits without arming a backoff)
-data transmission      channel ``_finish`` + done event      2
+data transmission      channel ``_finish`` + completion      2
 data survived          ACK send timer + ACK ``_finish``
-                       + ACK done event                      3
+                       + ACK completion                      3
 data corrupted /       ACK-timeout timer                     1
 collided
 superframe tick        conventional AP timer                 1
@@ -304,12 +304,12 @@ class BatchedContentionModel:
                 if not immediate[w]:
                     events += 1  # _backoff_complete at tmin
                 if data_end <= sim_time:
-                    events += 2  # data _finish + done event
+                    events += 2  # data _finish + completion
                     if data_ok:
                         if data_end + sifs <= sim_time:
                             events += 1  # ACK send timer
                         if busy_end <= sim_time:
-                            events += 2  # ACK _finish + done event
+                            events += 2  # ACK _finish + completion
                     elif resolve_t <= sim_time:
                         events += 1  # ACK-timeout timer
                 immediate[w] = False
@@ -363,7 +363,7 @@ class BatchedContentionModel:
                     data_end = tmin + air
                     resolve_t = data_end + ack_timeout
                     if data_end <= sim_time:
-                        events += 2  # data _finish + done event
+                        events += 2  # data _finish + completion
                         if resolve_t <= sim_time:
                             events += 1  # ACK-timeout timer
                     if resolve_t > sim_time:

@@ -73,7 +73,7 @@ def _bench_cancel_storm() -> int:
 
 
 def _bench_process_ping() -> int:
-    """Generator processes on numeric yields: the Timeout free-list path."""
+    """Generator processes on numeric yields: one agenda wake-up each."""
     sim = Simulator()
 
     def worker(period: float, steps: int) -> typing.Generator:

@@ -22,6 +22,11 @@ concurrent writer, a hand edit) is skipped with a warning, counted in
 :attr:`SweepJournal.skipped_lines` (surfaced as
 ``journal_skipped_lines`` in run telemetry), and the affected keys
 simply re-run on resume because they never enter the loaded dict.
+
+A resumed run keeps the file only under a current manifest: a foreign
+one, or one from an older ``KEY_FORMAT``, loads as empty, so the file
+is rewritten rather than appended to under a header every later load
+would reject again.
 """
 
 from __future__ import annotations
@@ -34,6 +39,19 @@ import warnings
 from .hashing import KEY_FORMAT, canonical_json
 
 __all__ = ["SweepJournal"]
+
+
+def _is_current_manifest(line: str) -> bool:
+    """True if ``line`` is a manifest header of this ``KEY_FORMAT``."""
+    try:
+        header = json.loads(line)
+    except ValueError:
+        return False
+    return (
+        isinstance(header, dict)
+        and bool(header.get("_manifest"))
+        and header.get("format") == KEY_FORMAT
+    )
 
 
 class SweepJournal:
@@ -62,14 +80,7 @@ class SweepJournal:
             return {}
         done: dict[str, dict[str, typing.Any]] = {}
         with self.path.open() as fh:
-            first = fh.readline()
-            if not first:
-                return done
-            try:
-                header = json.loads(first)
-            except ValueError:
-                return done
-            if not header.get("_manifest") or header.get("format") != KEY_FORMAT:
+            if not _is_current_manifest(fh.readline()):
                 return done
             for line in fh:
                 line = line.strip()
@@ -100,10 +111,12 @@ class SweepJournal:
         return done
 
     def start(self, resume: bool = False) -> None:
-        """Begin a run: keep the journal when resuming, else rewrite it."""
+        """Begin a run: keep a current journal when resuming, else rewrite it."""
         self.close()
         if resume and self.exists():
-            return
+            with self.path.open() as fh:
+                if _is_current_manifest(fh.readline()):
+                    return
         from .. import __version__
 
         self.path.parent.mkdir(parents=True, exist_ok=True)

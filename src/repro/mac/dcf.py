@@ -677,15 +677,16 @@ class DcfTransmitter(ChannelListener):
 
     def _send_data(self, entry: _Entry) -> None:
         duration = entry.frame.airtime(self.timing)
-        done = self.channel.transmit(entry.frame, duration, sender=self)
-        done.add_callback(lambda ev: self._data_done(ev.value))
+        self.channel.transmit(entry.frame, duration, self, self._data_done)
 
     # -- RTS/CTS handshake -------------------------------------------------
     def _send_rts(self, entry: _Entry) -> None:
         self._stats.rts_handshakes += 1
         rts = Frame(FrameType.RTS, src=entry.frame.src, dest=entry.frame.dest)
-        done = self.channel.transmit(rts, rts.airtime(self.timing), sender=self)
-        done.add_callback(lambda ev: self._rts_done(entry, ev.value))
+        self.channel.transmit(
+            rts, rts.airtime(self.timing), self,
+            lambda outcome: self._rts_done(entry, outcome),
+        )
 
     def _rts_done(self, entry: _Entry, outcome: TxOutcome) -> None:
         if outcome.ok:
@@ -696,15 +697,14 @@ class DcfTransmitter(ChannelListener):
 
     def _send_cts(self, entry: _Entry) -> None:
         cts = Frame(FrameType.CTS, src=entry.frame.dest, dest=entry.frame.src)
-        done = self.channel.transmit(cts, cts.airtime(self.timing), sender=self)
 
-        def after(ev):
-            if ev.value.ok:
+        def after(outcome):
+            if outcome.ok:
                 self.sim.call_in(self.timing.sifs, self._send_data, entry)
             else:
                 self._resolve(False)
 
-        done.add_callback(after)
+        self.channel.transmit(cts, cts.airtime(self.timing), self, after)
 
     def _data_done(self, outcome: TxOutcome) -> None:
         entry = self._head
@@ -724,8 +724,10 @@ class DcfTransmitter(ChannelListener):
 
     def _send_ack(self, entry: _Entry) -> None:
         ack = Frame(FrameType.ACK, src=entry.frame.dest, dest=entry.frame.src)
-        done = self.channel.transmit(ack, ack.airtime(self.timing), sender=self)
-        done.add_callback(lambda ev: self._resolve(ev.value.ok))
+        self.channel.transmit(
+            ack, ack.airtime(self.timing), self,
+            lambda outcome: self._resolve(outcome.ok),
+        )
 
     def _resolve(self, success: bool) -> None:
         entry = self._head

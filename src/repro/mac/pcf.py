@@ -226,8 +226,10 @@ class PcfCoordinator(ChannelListener):
             nav_duration=self._deadline_duration,
         )
         self.nav.set(self._deadline)
-        done = self.channel.transmit(beacon, beacon.airtime(self.timing), sender=self)
-        done.add_callback(lambda ev: self._schedule_step(self.timing.sifs))
+        self.channel.transmit(
+            beacon, beacon.airtime(self.timing), self,
+            lambda outcome: self._schedule_step(self.timing.sifs),
+        )
 
     def _schedule_step(self, gap: float) -> None:
         self.sim.call_in(gap, self._step)
@@ -284,9 +286,9 @@ class PcfCoordinator(ChannelListener):
     def _transmit_poll(
         self, frame: Frame, ids: list[str], retries_left: int
     ) -> None:
-        done = self.channel.transmit(frame, frame.airtime(self.timing), sender=self)
-        done.add_callback(
-            lambda ev: self._poll_done(ev.value.ok, frame, ids, retries_left)
+        self.channel.transmit(
+            frame, frame.airtime(self.timing), self,
+            lambda outcome: self._poll_done(outcome.ok, frame, ids, retries_left),
         )
 
     def _poll_done(
@@ -365,17 +367,16 @@ class PcfCoordinator(ChannelListener):
             )
             return
         self.stats.responses.inc()
-        done = self.channel.transmit(frame, frame.airtime(self.timing), sender=station)
         scheduler = self._scheduler
 
-        def finish(ev):
+        def finish(outcome):
             if self.trace is not None:
                 self.trace.emit(
                     self.sim.now, "cfp", "response",
-                    station=sid, ok=ev.value.ok,
+                    station=sid, ok=outcome.ok,
                     piggyback=bool(frame.piggyback),
                 )
-            scheduler.on_response(sid, frame, ev.value.ok, self.sim.now)
+            scheduler.on_response(sid, frame, outcome.ok, self.sim.now)
             # TXOP continuation: a backlogged station keeps the floor,
             # SIFS-separated, up to the opportunity limit — but only a
             # real backlog (not a keepalive piggyback) extends it.
@@ -388,12 +389,14 @@ class PcfCoordinator(ChannelListener):
             else:
                 self.sim.call_in(self.timing.sifs, self._responses, remaining)
 
-        done.add_callback(finish)
+        self.channel.transmit(frame, frame.airtime(self.timing), station, finish)
 
     def _send_cf_end(self) -> None:
         frame = Frame(FrameType.CF_END, src=self.ap_id, dest=BROADCAST)
-        done = self.channel.transmit(frame, frame.airtime(self.timing), sender=self)
-        done.add_callback(lambda ev: self._finished(ev.value.ok))
+        self.channel.transmit(
+            frame, frame.airtime(self.timing), self,
+            lambda outcome: self._finished(outcome.ok),
+        )
 
     def _finished(self, cf_end_ok: bool = True) -> None:
         now = self.sim.now

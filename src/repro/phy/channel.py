@@ -20,7 +20,6 @@ import dataclasses
 import typing
 
 from ..sim.engine import Simulator
-from ..sim.events import Event
 from .error_model import BitErrorModel
 
 __all__ = ["Channel", "ChannelListener", "TxOutcome", "Transmission"]
@@ -58,7 +57,8 @@ class Transmission:
     start: float
     end: float
     collided: bool = False
-    done: "Event | None" = None
+    #: ``fn(outcome)`` the sender wants called once the frame is done
+    on_done: typing.Callable[["TxOutcome"], None] | None = None
 
 
 class TxOutcome:
@@ -83,6 +83,10 @@ class TxOutcome:
             f"TxOutcome(frame={self.frame!r}, collided={self.collided}, "
             f"bit_errors={self.bit_errors})"
         )
+
+
+def _ignore(outcome: TxOutcome) -> None:
+    """The completion fire of a transmission nobody waits on."""
 
 
 class Channel:
@@ -185,19 +189,25 @@ class Channel:
 
     # -- transmission -----------------------------------------------------------
     def transmit(
-        self, frame: typing.Any, duration: float, sender: typing.Any
-    ) -> Event:
+        self,
+        frame: typing.Any,
+        duration: float,
+        sender: typing.Any,
+        on_done: typing.Callable[[TxOutcome], None] | None = None,
+    ) -> None:
         """Put ``frame`` on the air for ``duration`` seconds.
 
-        Returns an event that fires at the end of the transmission with
-        a :class:`TxOutcome` value.  Overlap with any other transmission
+        When the transmission ends, ``on_done`` is called with its
+        :class:`TxOutcome` — after the receivers' ``on_frame`` and the
+        idle announcement, as its own agenda fire (which happens even
+        when ``on_done`` is None).  Overlap with any other transmission
         collides **both**.
         """
         if duration <= 0:
             raise ValueError(f"transmission duration must be > 0, got {duration}")
         sim = self.sim
         now = sim._now
-        tx = Transmission(frame, sender, now, now + duration, False, Event(sim))
+        tx = Transmission(frame, sender, now, now + duration, False, on_done)
         active = self._active
         if active:
             # Overlap: everything currently in flight (and this frame)
@@ -211,7 +221,6 @@ class Channel:
             for on_busy in self._fanout_busy:
                 on_busy(now)
         sim.call_at(tx.end, self._finish, tx, priority=-1)
-        return tx.done
 
     def _finish(self, tx: Transmission) -> None:
         now = self.sim._now
@@ -244,15 +253,15 @@ class Channel:
             if self._busy_started is not None:
                 self.busy_time += now - self._busy_started
                 self._busy_started = None
-        # Deliver to receivers first, then complete the sender's event,
-        # then announce idle — so receivers see the frame before anyone
-        # reacts to the idle medium.
+        # Deliver to receivers first, then schedule the sender's
+        # completion, then announce idle — so receivers see the frame
+        # before anyone reacts to the idle medium.
         sender = tx.sender
         for listener, on_frame in self._fanout_frame:
             if listener is not sender:
                 on_frame(frame, ok, now)
-        assert tx.done is not None
-        tx.done.succeed(outcome)
+        on_done = tx.on_done
+        self.sim._schedule(now, _ignore if on_done is None else on_done, outcome)
         if not active:
             for on_idle in self._fanout_idle:
                 on_idle(now)

@@ -149,12 +149,26 @@ def _lookup(
         raise _rewrap(exc)
 
 
+#: the boolean spellings ``exact`` takes, in any case (a query string's
+#: ``1``/``0`` arrive already coerced to numbers)
+_FLAG_SPELLINGS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _exact_flag(params: typing.Mapping[str, typing.Any]) -> bool:
-    """Truthiness of the ``exact`` parameter (query-string friendly)."""
+    """The ``exact`` parameter; anything but a boolean spelling is refused."""
     value = params.get("exact", False)
-    if isinstance(value, str):
-        return value.lower() in ("1", "true", "yes", "on")
-    return bool(value)
+    flag = _FLAG_SPELLINGS.get(str(value).lower())
+    if flag is None:
+        raise QueryError(
+            "bad_request",
+            "'exact' must be 1/0, true/false, yes/no or on/off, "
+            f"got {value!r}",
+            parameter="exact",
+        )
+    return flag
 
 
 def _round(values: typing.Mapping[str, float]) -> dict[str, float]:

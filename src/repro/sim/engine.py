@@ -1,14 +1,19 @@
 """The discrete-event simulation core.
 
-:class:`Simulator` owns the clock and the agenda (a binary heap of
-triggered events keyed by ``(time, priority, sequence)``).  It offers
-three styles of modelling, all interoperable:
+:class:`Simulator` owns the clock and the agenda: a binary heap of
+:class:`TimerHandle` entries keyed by ``(time, priority, sequence)``.
+Models schedule on it in two interoperable styles:
 
 * **timer callbacks** — ``sim.call_at(t, fn)`` / ``sim.call_in(dt, fn)``;
-* **events** — create an :class:`~repro.sim.events.Event` and trigger it;
-* **processes** — generator coroutines spawned via :meth:`Simulator.process`.
+* **processes** — generator coroutines spawned via
+  :meth:`Simulator.process` that ``yield`` numeric delays.
 
-Determinism: two events scheduled for the same instant fire in
+A process's start, wake-ups and exit, and a channel transmission's
+completion, go on the same agenda through the kernel-private
+:meth:`Simulator._schedule`: each is one agenda fire, without counting
+as a model timer.
+
+Determinism: two entries scheduled for the same instant fire in
 ``(priority, insertion order)`` — there is no reliance on hash order or
 wall-clock anywhere, so a run is exactly reproducible from its seed.
 
@@ -26,9 +31,9 @@ ties by fan-out index.
 Hot-path layout (see DESIGN.md "Performance"):
 
 * :meth:`Simulator.run` inlines the agenda loop — ``heappop`` is bound
-  to a local, dispatch goes through the uniform ``_fire`` slot every
-  agenda item carries (no ``isinstance``), and consecutive entries at
-  the same timestamp are batched past the deadline/clock bookkeeping.
+  to a local, dispatch calls the handle's callback directly, and
+  consecutive entries at the same timestamp are batched past the
+  deadline/clock bookkeeping.
 * Cancelled :class:`TimerHandle` *tombstones* are counted as they are
   created; once they outnumber the live half of the heap the agenda is
   compacted in place.  Tombstones are never dispatched and never count
@@ -43,26 +48,21 @@ from __future__ import annotations
 import heapq
 import typing
 
-from .events import Event, Timeout
 from .process import Process
 
-__all__ = ["Simulator", "StopSimulation", "TimerHandle"]
+__all__ = ["Simulator", "TimerHandle"]
 
 #: a heap must hold at least this many cancelled entries before a
 #: tombstone compaction can trigger (tiny heaps are cheaper to drain)
 _COMPACT_MIN_TOMBSTONES = 16
 
-#: upper bound on the pooled callback lists / recycled Timeouts kept
-#: per simulator (see DESIGN.md "Performance" for reuse rules)
-_FREELIST_CAP = 256
-
-
-class StopSimulation(Exception):
-    """Raised internally to halt :meth:`Simulator.run` early."""
-
 
 class TimerHandle:
-    """Cancellable handle returned by :meth:`Simulator.call_at`."""
+    """One agenda entry: ``fn(*args)`` at ``time``, cancellable.
+
+    :meth:`Simulator.call_at` and :meth:`Simulator.call_in` return one;
+    the kernel's own process and transmission fires are handles too.
+    """
 
     __slots__ = ("time", "_fn", "_args", "cancelled", "_sim")
 
@@ -92,10 +92,6 @@ class TimerHandle:
             if sim is not None:
                 sim._note_tombstone()
 
-    def _fire(self) -> None:
-        if not self.cancelled:
-            self._fn(*self._args)
-
     def __lt__(self, other: "TimerHandle") -> bool:
         # Agenda keys tie only when a reserved insertion number is
         # scheduled again after its entry was cancelled: the tombstone
@@ -117,7 +113,7 @@ class Simulator:
     >>> sim = Simulator()
     >>> out = []
     >>> def proc(sim):
-    ...     yield sim.timeout(1.5)
+    ...     yield 1.5
     ...     out.append(sim.now)
     >>> _ = sim.process(proc(sim))
     >>> sim.run()
@@ -127,7 +123,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[tuple[float, int, int, typing.Any]] = []
+        self._heap: list[tuple[float, int, int, TimerHandle]] = []
         self._seq = 0
         self._running = False
         #: live agenda fires so far (telemetry for sweep runs);
@@ -136,10 +132,6 @@ class Simulator:
         #: cancelled TimerHandle entries believed to still sit in the
         #: heap (advisory — compaction recomputes the exact set)
         self._tombstones = 0
-        #: recycled empty callback lists shared by this sim's events
-        self._cb_pool: list[list] = []
-        #: recycled process-private Timeouts (see Process._wait_on)
-        self._timeout_pool: list[Timeout] = []
         #: optional ``fn(time)`` called before each agenda entry fires
         #: (the validation monitors' clock-monotonicity hook)
         self.step_observer: typing.Callable[[float], None] | None = None
@@ -187,21 +179,20 @@ class Simulator:
         self._tombstones = 0
 
     # -- scheduling primitives --------------------------------------------
-    def _push(self, time: float, priority: int, item: typing.Any) -> None:
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule in the past ({time} < now={self._now})"
-            )
-        self._seq += 1
-        heapq.heappush(self._heap, (time, priority, self._seq, item))
+    def _schedule(
+        self, time: float, fn: typing.Callable, *args: typing.Any
+    ) -> TimerHandle:
+        """Run ``fn(*args)`` at ``time`` (priority 0): kernel-internal.
 
-    def _enqueue_triggered(self, event: Event) -> None:
-        """Place an already-triggered event on the agenda for *now*."""
+        Process starts, wake-ups and exits and channel transmission
+        completions come through here rather than :meth:`call_at`, so
+        they are agenda fires but not model timers.  ``time`` is never
+        in the past: callers pass *now* or *now* plus a checked delay.
+        """
+        handle = TimerHandle(time, fn, args)
         self._seq = seq = self._seq + 1
-        heapq.heappush(self._heap, (self._now, 0, seq, event))
-
-    def _enqueue_at(self, time: float, priority: int, event: Event) -> None:
-        self._push(time, priority, event)
+        heapq.heappush(self._heap, (time, 0, seq, handle))
+        return handle
 
     def reserve(self) -> int:
         """Take the next insertion number without scheduling anything.
@@ -256,41 +247,9 @@ class Simulator:
         heapq.heappush(self._heap, (time, priority, seq, handle))
         return handle
 
-    # -- factories ---------------------------------------------------------
-    def event(self) -> Event:
-        """Create a fresh pending :class:`Event` owned by this simulator."""
-        return Event(self)
-
-    def timeout(
-        self, delay: float, value: typing.Any = None, priority: int = 0
-    ) -> Timeout:
-        """Create an event that fires ``delay`` from now."""
-        return Timeout(self, delay, value=value, priority=priority)
-
     def process(self, generator: typing.Generator) -> Process:
         """Spawn a generator coroutine as a simulation process."""
         return Process(self, generator)
-
-    # -- engine-private timeout recycling -----------------------------------
-    def _acquire_timeout(self, delay: float) -> Timeout:
-        """A Timeout for a process numeric yield, recycled when possible.
-
-        Only :class:`~repro.sim.process.Process` may call this: the
-        returned event is marked ``_pooled`` and goes back on the
-        free-list by ``Process._resume`` once its fire was consumed.
-        """
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout._reinit(delay)
-            return timeout
-        timeout = Timeout(self, delay)
-        timeout._pooled = True
-        return timeout
-
-    def _release_timeout(self, timeout: Timeout) -> None:
-        if len(self._timeout_pool) < _FREELIST_CAP:
-            self._timeout_pool.append(timeout)
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
@@ -316,7 +275,7 @@ class Simulator:
         self.events_processed += 1
         if self.step_observer is not None:
             self.step_observer(time)
-        item._fire()
+        item._fn(*item._args)
 
     def _loop(self, deadline: float) -> None:
         """Drain the agenda up to ``deadline`` (inclusive).
@@ -346,7 +305,7 @@ class Simulator:
                 pop(heap)
                 self._now = time
                 processed += 1
-                item._fire()
+                item._fn(*item._args)
                 # batch: everything else scheduled for this same instant
                 # skips the deadline check and the clock write
                 while heap:
@@ -360,7 +319,7 @@ class Simulator:
                             self._tombstones -= 1
                         continue
                     processed += 1
-                    item._fire()
+                    item._fn(*item._args)
         finally:
             self.events_processed += processed
 
@@ -378,48 +337,27 @@ class Simulator:
                 break
             self.step()
 
-    def run(self, until: float | Event | None = None) -> typing.Any:
-        """Run until the agenda drains, a deadline, or an event fires.
+    def run(self, until: float | None = None) -> None:
+        """Run until the agenda drains or the clock would pass ``until``.
 
         Parameters
         ----------
         until:
             ``None`` — run to agenda exhaustion.  A number — run until the
-            clock would pass it (the clock is then set to it).  An
-            :class:`Event` — run until that event is processed, returning
-            its value (at once, if it already was).
+            clock would pass it (the clock is then set to it).
+
+        An exception raised by a timer callback or a process body
+        propagates out of this call.
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
+        deadline = float("inf") if until is None else float(until)
+        if deadline < self._now:
+            raise ValueError(f"deadline {deadline} is in the past")
         self._running = True
         try:
-            if isinstance(until, Event):
-                sentinel = until
-                if sentinel.processed:
-                    return sentinel.value
-                result: list[typing.Any] = []
-
-                def _stop(ev: Event) -> None:
-                    result.append(ev.value)
-                    raise StopSimulation
-
-                sentinel.add_callback(_stop)
-                try:
-                    self._loop(float("inf"))
-                except StopSimulation:
-                    return result[0]
-                if not sentinel.processed:
-                    raise RuntimeError(
-                        "run(until=event): agenda drained before event fired"
-                    )
-                return result[0]
-
-            deadline = float("inf") if until is None else float(until)
-            if deadline < self._now:
-                raise ValueError(f"deadline {deadline} is in the past")
             self._loop(deadline)
-            if deadline != float("inf"):
-                self._now = deadline
-            return None
         finally:
             self._running = False
+        if deadline != float("inf"):
+            self._now = deadline

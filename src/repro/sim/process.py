@@ -1,28 +1,27 @@
-"""Generator-coroutine processes on top of the event kernel.
+"""Generator-coroutine processes on top of the timer agenda.
 
-A *process* wraps a Python generator.  The generator models activity by
-yielding things it wants to wait on:
-
-* a number — sleep that many time units;
-* an :class:`~repro.sim.events.Event` — wait for it (its value is sent
-  back in; a failed event raises inside the generator);
-* another :class:`Process` — join it (the target's return value is sent
-  back in).
-
-Processes are themselves events: they trigger when the generator
-returns (value = ``StopIteration`` value) or raises.  They can be
+A *process* wraps a Python generator that models activity by yielding
+numeric delays: ``yield 0.25`` sleeps that many time units.  It can be
 interrupted asynchronously with :meth:`Process.interrupt`, which raises
 :class:`Interrupt` at the current yield point.
+
+A process's start, each wake-up and its exit are each one agenda fire
+(:meth:`~repro.sim.engine.Simulator._schedule`).  A wake-up that an
+interrupt made stale stays on the agenda and fires as a no-op.
+
+A generator ends by returning or by not catching an :class:`Interrupt`.
+Any other exception it raises propagates out of
+:meth:`~repro.sim.engine.Simulator.run` (or out of the
+:meth:`Process.interrupt` call that delivered it): a failed process
+stops the run rather than vanishing from it.
 """
 
 from __future__ import annotations
 
 import typing
 
-from .events import Event
-
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from .engine import Simulator
+    from .engine import Simulator, TimerHandle
 
 __all__ = ["Process", "Interrupt"]
 
@@ -41,10 +40,14 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class Process(Event):
-    """A running generator coroutine; also an event that fires on exit."""
+def _noop() -> None:
+    """A stale wake-up's or an exit's agenda fire."""
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+
+class Process:
+    """A running generator coroutine."""
+
+    __slots__ = ("sim", "_generator", "_wake", "name")
 
     def __init__(
         self,
@@ -56,22 +59,20 @@ class Process(Event):
             raise TypeError(
                 f"process body must be a generator, got {type(generator).__name__}"
             )
-        super().__init__(sim)
-        self._generator = generator
-        self._waiting_on: Event | None = None
+        self.sim = sim
+        #: the generator while it runs; None once it has exited
+        self._generator: typing.Generator | None = generator
         self.name = name or getattr(generator, "__name__", "process")
-        # Kick-start at the current instant (through the agenda so that
-        # creation order, not call stack depth, decides ordering).
-        start = Event(sim)
-        start.succeed(None)
-        self._waiting_on = start
-        start.add_callback(self._resume)
+        #: the agenda entry of the pending wake-up; the first one starts
+        #: the generator at the current instant (through the agenda, so
+        #: creation order, not call stack depth, decides ordering)
+        self._wake: TimerHandle = sim._schedule(sim._now, self._resume)
 
     # -- public API --------------------------------------------------------
     @property
     def is_alive(self) -> bool:
         """True while the generator has not exited."""
-        return not self.triggered
+        return self._generator is not None
 
     def interrupt(self, cause: typing.Any = None) -> None:
         """Raise :class:`Interrupt` inside the process at its yield point.
@@ -80,59 +81,40 @@ class Process(Event):
         interrupt is delivered immediately (synchronously): by the time
         this returns the generator has run to its next yield.
         """
-        if not self.is_alive:
+        generator = self._generator
+        if generator is None:
             raise RuntimeError(f"cannot interrupt dead process {self.name!r}")
-        # Detach from the current wait so its eventual firing is ignored
-        # by _resume's staleness check, then deliver the interrupt.
-        self._waiting_on = None
-        self._step(Interrupt(cause))
+        # the interrupted wait still fires when due, as a no-op
+        self._wake._fn = _noop
+        self._advance(generator.throw, Interrupt(cause))
 
     # -- driving the generator -----------------------------------------------
-    def _resume(self, event: Event) -> None:
-        if self._waiting_on is not event:
-            return  # stale wake-up from an interrupted wait
-        self._waiting_on = None
-        if event._ok:
-            value = event._value
-            if event._pooled:
-                # engine-recycled numeric-yield timeout: its fire is
-                # consumed, nothing else can reach it — free-list it
-                # before stepping so the next numeric yield can reuse it
-                self.sim._release_timeout(event)  # type: ignore[arg-type]
-            self._step(value)
-        else:
-            self._step(event._value, throw=True)
+    def _resume(self) -> None:
+        self._advance(self._generator.send, None)
 
-    def _step(self, value: typing.Any, throw: bool = False) -> None:
-        try:
-            if isinstance(value, Interrupt):
-                target = self._generator.throw(value)
-            elif throw:
-                target = self._generator.throw(value)
-            else:
-                target = self._generator.send(value)
-        except StopIteration as exc:
-            self.succeed(exc.value)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        self._wait_on(target)
-
-    def _wait_on(self, target: typing.Any) -> None:
-        if isinstance(target, Event):
-            event = target
-        elif isinstance(target, (int, float)):
-            event = self.sim._acquire_timeout(target)
-        else:
-            err = TypeError(
-                f"process {self.name!r} yielded unwaitable {target!r}; "
-                "yield an Event, Process, or a numeric delay"
+    def _advance(self, resume: typing.Callable, value: typing.Any) -> None:
+        """Run the generator to its next yield and schedule the wake-up."""
+        sim = self.sim
+        while True:
+            try:
+                delay = resume(value)
+            except (StopIteration, Interrupt):
+                self._generator = None
+                sim._schedule(sim._now, _noop)
+                return
+            except BaseException:
+                self._generator = None
+                raise
+            if isinstance(delay, (int, float)):
+                if delay < 0:
+                    raise ValueError(f"negative delay {delay!r}")
+                self._wake = sim._schedule(sim._now + delay, self._resume)
+                return
+            resume = self._generator.throw
+            value = TypeError(
+                f"process {self.name!r} yielded unwaitable {delay!r}; "
+                "yield a numeric delay"
             )
-            self._step(err, throw=True)
-            return
-        self._waiting_on = event
-        event.add_callback(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.is_alive else "dead"

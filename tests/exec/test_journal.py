@@ -1,5 +1,7 @@
 """Checkpoint journal: load, truncation tolerance, resume semantics."""
 
+import pytest
+
 from repro.exec import SweepJournal
 
 
@@ -47,6 +49,24 @@ def test_foreign_manifest_ignored(tmp_path):
     path = tmp_path / "j.jsonl"
     path.write_text('{"something": "else"}\n{"key": "k1", "row": {}}\n')
     assert SweepJournal(path).load() == {}
+
+
+@pytest.mark.parametrize("header", [
+    '{"_manifest": true, "format": 4}',
+    '{"something": "else"}',
+    "[1]",
+], ids=["older-format", "foreign", "not-an-object"])
+def test_resume_over_a_stale_manifest_rewrites_the_journal(tmp_path, header):
+    # appending under a header load() rejects would leave every new row
+    # invisible to every later load
+    path = tmp_path / "j.jsonl"
+    path.write_text(header + '\n{"key": "k0", "row": {"seed": 0}}\n')
+    journal = SweepJournal(path)
+    assert journal.load() == {}
+    journal.start(resume=True)
+    journal.append("k1", {"seed": 1})
+    journal.close()
+    assert journal.load() == {"k1": {"seed": 1}}
 
 
 def test_midfile_corruption_skips_warns_and_counts(tmp_path):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.exec import ExecutorConfig, SweepExecutionError, SweepExecutor
 from repro.network import SCHEMES, BssScenario, ScenarioConfig
+from repro.traffic.data import PoissonDataSource
 
 
 def quick_cfg(**kw):
@@ -92,3 +94,42 @@ def test_offered_load_estimate_positive_and_monotone():
     b = quick_cfg(load=2.0)
     assert 0 < a.offered_load_bps() < b.offered_load_bps()
     assert a.normalized_load() < 1.0
+
+
+@pytest.fixture
+def data_source_raising_after_three_arrivals(monkeypatch):
+    """``data/1``'s source process raises after its third arrival."""
+    original_run = PoissonDataSource._run
+
+    def run(self):
+        body = original_run(self)
+        if self.source_id != "data/1":
+            yield from body
+            return
+        for arrivals, delay in enumerate(body):
+            if arrivals == 3:
+                raise ZeroDivisionError("data/1 source failed")
+            yield delay
+
+    monkeypatch.setattr(PoissonDataSource, "_run", run)
+    return ScenarioConfig(
+        scheme="conventional", n_data_stations=4, load=2.0, seed=7,
+        sim_time=3.0, warmup=0.5,
+    )
+
+
+def test_a_failing_process_stops_the_run(data_source_raising_after_three_arrivals):
+    # a swallowed failure would return a plausible row with one
+    # station's traffic missing
+    with pytest.raises(ZeroDivisionError, match="data/1"):
+        BssScenario(data_source_raising_after_three_arrivals).run()
+
+
+def test_a_failing_process_fails_its_sweep_point_uncached(
+    data_source_raising_after_three_arrivals, tmp_path
+):
+    cache_dir = tmp_path / "cache"
+    executor = SweepExecutor(ExecutorConfig(cache_dir=str(cache_dir)))
+    with pytest.raises(SweepExecutionError, match="ZeroDivisionError"):
+        executor.run([data_source_raising_after_three_arrivals])
+    assert not list(cache_dir.rglob("*.json"))

@@ -20,11 +20,11 @@ def run_with_transmission_log(scheme="proposed", **cfg_kw):
     log = []
     original = Channel.transmit
 
-    def spy(self, frame, duration, sender):
+    def spy(self, frame, duration, sender, on_done=None):
         if self is sc.channel:
             log.append((sc.sim.now, sc.sim.now + duration,
                         getattr(frame, "ftype", None)))
-        return original(self, frame, duration, sender)
+        return original(self, frame, duration, sender, on_done)
 
     Channel.transmit = spy
     try:

@@ -50,8 +50,10 @@ def test_single_transmission_delivers_ok():
     tx_side = Recorder(sim)
     ch.attach(rx)
     ch.attach(tx_side)
-    done = ch.transmit(FakeFrame(label="hello"), 1e-3, sender=tx_side)
-    outcome = sim.run(until=done)
+    outcomes = []
+    ch.transmit(FakeFrame(label="hello"), 1e-3, tx_side, outcomes.append)
+    sim.run()
+    (outcome,) = outcomes
     assert outcome.ok
     assert rx.frames == [("hello", True, pytest.approx(1e-3))]
     # sender does not hear its own frame
@@ -80,8 +82,7 @@ def test_overlapping_transmissions_collide_both():
 
     def send(label, start, dur):
         def kickoff():
-            done = ch.transmit(FakeFrame(label=label), dur, sender=None)
-            done.add_callback(lambda ev: outcomes.append(ev.value))
+            ch.transmit(FakeFrame(label=label), dur, None, outcomes.append)
 
         sim.call_at(start, kickoff)
 
@@ -99,8 +100,7 @@ def test_sequential_transmissions_do_not_collide():
 
     def send(start, dur):
         def kickoff():
-            done = ch.transmit(FakeFrame(), dur, sender=None)
-            done.add_callback(lambda ev: outcomes.append(ev.value))
+            ch.transmit(FakeFrame(), dur, None, outcomes.append)
 
         sim.call_at(start, kickoff)
 
@@ -115,8 +115,7 @@ def test_three_way_collision_all_corrupted():
     ch = make_channel(sim)
     outcomes = []
     for _ in range(3):
-        done = ch.transmit(FakeFrame(), 1e-3, sender=None)
-        done.add_callback(lambda ev: outcomes.append(ev.value))
+        ch.transmit(FakeFrame(), 1e-3, None, outcomes.append)
     sim.run()
     assert len(outcomes) == 3
     assert all(o.collided for o in outcomes)
@@ -148,8 +147,10 @@ def test_ber_corrupts_frames_without_collision():
     ch = make_channel(sim, ber=0.01, seed=1)
     rx = Recorder(sim)
     ch.attach(rx)
-    done = ch.transmit(FakeFrame(total_bits=1000), 1e-3, sender=None)
-    outcome = sim.run(until=done)
+    outcomes = []
+    ch.transmit(FakeFrame(total_bits=1000), 1e-3, None, outcomes.append)
+    sim.run()
+    (outcome,) = outcomes
     assert not outcome.collided
     assert outcome.bit_errors
     assert not outcome.ok

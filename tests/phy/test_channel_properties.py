@@ -62,8 +62,10 @@ def test_property_collisions_iff_overlap_and_busy_time_is_union(schedule):
         intervals.append((start, end))
 
         def kickoff(i=i, duration=duration):
-            done = channel.transmit(FakeFrame(label=i), duration, sender=None)
-            done.add_callback(lambda ev, i=i: outcomes.__setitem__(i, ev.value))
+            channel.transmit(
+                FakeFrame(label=i), duration, None,
+                lambda outcome, i=i: outcomes.__setitem__(i, outcome),
+            )
 
         sim.call_at(start, kickoff)
     sim.run()
@@ -97,8 +99,7 @@ def test_property_sequential_frames_never_collide(gaps, duration):
         t += gap + duration
 
         def kickoff(at=t):
-            done = channel.transmit(FakeFrame(), duration, sender=None)
-            done.add_callback(lambda ev: outcomes.append(ev.value))
+            channel.transmit(FakeFrame(), duration, None, outcomes.append)
 
         sim.call_at(t, kickoff)
     sim.run()

@@ -148,6 +148,34 @@ class TestQueries:
         assert f"'{parameter}'" in error["message"]
         assert "must be finite" in error["message"]
 
+    @pytest.mark.parametrize("spelling, exact", [
+        ("true", True), ("ON", True), ("1", True), ("Yes", True),
+        ("false", False), ("No", False), ("0", False), ("OFF", False),
+    ])
+    def test_exact_takes_boolean_spellings(self, server, spelling, exact):
+        # load 0.75 is off the seeded grid: only exact=false interpolates
+        status, body = _get(
+            server.url + "/query?kind=operating_point&scheme=proposed"
+            f"&load=0.75&exact={spelling}"
+        )
+        if exact:
+            assert status != 200
+        else:
+            assert status == 200
+            assert json.loads(body)["provenance"]["mode"] == "interpolated"
+
+    @pytest.mark.parametrize("spelling", ["maybe", "2", "tru"])
+    def test_exact_refuses_other_values(self, server, spelling):
+        status, body = _get(
+            server.url + "/query?kind=operating_point&scheme=proposed"
+            f"&load=0.75&exact={spelling}"
+        )
+        error = json.loads(body)["error"]
+        assert status == 400
+        assert error["code"] == "bad_request"
+        assert "'exact'" in error["message"]
+        assert error["parameter"] == "exact"
+
     def test_extrapolation_is_422(self, server):
         status, body = _get(
             server.url

@@ -1,8 +1,10 @@
 """Unit tests for the DES kernel: clock, agenda, timers, run modes."""
 
+import numpy as np
 import pytest
 
-from repro.sim import Event, Simulator
+from repro.phy import BitErrorModel, Channel, ChannelListener
+from repro.sim import Interrupt, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -131,33 +133,6 @@ def test_run_resumes_after_deadline():
     assert sim.now == 10.0
 
 
-def test_run_until_event_returns_its_value():
-    sim = Simulator()
-    ev = sim.event()
-    sim.call_in(3.0, ev.succeed, 42)
-    assert sim.run(until=ev) == 42
-    assert sim.now == 3.0
-
-
-def test_run_until_processed_event_returns_its_value_at_once():
-    sim = Simulator()
-    ev = sim.timeout(1.0, value="done")
-    fired = []
-    sim.call_at(2.0, fired.append, "later")
-    assert sim.run(until=ev) == "done"
-    assert sim.run(until=ev) == "done"
-    assert sim.now == 1.0
-    assert fired == []
-
-
-def test_run_until_event_that_never_fires_raises():
-    sim = Simulator()
-    ev = sim.event()
-    sim.call_in(1.0, lambda: None)
-    with pytest.raises(RuntimeError):
-        sim.run(until=ev)
-
-
 def test_run_until_past_deadline_raises():
     sim = Simulator(start_time=10.0)
     with pytest.raises(ValueError):
@@ -204,33 +179,50 @@ def test_reentrant_run_rejected():
     sim.run()
 
 
-def test_event_value_before_trigger_raises():
+def test_each_start_wakeup_exit_and_completion_is_one_agenda_fire():
+    # events_processed is pinned in every row, golden fixture and bench
+    # count: a process start, each numeric wake-up, a wake-up made stale
+    # by interrupt(), a generator exit and a transmission completion
+    # must each stay exactly one agenda fire
     sim = Simulator()
-    ev = Event(sim)
-    with pytest.raises(RuntimeError):
-        _ = ev.value
+    log = []
+    channel = Channel(
+        sim, BitErrorModel(0.0, np.random.Generator(np.random.PCG64(0)))
+    )
 
+    class Listener(ChannelListener):
+        def on_frame(self, frame, ok, now):
+            log.append((now, "rx"))
 
-def test_event_double_succeed_raises():
-    sim = Simulator()
-    ev = Event(sim)
-    ev.succeed(1)
-    with pytest.raises(Exception):
-        ev.succeed(2)
+        def on_medium_idle(self, now):
+            log.append((now, "idle"))
 
+    channel.attach(Listener())
 
-def test_event_fail_requires_exception_instance():
-    sim = Simulator()
-    ev = Event(sim)
-    with pytest.raises(TypeError):
-        ev.fail("not an exception")  # type: ignore[arg-type]
+    def a():
+        for _ in range(3):
+            yield 1.0
+            log.append((sim.now, "a"))
 
+    def b():
+        try:
+            yield 10.0
+        except Interrupt:
+            log.append((sim.now, "interrupted"))
 
-def test_callback_after_processing_runs_immediately():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed("v")
+    def send():
+        channel.transmit(
+            object(), 0.5, None,
+            lambda outcome: log.append((sim.now, "done", outcome.ok)),
+        )
+
+    sim.process(a())
+    sleeper = sim.process(b())
+    sim.call_at(2.5, sleeper.interrupt)
+    sim.call_at(1.0, send)
     sim.run()
-    seen = []
-    ev.add_callback(lambda e: seen.append(e.value))
-    assert seen == ["v"]
+    assert log == [
+        (1.0, "a"), (1.5, "rx"), (1.5, "idle"), (1.5, "done", True),
+        (2.0, "a"), (2.5, "interrupted"), (3.0, "a"),
+    ]
+    assert sim.events_processed == 12

@@ -4,15 +4,15 @@ Covers what the inlined run() loop must preserve: tombstone compaction
 under cancel/reschedule storms, same-timestamp batching vs the
 (priority, insertion order) contract, deadline checks routed through a
 tombstoned agenda head, live-fire-only ``events_processed`` accounting,
-and the Timeout free-list (recycling must never change what a process
-observes).
+and process wake-ups on the timer agenda (what a process observes must
+not change under load or interrupts).
 """
 
 import numpy as np
 import pytest
 
 from repro.sim import Simulator
-from repro.sim.engine import _COMPACT_MIN_TOMBSTONES, _FREELIST_CAP
+from repro.sim.engine import _COMPACT_MIN_TOMBSTONES
 
 
 class TestTombstoneCompaction:
@@ -220,6 +220,8 @@ class TestEventsProcessedAccounting:
 
 
 class TestTimeoutFreeList:
+    """Numeric yields at volume, and interrupts that leave stale wake-ups."""
+
     def test_numeric_yields_recycle_but_never_lie(self):
         sim = Simulator()
         observed = []
@@ -234,19 +236,6 @@ class TestTimeoutFreeList:
         assert len(observed) == 1_000
         assert observed[0] == pytest.approx(0.5)
         assert observed[-1] == pytest.approx(500.0)
-        # steady-state reuse: the pool holds recycled Timeouts, capped
-        assert 1 <= len(sim._timeout_pool) <= _FREELIST_CAP
-
-    def test_pool_is_capped(self):
-        sim = Simulator()
-
-        def worker():
-            yield 0.1
-
-        for _ in range(2 * _FREELIST_CAP):
-            sim.process(worker())
-        sim.run()
-        assert len(sim._timeout_pool) <= _FREELIST_CAP
 
     def test_interrupt_storm_does_not_corrupt_the_pool(self):
         from repro.sim.process import Interrupt
@@ -271,18 +260,3 @@ class TestTimeoutFreeList:
         assert outcomes.count("interrupted") == 25
         assert outcomes.count("recovered") == 25
         assert outcomes.count("slept") == 25
-
-    def test_user_held_timeouts_are_never_recycled(self):
-        sim = Simulator()
-        kept = sim.timeout(1.0, value="mine")
-
-        def worker():
-            value = yield kept
-            assert value == "mine"
-            yield 0.5
-
-        sim.process(worker())
-        sim.run()
-        # the explicit Timeout object stays the caller's: not pooled
-        assert kept not in sim._timeout_pool
-        assert kept.processed

@@ -1,4 +1,4 @@
-"""Unit tests for generator processes: waits, joins, interrupts, failures."""
+"""Unit tests for generator processes: waits, interrupts, failures."""
 
 import pytest
 
@@ -20,87 +20,84 @@ def test_process_timeout_advances_clock():
     assert seen == [2.0, 5.0]
 
 
-def test_process_waits_on_event_and_receives_value():
+def test_exception_escaping_process_propagates_out_of_run():
     sim = Simulator()
-    ev = sim.event()
-    got = []
-
-    def body():
-        value = yield ev
-        got.append(value)
-
-    sim.process(body())
-    sim.call_in(1.0, ev.succeed, "payload")
-    sim.run()
-    assert got == ["payload"]
-
-
-def test_process_return_value_via_join():
-    sim = Simulator()
-    got = []
-
-    def child():
-        yield 1.0
-        return 99
-
-    def parent():
-        result = yield sim.process(child())
-        got.append((sim.now, result))
-
-    sim.process(parent())
-    sim.run()
-    assert got == [(1.0, 99)]
-
-
-def test_failed_event_raises_inside_waiter():
-    sim = Simulator()
-    ev = sim.event()
-    caught = []
-
-    def body():
-        try:
-            yield ev
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    sim.process(body())
-    sim.call_in(1.0, ev.fail, ValueError("boom"))
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_exception_escaping_process_marks_it_failed():
-    sim = Simulator()
+    later = []
 
     def body():
         yield 1.0
         raise KeyError("inner")
 
     proc = sim.process(body())
-    sim.run()
-    assert proc.triggered and not proc.ok
+    sim.call_at(2.0, later.append, "ran on")
     with pytest.raises(KeyError):
-        _ = proc.value
+        sim.run()
+    assert sim.now == 1.0
+    assert not proc.is_alive
+    assert later == []
 
 
-def test_unhandled_failure_propagates_to_joiner():
+def test_exception_raised_on_interrupt_propagates_out_of_interrupt():
     sim = Simulator()
 
-    def child():
-        yield 1.0
-        raise RuntimeError("child died")
-
-    caught = []
-
-    def parent():
+    def body():
         try:
-            yield sim.process(child())
-        except RuntimeError as exc:
-            caught.append(str(exc))
+            yield 5.0
+        except Interrupt:
+            raise KeyError("cleanup failed")
 
-    sim.process(parent())
+    proc = sim.process(body())
+    sim.run(until=1.0)
+    with pytest.raises(KeyError):
+        proc.interrupt()
+    assert not proc.is_alive
+
+
+def test_uncaught_interrupt_ends_the_process_like_a_return():
+    sim = Simulator()
+    steps = []
+
+    def body():
+        steps.append("started")
+        yield 5.0
+        steps.append("woke")
+
+    proc = sim.process(body())
+    sim.call_at(1.0, proc.interrupt)
     sim.run()
-    assert caught == ["child died"]
+    assert steps == ["started"]
+    assert not proc.is_alive
+    # start, the interrupting timer, the exit and the stale wake-up at 5
+    assert sim.events_processed == 4
+    assert sim.now == 5.0
+
+
+def test_interrupt_before_the_first_step_ends_the_process():
+    sim = Simulator()
+    steps = []
+
+    def body():
+        steps.append("started")
+        yield 1.0
+
+    proc = sim.process(body())
+    proc.interrupt("never ran")
+    assert not proc.is_alive
+    sim.run()
+    assert steps == []
+    # the exit and the stale start
+    assert sim.events_processed == 2
+
+
+def test_negative_delay_raises_valueerror():
+    sim = Simulator()
+
+    def body():
+        yield -1.0
+
+    sim.process(body())
+    with pytest.raises(ValueError, match="negative delay"):
+        sim.run()
 
 
 def test_interrupt_delivers_cause():
