@@ -38,6 +38,7 @@ import zlib
 
 from ..faults.plan import ApFault, LinkFault
 from ..network.mobility import EssCellContext
+from ..obs.jsonutil import JsonRecord
 from ..obs.registry import MetricsRegistry
 from ..sim.rng import RandomStreams
 from ..validate.ess import (
@@ -63,7 +64,7 @@ FIDELITIES = ("calls", "frames")
 
 
 @dataclasses.dataclass(frozen=True)
-class EssConfig:
+class EssConfig(JsonRecord):
     """Everything one ESS run needs (serializable, seed-deterministic)."""
 
     rows: int = 3
@@ -161,27 +162,6 @@ class EssConfig:
             capacity=capacity,
             handoff_capacity=int(capacity * (1.0 + self.overlap)),
         )
-
-    def to_dict(self) -> dict[str, typing.Any]:
-        d = dataclasses.asdict(self)
-        d["backhaul_faults"] = [
-            dataclasses.asdict(f) for f in self.backhaul_faults
-        ]
-        d["ap_faults"] = [dataclasses.asdict(f) for f in self.ap_faults]
-        return d
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "EssConfig":
-        d = dict(data)
-        d["backhaul_faults"] = tuple(
-            f if isinstance(f, LinkFault) else LinkFault(**f)
-            for f in d.get("backhaul_faults", ())
-        )
-        d["ap_faults"] = tuple(
-            f if isinstance(f, ApFault) else ApFault(**f)
-            for f in d.get("ap_faults", ())
-        )
-        return cls(**d)
 
 
 def _frames_seed(seed: int, cell: str, epoch: int) -> int:

@@ -39,6 +39,7 @@ import time
 import typing
 
 from ..network.bss import BssScenario, ScenarioConfig
+from ..obs.jsonutil import to_jsonable
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .hashing import config_key, normalize_row
 from .journal import SweepJournal
@@ -344,8 +345,9 @@ class SweepExecutor:
             attempts[i] = 0
             scheduler.add(i, configs[i])
         # the base config is broadcast once at spawn; every task ships
-        # only its delta against it
-        base = configs[pending[0]].to_dict()
+        # only its delta against it, both in the every-field form (see
+        # config_delta)
+        base = to_jsonable(configs[pending[0]])
 
         def fail_point(index: int, used: int, error: str) -> None:
             failures.append(PointFailure(index, configs[index], error))
@@ -406,9 +408,8 @@ class SweepExecutor:
                     index, config = scheduler.pop()
                     task_id = next(task_ids)
                     tasks[task_id] = index
-                    pool.dispatch(
-                        worker, task_id, config_delta(base, config.to_dict())
-                    )
+                    delta = config_delta(base, to_jsonable(config))
+                    pool.dispatch(worker, task_id, delta)
 
                 # capacity integrates over the *wait* with the state
                 # that holds during it (post-dispatch, pre-completion);

@@ -8,9 +8,10 @@ with a pool of long-lived worker processes:
 * **warm-up once** — each worker imports the scenario stack and
   receives the sweep's *base* config dict a single time, at spawn;
   per-task messages carry only the compact delta of the point's
-  ``ScenarioConfig.to_dict()`` against that base
-  (:func:`config_delta`), and result rows stream back over the
-  worker's own result pipe instead of per-future pickling;
+  every-field JSON form (:func:`~repro.obs.jsonutil.to_jsonable`)
+  against that base (:func:`config_delta`), and result rows stream
+  back over the worker's own result pipe instead of per-future
+  pickling;
 * **no shared locks** — every worker owns two dedicated
   one-writer/one-reader pipes (tasks in, results out).  Nothing is
   shared between siblings, so SIGKILLing a wedged worker can never
@@ -46,9 +47,11 @@ def config_delta(
 ) -> dict[str, typing.Any]:
     """The compact task payload: fields of ``full`` differing from ``base``.
 
-    ``ScenarioConfig.to_dict()`` is total (every field always present),
-    so a merge of ``base`` and the delta reconstructs ``full`` exactly;
-    keys never need to be deleted.
+    Both must be the every-field form, ``to_jsonable(config)``, so a
+    merge of ``base`` and the delta reconstructs ``full`` exactly and
+    keys never need to be deleted.  ``ScenarioConfig.to_dict()`` is not
+    total: it omits ``engine`` on exact points, and merged over a
+    batched base that would rebuild an exact point as batched.
     """
     return {k: v for k, v in full.items() if k not in base or base[k] != v}
 

@@ -28,7 +28,8 @@ every shape claim reproduce byte-identically.
 from __future__ import annotations
 
 import dataclasses
-import typing
+
+from ..obs.jsonutil import JsonRecord
 
 __all__ = [
     "GilbertElliottParams",
@@ -214,7 +215,7 @@ class ApFault:
 
 
 @dataclasses.dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(JsonRecord):
     """Everything one run injects (see module docstring)."""
 
     gilbert_elliott: GilbertElliottParams | None = None
@@ -235,36 +236,4 @@ class FaultPlan:
         """False for the empty plan (hardening armed, nothing injected)."""
         return bool(
             self.gilbert_elliott or self.frame_loss or self.station_faults
-        )
-
-    # -- serialization (JSON round-trip safe, cache-key canonical) --------
-    def to_dict(self) -> dict[str, typing.Any]:
-        return {
-            "gilbert_elliott": (
-                dataclasses.asdict(self.gilbert_elliott)
-                if self.gilbert_elliott is not None
-                else None
-            ),
-            "frame_loss": [dataclasses.asdict(r) for r in self.frame_loss],
-            "station_faults": [
-                dataclasses.asdict(f) for f in self.station_faults
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "FaultPlan":
-        ge = data.get("gilbert_elliott")
-        return cls(
-            gilbert_elliott=(
-                GilbertElliottParams(**ge) if isinstance(ge, typing.Mapping)
-                else ge
-            ),
-            frame_loss=tuple(
-                r if isinstance(r, FrameLossRule) else FrameLossRule(**r)
-                for r in data.get("frame_loss", ())
-            ),
-            station_faults=tuple(
-                f if isinstance(f, StationFault) else StationFault(**f)
-                for f in data.get("station_faults", ())
-            ),
         )

@@ -31,6 +31,7 @@ from ..mac.dcf import DcfTransmitter
 from ..mac.nav import Nav
 from ..mac.station import DataStation
 from ..metrics.collectors import MetricsCollector
+from ..obs.jsonutil import JsonRecord, to_jsonable
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceConfig, TraceRecorder
 from ..phy.channel import Channel
@@ -62,7 +63,7 @@ DEFAULT_VIDEO = VideoParams(
 
 
 @dataclasses.dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(JsonRecord):
     """Everything needed to reproduce one simulated point."""
 
     scheme: str = "proposed"
@@ -161,37 +162,13 @@ class ScenarioConfig:
         the canonical input to the execution subsystem's content hash
         (:func:`repro.exec.hashing.config_key`) and sweep journals.
         """
-        d = dataclasses.asdict(self)
-        d["alphas"] = list(self.alphas)
-        # asdict leaves the nested tuples; FaultPlan.to_dict emits the
-        # JSON-stable (list-based) form
-        d["faults"] = self.faults.to_dict() if self.faults is not None else None
-        d["trace"] = self.trace.to_dict() if self.trace is not None else None
-        d["ess"] = self.ess.to_dict() if self.ess is not None else None
+        d = to_jsonable(self)
         if self.engine == "exact":
             # exact points keep the pre-accel dict shape, so their
             # content-addressed keys (KEY_FORMAT 5) and cached rows
             # stay byte-identical; from_dict defaults engine back in
             del d["engine"]
         return d
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "ScenarioConfig":
-        """Rebuild a config from :meth:`to_dict` output (JSON round-trip safe)."""
-        d = dict(data)
-        if isinstance(d.get("voice"), typing.Mapping):
-            d["voice"] = VoiceParams(**d["voice"])
-        if isinstance(d.get("video"), typing.Mapping):
-            d["video"] = VideoParams(**d["video"])
-        if "alphas" in d:
-            d["alphas"] = tuple(d["alphas"])
-        if isinstance(d.get("faults"), typing.Mapping):
-            d["faults"] = FaultPlan.from_dict(d["faults"])
-        if isinstance(d.get("trace"), typing.Mapping):
-            d["trace"] = TraceConfig.from_dict(d["trace"])
-        if isinstance(d.get("ess"), typing.Mapping):
-            d["ess"] = EssCellContext.from_dict(d["ess"])
-        return cls(**d)
 
     def offered_load_bps(self) -> float:
         """Approximate offered traffic in bits/s (for plots' x-axis)."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from ..obs.jsonutil import JsonRecord
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
 from ..traffic.base import TrafficKind
@@ -58,7 +59,7 @@ def draw_roam_step(
 
 
 @dataclasses.dataclass(frozen=True)
-class EssCellContext:
+class EssCellContext(JsonRecord):
     """One cell-epoch's ESS context, riding in ``ScenarioConfig.ess``.
 
     When the ESS coordinator shards its grid across the executor, each
@@ -103,29 +104,6 @@ class EssCellContext:
                 raise ValueError(
                     f"handoff kind must be one of {ROAM_KINDS}, got {kind!r}"
                 )
-
-    def to_dict(self) -> dict[str, typing.Any]:
-        """JSON-stable form (tuples become lists)."""
-        return {
-            "cell": self.cell,
-            "epoch": self.epoch,
-            "epoch_start": self.epoch_start,
-            "handoff_arrivals": [
-                [offset, kind] for offset, kind in self.handoff_arrivals
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "EssCellContext":
-        return cls(
-            cell=data["cell"],
-            epoch=data.get("epoch", 0),
-            epoch_start=data.get("epoch_start", 0.0),
-            handoff_arrivals=tuple(
-                (offset, kind)
-                for offset, kind in data.get("handoff_arrivals", ())
-            ),
-        )
 
 
 class HandoffSink(typing.Protocol):

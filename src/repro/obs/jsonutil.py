@@ -1,22 +1,45 @@
-"""Shared JSON helpers: type coercion and the one report writer.
+"""Shared JSON helpers: type coercion, the record codec and the report writer.
 
 Both the execution subsystem's canonical hashing
 (:mod:`repro.exec.hashing`) and the trace exporter
 (:mod:`repro.obs.trace`) must turn numpy scalars and tuples into plain
-JSON types before serializing, and the validate, chaos, ESS, bench and
-redteam reports and the reproducer fixtures are all written by
-:func:`write_json`.  The helpers live here, in ``obs`` — the lowest
-observability layer — so ``exec`` can import them without ``obs``
-ever importing upward.
+JSON types before serializing (:func:`jsonable`), and the validate,
+chaos, ESS, bench and redteam reports and the reproducer fixtures are
+all written by :func:`write_json`.
+
+This is also the one place a config record's JSON form is decided.
+:func:`to_jsonable` and :func:`from_jsonable` map a dataclass record
+to and from its JSON form by walking its fields.  The serializable
+records (``ScenarioConfig``, ``FaultPlan``, ``TraceConfig``,
+``EssConfig``, the redteam genome, verdict and campaign records, ...)
+take their ``to_dict``/``from_dict`` from :class:`JsonRecord`, and the
+reproducer fixture and campaign report build their schema-tagged forms
+on the same two functions.  A point's identity is the JSON form of its
+``ScenarioConfig``, so these few functions decide every cache key and
+journal line.  :func:`jsonable` stays record-blind: it runs on every
+leaf of every result row, where a dataclass check would cost each one.
+
+The helpers live here, in ``obs`` — the lowest observability layer —
+so ``exec`` can import them without ``obs`` ever importing upward.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import dataclasses
+import functools
 import json
 import pathlib
+import types
 import typing
 
-__all__ = ["jsonable", "write_json"]
+__all__ = [
+    "JsonRecord",
+    "from_jsonable",
+    "jsonable",
+    "to_jsonable",
+    "write_json",
+]
 
 
 def jsonable(value: typing.Any) -> typing.Any:
@@ -43,3 +66,92 @@ def write_json(path: str | pathlib.Path, payload: typing.Any) -> pathlib.Path:
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return path
+
+
+def to_jsonable(value: typing.Any) -> typing.Any:
+    """A record's JSON form: every field, nested records as dicts.
+
+    Tuples and lists become lists; any other value is kept as is.
+    """
+    if hasattr(value, "__dataclass_fields__"):
+        return {
+            name: to_jsonable(getattr(value, name))
+            for name in _names(type(value))
+        }
+    if isinstance(value, (tuple, list)):
+        return [to_jsonable(v) for v in value]
+    return value
+
+
+def from_jsonable(
+    cls: type, data: typing.Mapping[str, typing.Any]
+) -> typing.Any:
+    """Rebuild a ``cls`` record from its :func:`to_jsonable` form.
+
+    Missing keys take the field defaults and unknown keys raise
+    ``TypeError``, as ``cls(**data)`` does.  A value of the wrong shape
+    for its field's type (a string where a record or a tuple belongs)
+    raises ``TypeError``; the record's own checks raise ``ValueError``.
+    """
+    if not isinstance(data, collections.abc.Mapping):
+        raise TypeError(
+            f"{cls.__name__} needs a JSON object, got {type(data).__name__}"
+        )
+    kwargs = dict(data)
+    for name, decode in _decoders(cls):
+        if name in kwargs:
+            kwargs[name] = decode(kwargs[name])
+    return cls(**kwargs)
+
+
+class JsonRecord:
+    """Mixin giving a dataclass record ``to_dict``/``from_dict``.
+
+    ``to_dict`` is :func:`to_jsonable` and ``from_dict`` is
+    :func:`from_jsonable`; a record whose JSON form differs from its
+    fields overrides ``to_dict`` on top of :func:`to_jsonable`.
+    """
+
+    __slots__ = ()
+
+    to_dict = to_jsonable
+    from_dict = classmethod(from_jsonable)
+
+
+@functools.cache
+def _names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+@functools.cache
+def _decoders(cls: type) -> tuple[tuple[str, typing.Callable], ...]:
+    """``(field, decode)`` for the fields whose JSON form differs."""
+    hints = typing.get_type_hints(cls)
+    pairs = ((name, _decoder(hints[name])) for name in _names(cls))
+    return tuple((name, decode) for name, decode in pairs if decode)
+
+
+def _decoder(hint: typing.Any) -> typing.Callable | None:
+    """How to rebuild a field of type ``hint`` from JSON; None = as is."""
+    if dataclasses.is_dataclass(hint):
+        return functools.partial(from_jsonable, hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        # only ``X | None`` unions: anything else fails loudly here
+        (arg,) = (a for a in args if a is not type(None))
+        inner = _decoder(arg)
+        return inner and (lambda v: None if v is None else inner(v))
+    if origin is tuple:
+        # ``tuple[X, ...]`` decodes each item; fixed-length tuples hold
+        # plain values
+        item = _decoder(args[0]) if args[-1] is Ellipsis else None
+        return functools.partial(_tuple, item)
+    return None
+
+
+def _tuple(item: typing.Callable | None, value: typing.Any) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(
+            f"expected a JSON array, got {type(value).__name__}"
+        )
+    return tuple(value) if item is None else tuple(map(item, value))

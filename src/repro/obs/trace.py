@@ -23,11 +23,13 @@ Schema (one JSON object per line)::
 from __future__ import annotations
 
 import collections
+import dataclasses
 import json
 import typing
 
 # shared with repro.exec.hashing; obs sits below the exec layer, so
 # the one definition lives here in obs (see repro.obs.jsonutil)
+from .jsonutil import JsonRecord
 from .jsonutil import jsonable as _jsonable
 
 __all__ = [
@@ -55,9 +57,8 @@ CATEGORIES: tuple[str, ...] = (
 RESERVED_KEYS = frozenset({"t", "seq", "cat", "ev"})
 
 
-
-
-class TraceConfig:
+@dataclasses.dataclass(frozen=True)
+class TraceConfig(JsonRecord):
     """Serializable tracing knobs, riding in ``ScenarioConfig.trace``.
 
     Parameters
@@ -74,15 +75,12 @@ class TraceConfig:
         traced scenario records; ``0`` disables periodic snapshots.
     """
 
-    __slots__ = ("categories", "capacity", "snapshot_interval")
+    categories: tuple[str, ...] = CATEGORIES
+    capacity: int = 65536
+    snapshot_interval: float = 1.0
 
-    def __init__(
-        self,
-        categories: typing.Sequence[str] = CATEGORIES,
-        capacity: int = 65536,
-        snapshot_interval: float = 1.0,
-    ) -> None:
-        wanted = set(categories)
+    def __post_init__(self) -> None:
+        wanted = set(self.categories)
         unknown = wanted - set(CATEGORIES)
         if unknown:
             raise ValueError(
@@ -91,51 +89,17 @@ class TraceConfig:
             )
         if not wanted:
             raise ValueError("need at least one trace category")
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if snapshot_interval < 0:
+        if self.capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
+        if self.snapshot_interval < 0:
             raise ValueError(
-                f"snapshot_interval must be >= 0, got {snapshot_interval}"
+                f"snapshot_interval must be >= 0, got {self.snapshot_interval}"
             )
-        self.categories = tuple(c for c in CATEGORIES if c in wanted)
-        self.capacity = int(capacity)
-        self.snapshot_interval = float(snapshot_interval)
-
-    # TraceConfig is part of a simulation point's identity, so it needs
-    # value semantics like the frozen dataclasses it rides along with.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceConfig):
-            return NotImplemented
-        return (
-            self.categories == other.categories
-            and self.capacity == other.capacity
-            and self.snapshot_interval == other.snapshot_interval
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.categories, self.capacity, self.snapshot_interval))
-
-    def __repr__(self) -> str:
-        return (
-            f"TraceConfig(categories={self.categories!r}, "
-            f"capacity={self.capacity}, "
-            f"snapshot_interval={self.snapshot_interval})"
-        )
-
-    def to_dict(self) -> dict[str, typing.Any]:
-        """JSON-stable form (the config-key canonical input)."""
-        return {
-            "categories": list(self.categories),
-            "capacity": self.capacity,
-            "snapshot_interval": self.snapshot_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "TraceConfig":
-        return cls(
-            categories=tuple(data.get("categories", CATEGORIES)),
-            capacity=int(data.get("capacity", 65536)),
-            snapshot_interval=float(data.get("snapshot_interval", 1.0)),
+        categories = tuple(c for c in CATEGORIES if c in wanted)
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "capacity", int(self.capacity))
+        object.__setattr__(
+            self, "snapshot_interval", float(self.snapshot_interval)
         )
 
 

@@ -26,7 +26,7 @@ import json
 import pathlib
 import typing
 
-from ..obs.jsonutil import write_json
+from ..obs.jsonutil import from_jsonable, to_jsonable, write_json
 from .genome import DecodeSettings, ScenarioGenome
 from .objective import BreachVerdict, ObjectiveConfig
 
@@ -59,18 +59,10 @@ class Reproducer:
     verdict: BreachVerdict
     settings: DecodeSettings
     objective: ObjectiveConfig
-    campaign_seed: int
+    campaign_seed: int = 0
 
     def to_dict(self) -> dict[str, typing.Any]:
-        return {
-            "schema": REPRODUCER_SCHEMA,
-            "name": self.name,
-            "genome": self.genome.to_dict(),
-            "verdict": self.verdict.to_dict(),
-            "settings": self.settings.to_dict(),
-            "objective": self.objective.to_dict(),
-            "campaign_seed": self.campaign_seed,
-        }
+        return {"schema": REPRODUCER_SCHEMA, **to_jsonable(self)}
 
     @classmethod
     def from_dict(
@@ -81,14 +73,8 @@ class Reproducer:
                 f"not a reproducer fixture (schema {data.get('schema')!r}, "
                 f"expected {REPRODUCER_SCHEMA!r})"
             )
-        return cls(
-            name=data["name"],
-            genome=ScenarioGenome.from_dict(data["genome"]),
-            verdict=BreachVerdict.from_dict(data["verdict"]),
-            settings=DecodeSettings.from_dict(data["settings"]),
-            objective=ObjectiveConfig.from_dict(data["objective"]),
-            campaign_seed=int(data.get("campaign_seed", 0)),
-        )
+        fields = {k: v for k, v in data.items() if k != "schema"}
+        return from_jsonable(cls, fields)
 
 
 def reproducer_name(genome: ScenarioGenome) -> str:

@@ -39,6 +39,7 @@ from ..faults.plan import (
     LinkFault,
     StationFault,
 )
+from ..obs.jsonutil import JsonRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     import random
@@ -73,7 +74,7 @@ def _r4(x: float) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class DecodeSettings:
+class DecodeSettings(JsonRecord):
     """Fixed frame around the genome: everything the search does NOT vary.
 
     Horizon knobs stay out of the genome so every evaluation costs
@@ -123,18 +124,9 @@ class DecodeSettings:
                     out.append((grid_ap_id(r, c), grid_ap_id(r + 1, c)))
         return out
 
-    def to_dict(self) -> dict[str, typing.Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(
-        cls, data: typing.Mapping[str, typing.Any]
-    ) -> "DecodeSettings":
-        return cls(**data)
-
 
 @dataclasses.dataclass(frozen=True)
-class ScenarioGenome:
+class ScenarioGenome(JsonRecord):
     """One point in the search space (see module docstring)."""
 
     surface: str = "bss"
@@ -173,58 +165,6 @@ class ScenarioGenome:
             raise ValueError("ess genomes cannot carry BSS fault genes")
 
     # -- identity ----------------------------------------------------------
-    def to_dict(self) -> dict[str, typing.Any]:
-        return {
-            "surface": self.surface,
-            "seed": self.seed,
-            "load": self.load,
-            "stations": self.stations,
-            "gilbert_elliott": (
-                dataclasses.asdict(self.gilbert_elliott)
-                if self.gilbert_elliott is not None
-                else None
-            ),
-            "frame_loss": [dataclasses.asdict(r) for r in self.frame_loss],
-            "station_faults": [
-                dataclasses.asdict(f) for f in self.station_faults
-            ],
-            "link_faults": [dataclasses.asdict(f) for f in self.link_faults],
-            "ap_faults": [dataclasses.asdict(f) for f in self.ap_faults],
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: typing.Mapping[str, typing.Any]
-    ) -> "ScenarioGenome":
-        ge = data.get("gilbert_elliott")
-        return cls(
-            surface=data.get("surface", "bss"),
-            seed=data.get("seed", 1),
-            load=data.get("load", 1.0),
-            stations=data.get("stations", 4),
-            gilbert_elliott=(
-                GilbertElliottParams(**ge)
-                if isinstance(ge, typing.Mapping)
-                else ge
-            ),
-            frame_loss=tuple(
-                r if isinstance(r, FrameLossRule) else FrameLossRule(**r)
-                for r in data.get("frame_loss", ())
-            ),
-            station_faults=tuple(
-                f if isinstance(f, StationFault) else StationFault(**f)
-                for f in data.get("station_faults", ())
-            ),
-            link_faults=tuple(
-                f if isinstance(f, LinkFault) else LinkFault(**f)
-                for f in data.get("link_faults", ())
-            ),
-            ap_faults=tuple(
-                f if isinstance(f, ApFault) else ApFault(**f)
-                for f in data.get("ap_faults", ())
-            ),
-        )
-
     def canonical(self) -> str:
         """Canonical JSON form — the genome's stable identity."""
         return json.dumps(self.to_dict(), sort_keys=True,

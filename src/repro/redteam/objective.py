@@ -24,6 +24,7 @@ import dataclasses
 import typing
 
 from ..faults.chaos import _summarize_mix
+from ..obs.jsonutil import JsonRecord
 
 __all__ = [
     "ObjectiveConfig",
@@ -34,7 +35,7 @@ __all__ = [
 
 
 @dataclasses.dataclass(frozen=True)
-class ObjectiveConfig:
+class ObjectiveConfig(JsonRecord):
     """Weights and thresholds of the breach objective."""
 
     #: points per structural invariant violation (dominant on purpose)
@@ -67,18 +68,9 @@ class ObjectiveConfig:
                 f"got {self.max_handoff_drop_rate}"
             )
 
-    def to_dict(self) -> dict[str, typing.Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(
-        cls, data: typing.Mapping[str, typing.Any]
-    ) -> "ObjectiveConfig":
-        return cls(**data)
-
 
 @dataclasses.dataclass(frozen=True)
-class BreachVerdict:
+class BreachVerdict(JsonRecord):
     """What one evaluation concluded about one genome."""
 
     breached: bool
@@ -86,26 +78,7 @@ class BreachVerdict:
     #: sorted breach kinds; empty iff not breached
     signature: tuple[str, ...]
     #: the degradation numbers the score was assembled from
-    metrics: dict[str, typing.Any]
-
-    def to_dict(self) -> dict[str, typing.Any]:
-        return {
-            "breached": self.breached,
-            "score": self.score,
-            "signature": list(self.signature),
-            "metrics": self.metrics,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: typing.Mapping[str, typing.Any]
-    ) -> "BreachVerdict":
-        return cls(
-            breached=bool(data["breached"]),
-            score=float(data["score"]),
-            signature=tuple(data["signature"]),
-            metrics=dict(data.get("metrics", {})),
-        )
+    metrics: dict[str, typing.Any] = dataclasses.field(default_factory=dict)
 
     def subsumes(self, other: "BreachVerdict") -> bool:
         """Does this verdict still exhibit every kind in ``other``?"""

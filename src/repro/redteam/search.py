@@ -33,6 +33,7 @@ import pathlib
 import random
 import typing
 
+from ..obs.jsonutil import JsonRecord, to_jsonable
 from .genome import (
     SURFACES,
     DecodeSettings,
@@ -59,7 +60,7 @@ CAMPAIGN_SCHEMA = "repro/redteam-campaign/1"
 
 
 @dataclasses.dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(JsonRecord):
     """Everything one campaign needs (serializable, seed-deterministic)."""
 
     #: total scenario evaluations the search may spend
@@ -101,19 +102,6 @@ class CampaignConfig:
             raise ValueError(
                 f"shrink_budget must be >= 1, got {self.shrink_budget}"
             )
-
-    def to_dict(self) -> dict[str, typing.Any]:
-        return {
-            "budget": self.budget,
-            "seed": self.seed,
-            "surface": self.surface,
-            "batch": self.batch,
-            "explore_ratio": self.explore_ratio,
-            "settings": self.settings.to_dict(),
-            "objective": self.objective.to_dict(),
-            "shrink": self.shrink,
-            "shrink_budget": self.shrink_budget,
-        }
 
 
 class Evaluator(typing.Protocol):
@@ -184,7 +172,7 @@ class ExecEvaluator:
 
 
 @dataclasses.dataclass
-class Champion:
+class Champion(JsonRecord):
     """The best breached genome seen for one breach signature."""
 
     genome: ScenarioGenome
@@ -196,25 +184,6 @@ class Champion:
     reproducer: str | None = None
     archived: bool = False
     new: bool = False
-
-    def to_dict(self) -> dict[str, typing.Any]:
-        return {
-            "genome": self.genome.to_dict(),
-            "verdict": self.verdict.to_dict(),
-            "found_at": self.found_at,
-            "shrunk": (
-                self.shrunk.to_dict() if self.shrunk is not None else None
-            ),
-            "shrunk_verdict": (
-                self.shrunk_verdict.to_dict()
-                if self.shrunk_verdict is not None
-                else None
-            ),
-            "shrink_evals": self.shrink_evals,
-            "reproducer": self.reproducer,
-            "archived": self.archived,
-            "new": self.new,
-        }
 
 
 @dataclasses.dataclass
@@ -229,22 +198,16 @@ class CampaignReport:
     #: champions whose (shrunk) reproducer was not already archived
     new_unarchived: int
 
+    def ranked(self) -> list[Champion]:
+        """Champions by descending score, ties by signature."""
+        return sorted(
+            self.champions,
+            key=lambda c: (-c.verdict.score, c.verdict.signature),
+        )
+
     def to_dict(self) -> dict[str, typing.Any]:
-        return {
-            "schema": CAMPAIGN_SCHEMA,
-            "config": self.config.to_dict(),
-            "evaluated": self.evaluated,
-            "unique_genomes": self.unique_genomes,
-            "breaches_found": self.breaches_found,
-            "champions": [
-                c.to_dict()
-                for c in sorted(
-                    self.champions,
-                    key=lambda c: (-c.verdict.score, c.verdict.signature),
-                )
-            ],
-            "new_unarchived": self.new_unarchived,
-        }
+        ranked = dataclasses.replace(self, champions=self.ranked())
+        return {"schema": CAMPAIGN_SCHEMA, **to_jsonable(ranked)}
 
     def render(self) -> str:
         lines = [
@@ -254,10 +217,7 @@ class CampaignReport:
             f"{len(self.champions)} champion signature(s), "
             f"{self.new_unarchived} new unarchived"
         ]
-        for c in sorted(
-            self.champions,
-            key=lambda c: (-c.verdict.score, c.verdict.signature),
-        ):
+        for c in self.ranked():
             sig = ",".join(c.verdict.signature)
             lines.append(
                 f"  [{sig}] score={c.verdict.score:g} "

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import random
 
 import pytest
 
 from repro.exec import KEY_FORMAT, config_key
+from repro.faults.chaos import chaos_grid
 from repro.network.bss import ScenarioConfig
+from repro.obs.trace import TraceConfig
+from repro.redteam.genome import DecodeSettings, random_genome
 from repro.traffic.video import VideoParams
 from repro.traffic.voice import VoiceParams
 
@@ -65,6 +69,20 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("faults", "garbage"), ("voice", [1, 2]), ("trace", "x"),
+         ("ess", "x"), ("alphas", "448")],
+    )
+    def test_from_dict_refuses_wrong_typed_field(self, field, value):
+        d = dict(ScenarioConfig().to_dict(), **{field: value})
+        with pytest.raises((TypeError, ValueError)):
+            ScenarioConfig.from_dict(d)
+
+    def test_from_dict_refuses_unknown_keys(self):
+        with pytest.raises(TypeError):
+            ScenarioConfig.from_dict(dict(ScenarioConfig().to_dict(), bogus=1))
+
 
 class TestConfigKey:
     def test_same_config_same_key(self):
@@ -93,3 +111,48 @@ class TestConfigKey:
         int(key, 16)  # raises if not hex
         # 5: ScenarioConfig grew the ess EssCellContext field
         assert KEY_FORMAT == 5
+
+
+class TestKeyBytes:
+    """Literal keys: cached rows, journals and fixtures are addressed by
+    these bytes, so a serialization change must show up here."""
+
+    def test_default_config_key(self):
+        assert config_key(ScenarioConfig()) == (
+            "c26e8b1010fd95da5836f8ca1784524bd85d8e7509325a6baab5769f21b36a39"
+        )
+
+    def test_batched_config_key(self):
+        cfg = ScenarioConfig(
+            scheme="conventional",
+            new_voice_rate=0.0,
+            new_video_rate=0.0,
+            handoff_voice_rate=0.0,
+            handoff_video_rate=0.0,
+            engine="batched",
+        )
+        assert config_key(cfg) == (
+            "594c39c909abc0edf77a55431dde838717d8129895987803bf327ca7fb4f6905"
+        )
+
+    def test_traced_config_key(self):
+        assert config_key(ScenarioConfig(trace=TraceConfig())) == (
+            "6657abff26e1fde4e03503565efbc0b0504300d0e569b787f4812735a732eb2d"
+        )
+
+    def test_faulted_config_key(self):
+        mix, cfg = next(
+            (mix, cfg)
+            for mix, cfg in chaos_grid("smoke")
+            if cfg.faults.injects_anything
+        )
+        assert mix == "bursty-channel"
+        assert config_key(cfg) == (
+            "f9b4626456b20e4d094aadc9d2a73a265ea031dd260cb3bcf0aa403317673358"
+        )
+
+    def test_genome_keys(self):
+        rng = random.Random(0)
+        bss = random_genome(rng, DecodeSettings(), "bss")
+        ess = random_genome(rng, DecodeSettings(), "ess")
+        assert (bss.key(), ess.key()) == ("ba1d36ffc4a4", "352f15094cd8")

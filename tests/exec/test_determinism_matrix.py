@@ -8,9 +8,18 @@ and cache replay may change *how* a row is produced but never a single
 byte of *what* is produced.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.exec import ExecutorConfig, SweepExecutor, canonical_json
+from repro.exec import (
+    ExecutorConfig,
+    ResultCache,
+    SweepExecutor,
+    canonical_json,
+    config_key,
+)
+from tests.accel.test_engine import batched_golden_config
 from tests.exec.test_golden_row import GOLDEN_PATH, golden_config
 
 WORKER_COUNTS = (1, 2, 4)
@@ -68,3 +77,24 @@ class TestDeterminismMatrix:
         assert _run(replay) == golden_bytes
         assert replay.summary()["cache_hits"] == 1
         assert replay.summary()["executed"] == 0
+
+
+class TestMixedEngineGrid:
+    """A pool sends each worker its first pending point as the base
+    config and each task as a delta against it, so an exact point after
+    a batched one must still come back (and be cached) as exact."""
+
+    def test_pool_rows_match_serial_and_cache_under_own_key(self, tmp_path):
+        batched = batched_golden_config(sim_time=3.0, warmup=0.5)
+        exact = dataclasses.replace(batched, engine="exact")
+        grid = [batched, exact]
+        serial = [canonical_json(r) for r in SweepExecutor().run(grid)]
+
+        cache_dir = tmp_path / "cache"
+        pooled = SweepExecutor(
+            ExecutorConfig(workers=2, cache_dir=str(cache_dir))
+        ).run(grid)
+        assert [canonical_json(r) for r in pooled] == serial
+        assert "engine" not in pooled[1]
+        cached = ResultCache(cache_dir).get(config_key(exact))
+        assert canonical_json(cached) == serial[1]

@@ -17,6 +17,7 @@ def test_append_and_load(tmp_path):
     journal.append("k1", {"seed": 1})
     journal.append("k2", {"seed": 2})
     assert journal.load() == {"k1": {"seed": 1}, "k2": {"seed": 2}}
+    journal.close()
 
 
 def test_truncated_tail_line_is_skipped(tmp_path):
@@ -27,6 +28,7 @@ def test_truncated_tail_line_is_skipped(tmp_path):
     with journal.path.open("a") as fh:
         fh.write('{"key": "k2", "row": {"se')  # no newline: killed mid-write
     assert journal.load() == {"k1": {"seed": 1}}
+    journal.close()
 
 
 def test_start_without_resume_rewrites(tmp_path):

@@ -33,7 +33,8 @@ def test_fig5_command(capsys):
     assert "jitter bound" in out
 
 
-def test_sweep_command_prints_all_figures(capsys):
+def test_sweep_command_prints_all_figures(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     assert main(["sweep", "--loads", "0.5", "--seeds", "1", "--time", "8"]) == 0
     out = capsys.readouterr().out
     for name in ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11"):

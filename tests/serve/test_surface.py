@@ -86,6 +86,19 @@ class TestIndexing:
         assert index.describe()["skipped_entries"] == 1
         assert index.rows == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("faults", "garbage"), ("voice", [1, 2]), ("trace", "x"),
+         ("ess", "x")],
+    )
+    def test_wrong_typed_nested_field_is_skipped(self, field, value):
+        config = sweep_config("proposed", 1.0, 1, 8.0, 1.0).to_dict()
+        config[field] = value
+        index = SurfaceIndex()
+        assert index.add_entry("ab" * 32, config, _row(1.0, 1)) is None
+        assert index.skipped == 1
+        assert index.rows == 0
+
     def test_aggregates_ignore_insertion_order(self, tmp_path):
         cache = seed_cache(tmp_path)
         entries = list(cache.entries())
