@@ -1,30 +1,27 @@
 """The perf-regression gate: baseline compare + report plumbing.
 
-``BENCH_KERNEL.json`` (repo root) is the committed baseline.  A gate
-run re-measures every benchmark it lists and fails (exit 1) when
+``BENCH_KERNEL.json`` (repo root) is the committed baseline.  It holds
+only what a check reads: each suite's pinned ``events`` count and peak
+allocation, plus ``events_per_sec`` for the :data:`KERNEL_SUITES`.  The
+``events`` pins are checked by a tier-1 test (``tests/bench``), which
+runs every suite once.  A gate run re-measures every suite and fails
+(exit 1) when
 
-* a baselined benchmark is missing from the fresh run,
-* the exact ``events`` count drifts — a **determinism** regression,
-  failed regardless of tolerance (pinned workloads cannot legitimately
-  change event counts without a deliberate baseline update), or
-* throughput or peak allocation regress beyond the tolerance:
+* a kernel suite's throughput or any suite's peak allocation regresses
+  beyond the tolerance:
   ``events_per_sec < base * (1 - tol)`` or
   ``peak_kib > base * (1 + tol) + 64``  (the 64 KiB absolute slack
   absorbs interpreter-version noise in tiny workloads), or
 * a speedup misses its constant floor: batched over exact end-to-end
-  (``MIN_BATCHED_SPEEDUP``, whenever a run measures both suites; see
-  ``run_accel_section``), or the ``--with-sweep`` pool over serial
-  (``MIN_SWEEP_SPEEDUP``, on a machine with a core per pool worker).
+  (``MIN_BATCHED_SPEEDUP``; see ``run_accel_section``), or the
+  ``--with-sweep`` pool over serial (``MIN_SWEEP_SPEEDUP``, on a
+  machine with a core per pool worker).
 
 Wall-clock numbers are machine-relative; CI therefore runs the gate
-with a generous tolerance (``--tolerance 0.25``) while the exact
-``events`` check stays machine-independent.  ``--update`` rewrites the
-baseline deliberately, and only with what the run measured: a suite
-left out by ``--only`` keeps its baseline entry, a ``--skip-alloc`` run
-keeps each suite's baseline ``peak_kib``, and the ``parallel_sweep``
-and ``accel`` sections are carried over unless the run re-measured
-them.  The serve loop is measured by perfbench's ``query_mix``
-workload, not here.
+with a generous tolerance (``--tolerance 0.25``).  End-to-end wall time
+is perfbench's: its calibrated ``cost_ms`` bounds time the full-stack
+workloads.  ``--update`` rewrites the baseline deliberately, in the
+shape above.
 """
 
 from __future__ import annotations
@@ -35,10 +32,11 @@ import pathlib
 import typing
 
 from ..obs.jsonutil import write_json
-from .micro import BENCHMARKS, run_benchmarks
+from .micro import run_benchmarks
 
 __all__ = [
     "DEFAULT_BASELINE",
+    "KERNEL_SUITES",
     "MIN_BATCHED_SPEEDUP",
     "MIN_SWEEP_SPEEDUP",
     "compare",
@@ -49,6 +47,13 @@ __all__ = [
 
 #: committed baseline, relative to the repository root / current dir
 DEFAULT_BASELINE = "BENCH_KERNEL.json"
+
+#: the suites whose wall time the gate checks: pure-kernel loops that
+#: no perfbench workload times on their own.  The full-stack suites'
+#: wall time is gated by perfbench's calibrated ``cost_ms`` bounds
+#: (``contention_exact``, ``figure_sweep``, ``contention_batched``), so
+#: their baseline entries keep only ``events`` and ``peak_kib``
+KERNEL_SUITES = ("timer_chain", "cancel_storm", "process_ping")
 
 #: absolute allocation slack (KiB) added on top of the relative tolerance
 _ALLOC_SLACK_KIB = 64.0
@@ -76,37 +81,31 @@ def compare(
     baseline: dict[str, typing.Any],
     tolerance: float,
 ) -> list[str]:
-    """Regression messages (empty list == gate passes)."""
+    """Regression messages (empty list == gate passes).
+
+    Each fresh suite is held to the numbers its baseline entry holds;
+    a suite the baseline does not list is not checked here (the
+    tier-1 pin test requires every registered suite to be pinned).
+    """
     problems: list[str] = []
-    fresh_benches = fresh.get("benchmarks", {})
-    for name, base in sorted(baseline.get("benchmarks", {}).items()):
-        if not isinstance(base, dict):  # metadata keys (e.g. cpu_cores)
-            continue
-        got = fresh_benches.get(name)
-        if got is None:
-            problems.append(f"{name}: baselined benchmark missing from run")
-            continue
-        if got["events"] != base["events"]:
-            problems.append(
-                f"{name}: DETERMINISM — events {got['events']} != "
-                f"baseline {base['events']} (tolerance does not apply)"
-            )
-        floor = base["events_per_sec"] * (1.0 - tolerance)
-        if got["events_per_sec"] < floor:
-            problems.append(
-                f"{name}: throughput {got['events_per_sec']:,.0f} ev/s < "
-                f"{floor:,.0f} (baseline {base['events_per_sec']:,.0f} "
-                f"- {tolerance:.0%})"
-            )
-        base_peak = base.get("peak_kib")
-        got_peak = got.get("peak_kib")
-        if base_peak is not None and got_peak is not None:
-            ceiling = base_peak * (1.0 + tolerance) + _ALLOC_SLACK_KIB
-            if got_peak > ceiling:
+    baselined = baseline.get("benchmarks", {})
+    for name, got in sorted(fresh.get("benchmarks", {}).items()):
+        base = baselined.get(name, {})
+        if "events_per_sec" in base:
+            floor = base["events_per_sec"] * (1.0 - tolerance)
+            if got["events_per_sec"] < floor:
                 problems.append(
-                    f"{name}: peak allocation {got_peak:.0f} KiB > "
-                    f"{ceiling:.0f} (baseline {base_peak:.0f} + {tolerance:.0%}"
-                    f" + {_ALLOC_SLACK_KIB:.0f} KiB slack)"
+                    f"{name}: throughput {got['events_per_sec']:,.0f} ev/s < "
+                    f"{floor:,.0f} (baseline {base['events_per_sec']:,.0f} "
+                    f"- {tolerance:.0%})"
+                )
+        if "peak_kib" in base and "peak_kib" in got:
+            ceiling = base["peak_kib"] * (1.0 + tolerance) + _ALLOC_SLACK_KIB
+            if got["peak_kib"] > ceiling:
+                problems.append(
+                    f"{name}: peak allocation {got['peak_kib']:.0f} KiB > "
+                    f"{ceiling:.0f} (baseline {base['peak_kib']:.0f} + "
+                    f"{tolerance:.0%} + {_ALLOC_SLACK_KIB:.0f} KiB slack)"
                 )
     return problems
 
@@ -117,7 +116,6 @@ def run_parallel_sweep(
     workers: int = 4,
     sim_time: float = 20.0,
     warmup: float = 2.0,
-    schedule: str = "cost",
 ) -> dict[str, typing.Any]:
     """Scaled-down serial-vs-pool sweep for the ``parallel_sweep`` section.
 
@@ -140,11 +138,11 @@ def run_parallel_sweep(
                       sim_time, warmup)
 
     def timed(n: int) -> tuple:
-        executor = SweepExecutor(ExecutorConfig(workers=n, schedule=schedule))
+        executor = SweepExecutor(ExecutorConfig(workers=n))
         start = _time.perf_counter()
         rows = executor.run(grid)
         wall = _time.perf_counter() - start
-        return rows, executor.telemetry.bench_entry(wall)
+        return rows, {"workers": n, "wall_s": round(wall, 4)}
 
     serial_rows, serial = timed(1)
     parallel_rows, parallel = timed(workers)
@@ -152,7 +150,6 @@ def run_parallel_sweep(
     identical = canon == [json.dumps(r, sort_keys=True) for r in parallel_rows]
     return {
         "points": len(serial_rows),
-        "schedule": schedule,
         "cpu_cores": _os.cpu_count() or 1,
         "rows_identical": identical,
         "serial": serial,
@@ -200,13 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="relative throughput/allocation slack "
                              "(default: 0.10; CI uses 0.25)")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timing repetitions per benchmark (best-of)")
-    parser.add_argument("--only", nargs="+", default=None,
-                        choices=sorted(BENCHMARKS),
-                        help="run a subset of benchmarks")
-    parser.add_argument("--skip-alloc", action="store_true",
-                        help="skip the tracemalloc allocation pass")
     parser.add_argument("--with-sweep", action="store_true",
                         help="also measure the serial-vs-pool sweep "
                              "section; on a machine with a core per pool "
@@ -224,36 +214,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     def progress(name: str, entry: dict) -> None:
-        peak = entry.get("peak_kib")
         print(
             f"  {name:<16} {entry['events']:>8} events  "
             f"{entry['wall_s']*1e3:8.1f} ms  "
-            f"{entry['events_per_sec']:>10,} ev/s"
-            + (f"  peak {peak:,.0f} KiB" if peak is not None else ""),
+            f"{entry['events_per_sec']:>10,} ev/s  "
+            f"peak {entry['peak_kib']:,.0f} KiB",
             file=sys.stderr,
         )
 
-    results = run_benchmarks(
-        names=args.only,
-        repeats=args.repeats,
-        measure_alloc=not args.skip_alloc,
-        progress=progress,
-    )
-    import os as _os
-
-    results["cpu_cores"] = _os.cpu_count() or 1
+    results = run_benchmarks(progress=progress)
     report: dict[str, typing.Any] = {"schema": _SCHEMA, "benchmarks": results}
-
-    baseline: dict[str, typing.Any] | None = None
-    try:
-        baseline = load_report(args.baseline)
-    except FileNotFoundError:
-        pass
-    if baseline is not None:
-        # carry the sections a fresh run does not re-measure
-        for section in ("parallel_sweep", "accel"):
-            if section in baseline:
-                report[section] = baseline[section]
 
     if args.with_sweep:
         report["parallel_sweep"] = sweep = run_parallel_sweep()
@@ -283,54 +253,46 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
 
-    if "end_to_end" in results and "batched_end_to_end" in results:
-        report["accel"] = accel = run_accel_section(results)
+    report["accel"] = accel = run_accel_section(results)
+    print(
+        f"  accel            batched {accel['batched_speedup']}x ev/s "
+        f"({accel['batched_events_per_sec']:,} vs "
+        f"{accel['exact_events_per_sec']:,})",
+        file=sys.stderr,
+    )
+    if accel["batched_speedup"] < MIN_BATCHED_SPEEDUP:
         print(
-            f"  accel            batched {accel['batched_speedup']}x ev/s "
-            f"({accel['batched_events_per_sec']:,} vs "
-            f"{accel['exact_events_per_sec']:,})",
+            f"error: batched speedup {accel['batched_speedup']}x < "
+            f"required {MIN_BATCHED_SPEEDUP}x",
             file=sys.stderr,
         )
-        if accel["batched_speedup"] < MIN_BATCHED_SPEEDUP:
-            print(
-                f"error: batched speedup {accel['batched_speedup']}x < "
-                f"required {MIN_BATCHED_SPEEDUP}x",
-                file=sys.stderr,
-            )
-            return 1
+        return 1
 
     write_json(args.out, report)
     print(f"  report written to {args.out}", file=sys.stderr)
 
     if args.update:
-        # one entry per registered suite: fresh fields over baseline
-        # ones, so a suite this run skipped keeps its baseline entry and
-        # a --skip-alloc run keeps the baseline peak_kib (suites no
-        # longer registered drop out)
-        kept = (baseline or {}).get("benchmarks", {})
-        suites: dict[str, typing.Any] = {"cpu_cores": results["cpu_cores"]}
-        for name in BENCHMARKS:
-            entry = {**kept.get(name, {}), **results.get(name, {})}
-            if entry:
-                suites[name] = entry
-        write_json(args.baseline, {**report, "benchmarks": suites})
+        # what a check reads: wall time only for the KERNEL_SUITES
+        suites = {
+            name: {
+                key: entry[key]
+                for key in ("events", "peak_kib", "events_per_sec")
+                if key != "events_per_sec" or name in KERNEL_SUITES
+            }
+            for name, entry in results.items()
+        }
+        write_json(args.baseline, {"schema": _SCHEMA, "benchmarks": suites})
         print(f"  baseline updated: {args.baseline}", file=sys.stderr)
         return 0
-    if baseline is None:
+    try:
+        baseline = load_report(args.baseline)
+    except FileNotFoundError:
         print(
             f"error: no baseline at {args.baseline} "
             "(run with --update to create it)",
             file=sys.stderr,
         )
         return 1
-    if args.only:
-        # a subset run gates only the benchmarks it measured
-        baseline = dict(baseline)
-        baseline["benchmarks"] = {
-            name: entry
-            for name, entry in baseline["benchmarks"].items()
-            if name in args.only
-        }
     problems = compare(report, baseline, args.tolerance)
     if problems:
         print(

@@ -6,9 +6,9 @@ agenda fires.  The runner reports, per benchmark:
 
 ``events``
     Live agenda fires (:attr:`repro.sim.engine.Simulator.events_processed`).
-    Because every workload is pinned, this is **exact** — any drift is a
-    determinism regression, and the gate fails it regardless of the
-    wall-clock tolerance.
+    Because every workload is pinned, this is **exact** on any machine:
+    ``BENCH_KERNEL.json`` pins each count, and a tier-1 test
+    (``tests/bench``) runs every suite and fails on any drift.
 ``wall_s`` / ``events_per_sec``
     Best-of-``repeats`` wall time and the derived throughput.
 ``peak_kib``
@@ -223,18 +223,13 @@ def run_benchmark(
 
 
 def run_benchmarks(
-    names: typing.Iterable[str] | None = None,
-    repeats: int = 3,
+    repeats: int = 5,
     measure_alloc: bool = True,
     progress: typing.Callable[[str, dict], None] | None = None,
 ) -> dict[str, dict[str, typing.Any]]:
-    """Run benchmarks in declaration order; ``{name: entry}``."""
-    selected = list(BENCHMARKS) if names is None else list(names)
-    unknown = [n for n in selected if n not in BENCHMARKS]
-    if unknown:
-        raise KeyError(f"unknown benchmark(s): {', '.join(unknown)}")
+    """Run every benchmark in declaration order; ``{name: entry}``."""
     results: dict[str, dict[str, typing.Any]] = {}
-    for name in selected:
+    for name in BENCHMARKS:
         results[name] = entry = run_benchmark(
             name, repeats=repeats, measure_alloc=measure_alloc
         )

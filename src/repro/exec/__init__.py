@@ -30,7 +30,7 @@ from .executor import (
 )
 from .hashing import KEY_FORMAT, canonical_json, config_key, jsonable, normalize_row
 from .journal import SweepJournal
-from .pool import WorkerPool, config_delta
+from .pool import WorkerPool
 from .scheduler import (
     SCHEDULE_POLICIES,
     CostModel,
@@ -54,7 +54,6 @@ __all__ = [
     "normalize_row",
     "SweepJournal",
     "WorkerPool",
-    "config_delta",
     "SCHEDULE_POLICIES",
     "CostModel",
     "PointScheduler",

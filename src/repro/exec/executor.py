@@ -8,7 +8,7 @@
 * ``workers>1`` dispatches points to a persistent
   :class:`~repro.exec.pool.WorkerPool`: spawn-once warm workers that
   initialize the simulator environment a single time and then drain a
-  task stream of compact config deltas, with cost-aware
+  stream of point configs, with cost-aware
   longest-expected-first ordering
   (:class:`~repro.exec.scheduler.PointScheduler`), per-point timeout,
   bounded retry, and **targeted single-worker restart** — a wedged or
@@ -43,7 +43,7 @@ from ..obs.jsonutil import to_jsonable
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .hashing import config_key, normalize_row
 from .journal import SweepJournal
-from .pool import WorkerPool, config_delta
+from .pool import WorkerPool
 from .scheduler import SCHEDULE_POLICIES, PointScheduler
 from .telemetry import PointRecord, RunTelemetry
 
@@ -344,10 +344,6 @@ class SweepExecutor:
         for i in pending:
             attempts[i] = 0
             scheduler.add(i, configs[i])
-        # the base config is broadcast once at spawn; every task ships
-        # only its delta against it, both in the every-field form (see
-        # config_delta)
-        base = to_jsonable(configs[pending[0]])
 
         def fail_point(index: int, used: int, error: str) -> None:
             failures.append(PointFailure(index, configs[index], error))
@@ -363,7 +359,7 @@ class SweepExecutor:
             else:
                 fail_point(index, used, error)
 
-        pool = WorkerPool(cfg.workers, base, self.point_fn)
+        pool = WorkerPool(cfg.workers, self.point_fn)
         #: per-slot respawn counts for this run; one slot exceeding
         #: ``max_worker_restarts`` is retired, not restarted — the
         #: restart-storm guard a poison point would otherwise trigger
@@ -408,8 +404,7 @@ class SweepExecutor:
                     index, config = scheduler.pop()
                     task_id = next(task_ids)
                     tasks[task_id] = index
-                    delta = config_delta(base, to_jsonable(config))
-                    pool.dispatch(worker, task_id, delta)
+                    pool.dispatch(worker, task_id, to_jsonable(config))
 
                 # capacity integrates over the *wait* with the state
                 # that holds during it (post-dispatch, pre-completion);

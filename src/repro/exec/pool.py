@@ -1,17 +1,15 @@
-"""Persistent warm workers: spawn once, stream compact tasks, restart one.
+"""Persistent warm workers: spawn once, stream point configs, restart one.
 
 The retired pool path rebuilt a ``ProcessPoolExecutor`` whenever any
 worker crashed or wedged — every in-flight point was thrown away and
 every worker re-imported the simulator stack.  This module replaces it
 with a pool of long-lived worker processes:
 
-* **warm-up once** — each worker imports the scenario stack and
-  receives the sweep's *base* config dict a single time, at spawn;
-  per-task messages carry only the compact delta of the point's
-  every-field JSON form (:func:`~repro.obs.jsonutil.to_jsonable`)
-  against that base (:func:`config_delta`), and result rows stream
-  back over the worker's own result pipe instead of per-future
-  pickling;
+* **warm-up once** — each worker imports the scenario stack a single
+  time, at spawn; each task message carries the point's whole
+  every-field JSON form (:func:`~repro.obs.jsonutil.to_jsonable`), and
+  result rows stream back over the worker's own result pipe instead of
+  per-future pickling;
 * **no shared locks** — every worker owns two dedicated
   one-writer/one-reader pipes (tasks in, results out).  Nothing is
   shared between siblings, so SIGKILLing a wedged worker can never
@@ -36,37 +34,22 @@ import multiprocessing.connection
 import time
 import typing
 
-__all__ = ["READY_TIMEOUT", "WorkerHandle", "WorkerPool", "config_delta"]
+__all__ = ["READY_TIMEOUT", "WorkerHandle", "WorkerPool"]
 
 #: seconds a freshly spawned worker gets to complete its ready handshake
 READY_TIMEOUT = 60.0
 
 
-def config_delta(
-    base: dict[str, typing.Any], full: dict[str, typing.Any]
-) -> dict[str, typing.Any]:
-    """The compact task payload: fields of ``full`` differing from ``base``.
-
-    Both must be the every-field form, ``to_jsonable(config)``, so a
-    merge of ``base`` and the delta reconstructs ``full`` exactly and
-    keys never need to be deleted.  ``ScenarioConfig.to_dict()`` is not
-    total: it omits ``engine`` on exact points, and merged over a
-    batched base that would rebuild an exact point as batched.
-    """
-    return {k: v for k, v in full.items() if k not in base or base[k] != v}
-
-
-def _worker_main(worker_id, tasks, results, base, point_fn) -> None:
+def _worker_main(worker_id, tasks, results, point_fn) -> None:
     """Long-lived worker loop: warm up once, then drain tasks until EOF."""
-    # one-time environment warm-up: the scenario stack is imported and
-    # the base config validated before the ready handshake, so the
-    # coordinator's warm-up phase covers all per-process initialization
+    # one-time environment warm-up: the scenario stack is imported
+    # before the ready handshake, so the coordinator's warm-up phase
+    # covers all per-process initialization
     from ..network.bss import ScenarioConfig
 
     if point_fn is None:
         from .executor import default_point_fn as point_fn  # noqa: PLW0127
 
-    ScenarioConfig.from_dict(base)
     results.send(("ready", worker_id, None, None, 0.0))
     while True:
         try:
@@ -75,12 +58,12 @@ def _worker_main(worker_id, tasks, results, base, point_fn) -> None:
             break
         if task is None:
             break
-        task_id, delta = task
+        task_id, payload = task
         # pickup heartbeat: distinguishes "still queued" from "running"
         results.send(("start", worker_id, task_id, None, 0.0))
         start = time.perf_counter()
         try:
-            config = ScenarioConfig.from_dict({**base, **delta})
+            config = ScenarioConfig.from_dict(payload)
             row = point_fn(config)
         except BaseException as exc:  # noqa: BLE001 — shipped back, retried
             results.send(
@@ -98,13 +81,13 @@ def _worker_main(worker_id, tasks, results, base, point_fn) -> None:
 class WorkerHandle:
     """One warm worker slot: the process plus its two dedicated pipes."""
 
-    def __init__(self, worker_id: int, ctx, base, point_fn) -> None:
+    def __init__(self, worker_id: int, ctx, point_fn) -> None:
         self.worker_id = worker_id
         task_recv, self.task_send = multiprocessing.Pipe(duplex=False)
         self.result_recv, result_send = multiprocessing.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, task_recv, result_send, base, point_fn),
+            args=(worker_id, task_recv, result_send, point_fn),
             daemon=True,
         )
         self.process.start()
@@ -137,10 +120,7 @@ class WorkerPool:
     """A fixed set of :class:`WorkerHandle` slots with targeted restart."""
 
     def __init__(
-        self,
-        workers: int,
-        base: dict[str, typing.Any],
-        point_fn: typing.Callable | None = None,
+        self, workers: int, point_fn: typing.Callable | None = None
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -148,12 +128,11 @@ class WorkerPool:
         self.ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None
         )
-        self.base = base
         self.point_fn = point_fn
         #: single-worker restarts performed (crash, wedge, failed spawn)
         self.restarts = 0
         self.workers = [
-            WorkerHandle(i, self.ctx, base, point_fn) for i in range(workers)
+            WorkerHandle(i, self.ctx, point_fn) for i in range(workers)
         ]
 
     # -- liveness ----------------------------------------------------------
@@ -186,8 +165,9 @@ class WorkerPool:
         return sum(1 for w in self.workers if w.current is not None)
 
     # -- dispatch / collect ------------------------------------------------
-    def dispatch(self, worker: WorkerHandle, task_id: int, delta) -> None:
-        worker.task_send.send((task_id, delta))
+    def dispatch(self, worker: WorkerHandle, task_id: int, payload) -> None:
+        """Send one point, ``to_jsonable(config)``, to an idle worker."""
+        worker.task_send.send((task_id, payload))
         worker.current = task_id
         worker.started = time.perf_counter()
 
@@ -235,9 +215,7 @@ class WorkerPool:
     def restart(self, worker: WorkerHandle) -> WorkerHandle:
         """Replace one worker slot; siblings are untouched."""
         worker.terminate()
-        replacement = WorkerHandle(
-            worker.worker_id, self.ctx, self.base, self.point_fn
-        )
+        replacement = WorkerHandle(worker.worker_id, self.ctx, self.point_fn)
         self.workers[self.workers.index(worker)] = replacement
         self.restarts += 1
         return replacement

@@ -159,27 +159,3 @@ class RunTelemetry:
             "worker_utilization": utilization,
             "phases": dict(self._phases) if self._phases is not None else None,
         }
-
-    def bench_entry(self, wall_s: float | None = None) -> dict[str, typing.Any]:
-        """Compact record for a bench report's ``parallel_sweep`` section.
-
-        ``wall_s`` overrides the telemetry's own elapsed clock when the
-        caller timed the run externally (the perf gate does, so both
-        modes are measured with the same stopwatch).
-        """
-        summary = self.summary()
-        wall = summary["wall_time"] if wall_s is None else wall_s
-        events = summary["sim_events"]
-        entry = {
-            "workers": self.workers,
-            "wall_s": round(wall, 4),
-            "sim_events": events,
-            "events_per_sec": round(events / wall) if wall > 0 else 0,
-            "worker_utilization": round(summary["worker_utilization"], 4),
-            "worker_restarts": summary["worker_restarts"],
-        }
-        if summary["phases"] is not None:
-            entry["phases"] = {
-                k: round(v, 4) for k, v in summary["phases"].items()
-            }
-        return entry

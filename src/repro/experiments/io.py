@@ -44,7 +44,11 @@ def save_results(
 
 
 def load_results(path: str | pathlib.Path) -> list[dict]:
-    """Read a JSON-lines archive back into sweep rows."""
+    """Read a JSON-lines archive back into sweep rows.
+
+    Raises ``ValueError`` unless the first line is the manifest of a
+    supported format (an empty file holds no rows).
+    """
     p = pathlib.Path(path)
     rows: list[dict] = []
     with p.open() as fh:
@@ -52,9 +56,9 @@ def load_results(path: str | pathlib.Path) -> list[dict]:
         if not first:
             return rows
         header = json.loads(first)
-        if not header.get("_manifest"):
-            rows.append(header)  # headerless legacy file: keep the row
-        elif header.get("format") != _FORMAT:
+        if not isinstance(header, dict) or not header.get("_manifest"):
+            raise ValueError(f"{p}: first line is not a manifest")
+        if header.get("format") != _FORMAT:
             raise ValueError(
                 f"unsupported archive format {header.get('format')!r}"
             )

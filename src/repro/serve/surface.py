@@ -371,8 +371,8 @@ class SurfaceIndex:
 
     def __init__(self) -> None:
         self.surfaces: dict[str, SweepSurface] = {}
-        #: entries whose config was absent/foreign or rejected by
-        #: ``ScenarioConfig.from_dict`` — counted, not fatal
+        #: entries whose config was absent/foreign, rejected by
+        #: ``ScenarioConfig.from_dict`` or not exact — counted, not fatal
         self.skipped = 0
         self.rows = 0
 
@@ -395,7 +395,8 @@ class SurfaceIndex:
         missing axis, or a config ``ScenarioConfig.from_dict`` rejects
         (a removed engine tier, or fields that no longer exist) — is
         counted in ``skipped`` instead, so it never forms a surface
-        that :meth:`find` could prefer.
+        that :meth:`find` could prefer.  So is a row of the batched
+        tier: only exact rows are served.
         """
         if config is None or not self._accepts(config):
             self.skipped += 1
@@ -438,10 +439,11 @@ class SurfaceIndex:
         if any(axis not in config for axis in CANDIDATE_AXES):
             return False
         try:
-            ScenarioConfig.from_dict(config)
+            # only exact rows are served: answers cite KEY_FORMAT and
+            # carry no mark of a row's engine tier
+            return ScenarioConfig.from_dict(config).engine == "exact"
         except (KeyError, TypeError, ValueError):
             return False
-        return True
 
     # -- selection ---------------------------------------------------------
     def find(

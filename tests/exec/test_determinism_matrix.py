@@ -80,9 +80,9 @@ class TestDeterminismMatrix:
 
 
 class TestMixedEngineGrid:
-    """A pool sends each worker its first pending point as the base
-    config and each task as a delta against it, so an exact point after
-    a batched one must still come back (and be cached) as exact."""
+    """A pool grid mixing engines runs each point under its own: an
+    exact point after a batched one comes back (and is cached) as
+    exact."""
 
     def test_pool_rows_match_serial_and_cache_under_own_key(self, tmp_path):
         batched = batched_golden_config(sim_time=3.0, warmup=0.5)

@@ -102,18 +102,3 @@ class TestSummaryArithmetic:
         summary = tel.summary()
         assert summary["worker_utilization"] == pytest.approx(3.5 / 5.0)
         assert summary["point_wall_total"] == pytest.approx(2.0)  # executed only
-
-    def test_bench_entry_carries_the_phase_split(self):
-        tel = self._telemetry()
-        tel.set_phases(
-            warmup_s=1.5, steady_s=3.0, drain_s=1.0, capacity_s=14.0
-        )
-        tel.finish()
-        entry = tel.bench_entry(wall_s=5.0)
-        assert entry["workers"] == 4
-        assert entry["wall_s"] == 5.0
-        assert entry["worker_utilization"] == pytest.approx(
-            round(10.0 / 14.0, 4)
-        )
-        assert entry["worker_restarts"] == 0
-        assert entry["phases"]["capacity_s"] == 14.0

@@ -20,9 +20,9 @@ from repro.exec import (
     SweepExecutionError,
     SweepExecutor,
     WorkerPool,
-    config_delta,
 )
 from repro.network.bss import ScenarioConfig
+from repro.obs.jsonutil import to_jsonable
 
 
 def _grid(n: int) -> list[ScenarioConfig]:
@@ -170,8 +170,7 @@ class TestCrashedWorker:
 
 class TestWorkerPoolRestart:
     def test_external_sigkill_is_detected_and_slot_replaced(self):
-        base = ScenarioConfig(seed=1, sim_time=6.0, warmup=1.0).to_dict()
-        pool = WorkerPool(2, base, _slow_point)
+        pool = WorkerPool(2, _slow_point)
         try:
             pool.wait_ready()
             assert pool.ready_count() == 2
@@ -180,8 +179,8 @@ class TestWorkerPoolRestart:
             pool.dispatch(
                 victim,
                 task_id=1,
-                delta=config_delta(
-                    base, ScenarioConfig(seed=2, sim_time=6.0, warmup=1.0).to_dict()
+                payload=to_jsonable(
+                    ScenarioConfig(seed=2, sim_time=6.0, warmup=1.0)
                 ),
             )
             os.kill(victim.process.pid, signal.SIGKILL)

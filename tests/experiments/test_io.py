@@ -41,10 +41,12 @@ def test_append_to_missing_file_creates_it(tmp_path):
     assert load_results(p) == [{"i": 1}]
 
 
-def test_headerless_file_tolerated(tmp_path):
+@pytest.mark.parametrize("first", ['{"i": 9}', '[1]'], ids=["row", "array"])
+def test_headerless_file_refused(tmp_path, first):
     p = tmp_path / "legacy.jsonl"
-    p.write_text('{"i": 9}\n')
-    assert load_results(p) == [{"i": 9}]
+    p.write_text(first + "\n")
+    with pytest.raises(ValueError, match="not a manifest"):
+        load_results(p)
 
 
 def test_unsupported_format_rejected(tmp_path):

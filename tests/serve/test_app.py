@@ -58,7 +58,8 @@ def _get(url):
         with urllib.request.urlopen(url, timeout=10) as response:
             return response.status, response.read()
     except urllib.error.HTTPError as err:
-        return err.code, err.read()
+        with err:
+            return err.code, err.read()
 
 
 class TestEndpoints:
@@ -126,7 +127,8 @@ class TestQueries:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
-        assert err.value.code == 501
+        with err.value:
+            assert err.value.code == 501
 
     @pytest.mark.parametrize("query, parameter", [
         ("kind=operating_point&scheme=proposed&load=nan", "load"),

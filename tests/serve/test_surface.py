@@ -86,6 +86,21 @@ class TestIndexing:
         assert index.describe()["skipped_entries"] == 1
         assert index.rows == 1
 
+    def test_rows_of_the_batched_tier_are_skipped(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        exact = sweep_config("conventional", 1.0, 1, 8.0, 1.0)
+        exact = dataclasses.replace(
+            exact, new_voice_rate=0.0, new_video_rate=0.0,
+            handoff_voice_rate=0.0, handoff_video_rate=0.0,
+        )
+        batched = dataclasses.replace(exact, engine="batched")
+        cache.put(config_key(exact), _row(1.0, 1), exact)
+        cache.put(config_key(batched), _row(1.0, 1), batched)
+        index = SurfaceIndex.from_cache(cache)
+        assert len(index.surfaces) == 1
+        assert index.describe()["skipped_entries"] == 1
+        assert index.rows == 1
+
     @pytest.mark.parametrize(
         "field, value",
         [("faults", "garbage"), ("voice", [1, 2]), ("trace", "x"),

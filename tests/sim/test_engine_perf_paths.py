@@ -219,10 +219,10 @@ class TestEventsProcessedAccounting:
         assert len(observed) == plain.events_processed
 
 
-class TestTimeoutFreeList:
+class TestProcessWakeups:
     """Numeric yields at volume, and interrupts that leave stale wake-ups."""
 
-    def test_numeric_yields_recycle_but_never_lie(self):
+    def test_numeric_yields_at_volume_land_on_time(self):
         sim = Simulator()
         observed = []
 
@@ -237,7 +237,7 @@ class TestTimeoutFreeList:
         assert observed[0] == pytest.approx(0.5)
         assert observed[-1] == pytest.approx(500.0)
 
-    def test_interrupt_storm_does_not_corrupt_the_pool(self):
+    def test_interrupts_leave_no_stale_wakeups(self):
         from repro.sim.process import Interrupt
 
         sim = Simulator()
