@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import sys
 
 from .obs.jsonutil import write_json
@@ -78,22 +79,13 @@ def _flag_values():
 
 
 def _scenario_config(args: argparse.Namespace, **extra):
-    """The single-BSS scenario ``quick`` and ``trace`` run."""
-    from .network import ScenarioConfig
+    """The single-BSS scenario ``quick`` and ``trace`` run: a sweep point."""
+    from .experiments import sweep_config
 
-    return ScenarioConfig(
-        scheme=args.scheme,
-        seed=args.seed,
-        sim_time=args.time,
-        warmup=min(5.0, args.time / 6),
-        load=args.load,
-        new_voice_rate=0.3,
-        new_video_rate=0.2,
-        handoff_voice_rate=0.15,
-        handoff_video_rate=0.1,
-        mean_holding=20.0,
-        **extra,
+    point = sweep_config(
+        args.scheme, args.load, args.seed, args.time, min(5.0, args.time / 6)
     )
+    return dataclasses.replace(point, **extra)
 
 
 def _cmd_quick(args: argparse.Namespace) -> int:

@@ -4,9 +4,10 @@ Stations continuously estimate the congestion level from the slots they
 actually observe while backing off:
 
 1. the **utilization factor** — the fraction of observed backoff slots
-   that were busy — plus the station's own failed attempts give the
-   failure-probability estimate ``p`` ("summing collisions, frame
-   losses and busy slots, divided by total observed slots");
+   that were busy, pooled over every priority level — plus the
+   station's own failed attempts give the failure-probability estimate
+   ``p`` ("summing collisions, frame losses and busy slots, divided by
+   total observed slots");
 2. inverting Bianchi's relation with the current window estimates the
    number of active contenders ``n``;
 3. the Cali-Conti-Gregori optimum maps ``n`` and the mean frame
@@ -78,12 +79,6 @@ class AdaptiveCW(PriorityBackoff):
         self._idle_slots = 0
         self._busy_events = 0
         self._failures = 0
-        self._successes = 0
-        # per-class positional counters — the paper's utilization
-        # factors: busy slots observed inside each priority level's
-        # slot range of the current window, over slots observed there
-        self._class_busy = [0] * self.num_levels
-        self._class_observed = [0] * self.num_levels
         #: smoothed contention-window estimate (total slots, all levels)
         self.cw_estimate = float(self.total_window(0))
         self.updates = 0
@@ -95,30 +90,8 @@ class AdaptiveCW(PriorityBackoff):
         if self._observed() >= self.update_every:
             self._update()
 
-    def observe_span(self, start: int, end: int, interrupted: bool) -> None:
-        """Positional version: attribute slots to priority classes.
-
-        "We start by defining the utilization factor of a CW for
-        real-time handoff traffic to be the number of busy slots
-        observed in the first [alpha_0] slots divided by the size of
-        the current CW [part]..." — generalized per level below.
-        """
-        for level in range(self.num_levels):
-            offset, width = self.window(level, 0)
-            lo = max(start, offset)
-            hi = min(end, offset + width)
-            if hi > lo:
-                self._class_observed[level] += hi - lo
-            if interrupted and offset <= end < offset + width:
-                self._class_busy[level] += 1
-                self._class_observed[level] += 1
-        # aggregate bookkeeping + adaptation trigger
-        super().observe_span(start, end, interrupted)
-
     def observe_outcome(self, success: bool) -> None:
-        if success:
-            self._successes += 1
-        else:
+        if not success:
             self._failures += 1
 
     def _observed(self) -> int:
@@ -131,21 +104,6 @@ class AdaptiveCW(PriorityBackoff):
         if total == 0:
             return 0.0
         return (self._busy_events + self._failures) / total
-
-    def utilization_factor(self, level: int) -> float:
-        """The paper's per-class utilization factor ``u_level``:
-        busy fraction among slots observed inside that priority level's
-        range of the current contention window."""
-        if not 0 <= level < self.num_levels:
-            raise ValueError(f"level {level} out of range")
-        observed = self._class_observed[level]
-        if observed == 0:
-            return 0.0
-        return self._class_busy[level] / observed
-
-    def utilization_factors(self) -> tuple[float, ...]:
-        """All per-class utilization factors, highest priority first."""
-        return tuple(self.utilization_factor(j) for j in range(self.num_levels))
 
     def _update(self) -> None:
         p_busy = min(0.999, self.busy_fraction())
@@ -161,6 +119,3 @@ class AdaptiveCW(PriorityBackoff):
         self._idle_slots = 0
         self._busy_events = 0
         self._failures = 0
-        self._successes = 0
-        self._class_busy = [0] * self.num_levels
-        self._class_observed = [0] * self.num_levels

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from ..mac.frames import FrameType
 from ..obs.jsonutil import JsonRecord
 
 __all__ = [
@@ -48,6 +49,9 @@ FAULT_MODES = ("crash", "freeze")
 
 #: station targeting filters
 FAULT_KINDS = ("any", "voice", "video")
+
+#: the frame kinds a frame-loss rule can name
+_FRAME_TYPES = tuple(ftype.value for ftype in FrameType)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,8 +88,9 @@ class FrameLossRule:
     """Corrupt frames of one type with probability ``probability``.
 
     ``ftype`` is a :class:`~repro.mac.frames.FrameType` value string
-    (``"cf_poll"``, ``"ack"``, ``"cf_end"``, ...).  The rule applies
-    from ``start`` until ``end`` (``None`` = forever).
+    (``"cf_poll"``, ``"ack"``, ``"cf_end"``, ...); any other string is
+    refused, as it would match no frame.  The rule applies from
+    ``start`` until ``end`` (``None`` = forever).
     """
 
     ftype: str
@@ -94,6 +99,10 @@ class FrameLossRule:
     end: float | None = None
 
     def __post_init__(self) -> None:
+        if self.ftype not in _FRAME_TYPES:
+            raise ValueError(
+                f"ftype must be one of {_FRAME_TYPES}, got {self.ftype!r}"
+            )
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(
                 f"probability must be in [0, 1], got {self.probability}"

@@ -68,19 +68,12 @@ class BackoffPolicy:
 
     # -- observation hooks (for adaptive policies) -------------------------
     def observe_slots(self, idle_slots: int, busy_events: int) -> None:
-        """``idle_slots`` counted down, interrupted by ``busy_events``."""
+        """``idle_slots`` counted down, interrupted by ``busy_events``.
 
-    def observe_span(self, start: int, end: int, interrupted: bool) -> None:
-        """Positional observation: slots ``[start, end)`` of the
-        station's current virtual contention window were seen idle; if
-        ``interrupted``, the medium went busy at index ``end``.
-
-        Because draws are absolute indices within the partitioned
-        window, these positions let an adaptive policy attribute busy
-        slots to priority classes (the paper's per-class utilization
-        factors).  The default forwards to :meth:`observe_slots`.
+        The DCF reports each freeze of a countdown as ``(slots, 1)``,
+        zero-slot freezes included, and an expiry with slots left as
+        ``(slots, 0)``.
         """
-        self.observe_slots(max(0, end - start), 1 if interrupted else 0)
 
     def observe_outcome(self, success: bool) -> None:
         """One of our own transmissions succeeded/failed."""

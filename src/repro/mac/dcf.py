@@ -20,9 +20,9 @@ Each idle transition reserves one insertion number
 (:meth:`Simulator.reserve`) for every clock, and a per-station arm
 reserves its own; entries are scheduled with that number and ties go
 to the lower fan-out index, so same-instant ties fire in the order
-per-station timers would.  If a DCF's policy observes idle-slot spans,
-the whole channel counts one station at a time instead, in fan-out
-order, as the spans must arrive.
+per-station timers would.  If a DCF's policy observes idle slots, the
+whole channel counts one station at a time instead, in fan-out order,
+as the observations must arrive.
 
 Faithful-to-the-paper simplifications (single BSS, all stations in
 range):
@@ -75,7 +75,6 @@ class DcfStats:
     drops: int = 0  # frames abandoned after retry_limit
     idle_slots_observed: int = 0
     busy_freezes: int = 0  # countdowns frozen by a busy medium
-    rts_handshakes: int = 0
 
 
 @dataclasses.dataclass
@@ -119,10 +118,11 @@ class _BackoffAgenda(ChannelListener):
     earliest again is scheduled at its same number; ``seq`` is the one
     the last armed idle transition reserved for the clocks.
 
-    ``per_station`` latches when a DCF attaches whose policy observes
-    idle-slot spans, or whose NAV or slot time differs from the first
-    DCF's: from then on every transition reaches every DCF's own
-    ``_freeze``/``_arm``, and the clocks stay empty.
+    Every DCF on the channel shares the first one's NAV and slot time;
+    :meth:`attach` refuses any other.  ``per_station`` latches when a
+    DCF attaches whose policy observes idle slots: from then on every
+    transition reaches every DCF's own ``_freeze``/``_arm``, and the
+    clocks stay empty.
 
     ``loose`` holds DCFs that went NAV-waiting mid-idle; the next busy
     transition puts them on their clocks.  ``head`` is None while
@@ -154,12 +154,20 @@ class _BackoffAgenda(ChannelListener):
     # -- membership ------------------------------------------------------------
     def attach(self, dcf: "DcfTransmitter") -> None:
         """Add ``dcf`` to the fan-out; latch the per-station path if it needs it."""
+        if dcf.nav is not self.nav:
+            raise ValueError(
+                f"DCF {dcf.station_id!r} has its own NAV; "
+                "the DCFs on one channel share one"
+            )
+        if dcf._slot != self.slot:
+            raise ValueError(
+                f"DCF {dcf.station_id!r} counts {dcf._slot} s slots; "
+                f"this channel's DCFs count {self.slot} s slots"
+            )
         dcf._index = self._attached
         self._attached += 1
         self.dcfs.append(dcf)
-        if not self.per_station and (
-            dcf._policy_observes or dcf.nav is not self.nav or dcf._slot != self.slot
-        ):
+        if dcf._policy_observes and not self.per_station:
             for clock in self.clocks.values():
                 for entry in clock.members:
                     self.unclock(entry[2])
@@ -351,12 +359,6 @@ class DcfTransmitter(ChannelListener):
         The BSS-wide NAV (shared with all other stations).
     retry_limit:
         Attempts before a frame is dropped (802.11 long-retry default 7).
-    rts_threshold:
-        DATA frames whose payload exceeds this many bits are protected
-        by an RTS/CTS handshake, so a collision costs only the short
-        RTS instead of the whole frame.  (In this single-BSS model —
-        no hidden terminals, per the paper — that collision-cost
-        reduction is RTS/CTS's only effect.)  Default: disabled.
     """
 
     def __init__(
@@ -369,7 +371,6 @@ class DcfTransmitter(ChannelListener):
         station_id: str,
         nav: Nav,
         retry_limit: int = 7,
-        rts_threshold: float = float("inf"),
     ) -> None:
         self.sim = sim
         self.channel = channel
@@ -379,7 +380,6 @@ class DcfTransmitter(ChannelListener):
         self.station_id = station_id
         self.nav = nav
         self.retry_limit = retry_limit
-        self.rts_threshold = rts_threshold
         self._stats = DcfStats()
 
         # hot-path constants: every derived duration below is a pure
@@ -389,25 +389,17 @@ class DcfTransmitter(ChannelListener):
         # DESIGN.md "Performance")
         self._slot = timing.slot
         self._ack_timeout = timing.sifs + timing.ack_time() + timing.slot
-        self._cts_timeout = (
-            timing.sifs
-            + timing.frame_duration(FrameType.CTS)
-            + timing.slot
-        )
         self._ifs_memo: dict[int, float] = {}
-        # a policy that keeps both observation hooks as the inherited
-        # no-ops is not called with idle-slot spans at all
-        cls = type(policy)
-        self._policy_observes = not (
-            cls.observe_span is BackoffPolicy.observe_span
-            and cls.observe_slots is BackoffPolicy.observe_slots
+        # a policy that keeps the inherited no-op observation hook is
+        # not called with idle-slot counts at all
+        self._policy_observes = (
+            type(policy).observe_slots is not BackoffPolicy.observe_slots
         )
 
         self._queue: collections.deque[_Entry] = collections.deque()
         self._head: _Entry | None = None
         self._stage = 0
         self._slots_left: int | None = None
-        self._draw_value = 0
         self._count_begin: float | None = None
         #: counting down on its own: ``_due`` is in the backoff agenda
         self._armed = False
@@ -526,9 +518,6 @@ class DcfTransmitter(ChannelListener):
         self._slots_left = self.policy.draw_slots(
             self._head.level, stage, self.rng
         )
-        # the draw's absolute position inside the (possibly partitioned)
-        # window, for positional channel observations
-        self._draw_value = self._slots_left
         if self.trace is not None:
             offset, width = self.policy.draw_window(self._head.level, stage)
             self.trace.emit(
@@ -615,11 +604,10 @@ class DcfTransmitter(ChannelListener):
             consumed = int(elapsed / self._slot + _SLOT_EPSILON) if elapsed > 0 else 0
             if consumed > slots_left:
                 consumed = slots_left
-            start = self._draw_value - slots_left
             self._slots_left = slots_left = slots_left - consumed
             self._stats.idle_slots_observed += consumed
             if self._policy_observes:
-                self.policy.observe_span(start, start + consumed, interrupted=True)
+                self.policy.observe_slots(consumed, 1)
         # If our own expiry is due exactly now (counter hit zero at this
         # very slot boundary) we are *also* transmitting in this slot:
         # keep the expiry so the collision actually happens.
@@ -656,8 +644,7 @@ class DcfTransmitter(ChannelListener):
         if slots_left:
             self._stats.idle_slots_observed += slots_left
             if self._policy_observes:
-                start = self._draw_value - slots_left
-                self.policy.observe_span(start, self._draw_value, interrupted=False)
+                self.policy.observe_slots(slots_left, 0)
         self._slots_left = 0
         self._transmit()
 
@@ -667,44 +654,8 @@ class DcfTransmitter(ChannelListener):
         self._in_exchange = True
         self._slots_left = None
         self._stats.attempts += 1
-        if (
-            entry.frame.ftype is FrameType.DATA
-            and entry.frame.payload_bits > self.rts_threshold
-        ):
-            self._send_rts(entry)
-        else:
-            self._send_data(entry)
-
-    def _send_data(self, entry: _Entry) -> None:
-        duration = entry.frame.airtime(self.timing)
-        self.channel.transmit(entry.frame, duration, self, self._data_done)
-
-    # -- RTS/CTS handshake -------------------------------------------------
-    def _send_rts(self, entry: _Entry) -> None:
-        self._stats.rts_handshakes += 1
-        rts = Frame(FrameType.RTS, src=entry.frame.src, dest=entry.frame.dest)
-        self.channel.transmit(
-            rts, rts.airtime(self.timing), self,
-            lambda outcome: self._rts_done(entry, outcome),
-        )
-
-    def _rts_done(self, entry: _Entry, outcome: TxOutcome) -> None:
-        if outcome.ok:
-            self.sim.call_in(self.timing.sifs, self._send_cts, entry)
-        else:
-            # no CTS will arrive; pay only the short CTS timeout
-            self.sim.call_in(self._cts_timeout, self._resolve, False)
-
-    def _send_cts(self, entry: _Entry) -> None:
-        cts = Frame(FrameType.CTS, src=entry.frame.dest, dest=entry.frame.src)
-
-        def after(outcome):
-            if outcome.ok:
-                self.sim.call_in(self.timing.sifs, self._send_data, entry)
-            else:
-                self._resolve(False)
-
-        self.channel.transmit(cts, cts.airtime(self.timing), self, after)
+        frame = entry.frame
+        self.channel.transmit(frame, frame.airtime(self.timing), self, self._data_done)
 
     def _data_done(self, outcome: TxOutcome) -> None:
         entry = self._head

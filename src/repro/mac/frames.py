@@ -25,8 +25,6 @@ class FrameType(enum.Enum):
 
     DATA = "data"  # DCF data MPDU (contention period)
     ACK = "ack"
-    RTS = "rts"  # request-to-send (virtual carrier-sense handshake)
-    CTS = "cts"  # clear-to-send
     REQUEST = "request"  # resource-request MPDU sent in the CP
     BEACON = "beacon"  # starts a CFP
     CF_POLL = "cf_poll"  # polls one station
@@ -101,8 +99,6 @@ _HEADER_BITS: dict[FrameType, int] = {
     FrameType.DATA: 272,
     FrameType.CF_DATA: 272,
     FrameType.ACK: 112,
-    FrameType.RTS: 160,  # 20 octets
-    FrameType.CTS: 112,  # 14 octets
     FrameType.REQUEST: 272,
     FrameType.BEACON: 400,
     FrameType.CF_POLL: 272,

@@ -78,14 +78,10 @@ class PhyTiming:
     def _compute_frame_duration(
         self, ftype: typing.Any, payload_bits: int, extra_bits: int
     ) -> float:
-        from ..mac.frames import _HEADER_BITS, _REQUEST_PAYLOAD_BITS, FrameType
+        from ..mac.frames import _REQUEST_PAYLOAD_BITS, FrameType
 
         if ftype is FrameType.ACK:
             return self.ack_time()
-        if ftype is FrameType.RTS:
-            return self.plcp_time() + _HEADER_BITS[FrameType.RTS] / self.data_rate
-        if ftype is FrameType.CTS:
-            return self.plcp_time() + _HEADER_BITS[FrameType.CTS] / self.data_rate
         if ftype is FrameType.BEACON:
             return self.beacon_time()
         if ftype is FrameType.CF_POLL or ftype is FrameType.CF_END:

@@ -159,7 +159,6 @@ def shrink_genome(
     verdict's signature.
     """
     del settings  # reserved for future window-floor tuning
-    required = set(verdict.signature)
     current, current_verdict = genome, verdict
     used = 0
     progressed = True
@@ -170,10 +169,7 @@ def shrink_genome(
                 break
             candidate_verdict = evaluate_one(candidate)
             used += 1
-            if (
-                candidate_verdict.breached
-                and required <= set(candidate_verdict.signature)
-            ):
+            if candidate_verdict.breached and candidate_verdict.subsumes(verdict):
                 current, current_verdict = candidate, candidate_verdict
                 progressed = True
                 break  # restart the pass list on the simpler genome

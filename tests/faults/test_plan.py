@@ -59,6 +59,12 @@ class TestFrameLossRule:
         with pytest.raises(ValueError):
             FrameLossRule("cf_poll", **kwargs)
 
+    @pytest.mark.parametrize("ftype", ["cf-poll", "CF_POLL", "Ack", "cfpoll", "rts", "cts", ""])
+    def test_a_rule_must_name_a_frame_type(self, ftype):
+        # a misspelt type would match no frame and inject nothing
+        with pytest.raises(ValueError, match="ftype must be one of"):
+            FrameLossRule(ftype, 0.5)
+
 
 class TestStationFault:
     @pytest.mark.parametrize(

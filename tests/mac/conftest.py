@@ -11,7 +11,7 @@ from repro.sim import RandomStreams, Simulator
 class DrawOnlyBackoff(BackoffPolicy):
     """Deterministic policy: pops preset slot counts (then repeats last).
 
-    It observes no idle-slot spans, so its DCFs count their backoff on
+    It observes no idle slots, so its DCFs count their backoff on
     the channel's slot clocks.
     """
 
@@ -32,7 +32,7 @@ class DrawOnlyBackoff(BackoffPolicy):
 class FixedBackoff(DrawOnlyBackoff):
     """:class:`DrawOnlyBackoff` that also records its slot observations.
 
-    Observing spans puts the whole channel on the per-station path.
+    Observing slots puts the whole channel on the per-station path.
     """
 
     def __init__(self, slots):

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.edcf import AifsDifferentiation
-from repro.mac import BackoffPolicy, DcfTransmitter, Frame, FrameType, StandardBEB
+from repro.mac import DcfTransmitter, Frame, FrameType, Nav, StandardBEB
 from repro.mac.backoff import LEVEL_NEW_OR_DATA
-from repro.phy import ChannelListener
+from repro.phy import ChannelListener, PhyTiming
 
 from .conftest import DrawOnlyBackoff, FixedBackoff, MacWorld
 
@@ -38,20 +38,6 @@ def make_tx(world, sid="sta", slots=(0,), retry_limit=7, policy_cls=FixedBackoff
 
 def data_frame(sid, bits=8000, dest="ap"):
     return Frame(FrameType.DATA, src=sid, dest=dest, payload_bits=bits)
-
-
-class SpanBackoff(BackoffPolicy):
-    """Fixed draws; overrides only the positional observation hook."""
-
-    def __init__(self, slots):
-        self.slots = slots
-        self.spans = []
-
-    def draw_slots(self, level, stage, rng):
-        return self.slots
-
-    def observe_span(self, start, end, interrupted):
-        self.spans.append((start, end, interrupted))
 
 
 class Air(ChannelListener):
@@ -309,16 +295,13 @@ def test_departed_engine_starts_no_new_attempt(world, backoff):
 
 
 def test_policies_receive_the_freeze_and_resume_observations(world):
-    # b overrides only observe_slots, c only observe_span: both hooks
-    # must keep arriving, including the zero-width spans of the
-    # freezes in the DATA->ACK gap
-    slots_only, span_only = FixedBackoff([4]), SpanBackoff(6)
-    _, done = contend(world, {"a": FixedBackoff([1]), "b": slots_only, "c": span_only})
+    # every freeze arrives as (slots, 1), including the zero-slot
+    # freezes in the DATA->ACK gap, and the expiry as (slots left, 0)
+    b, c = FixedBackoff([4]), FixedBackoff([6])
+    _, done = contend(world, {"a": FixedBackoff([1]), "b": b, "c": c})
     world.sim.run()
-    assert slots_only.observed == [(1, 1), (0, 1), (3, 0)]
-    assert span_only.spans == [
-        (0, 1, True), (1, 1, True), (1, 4, True), (4, 4, True), (4, 6, False),
-    ]
+    assert b.observed == [(1, 1), (0, 1), (3, 0)]
+    assert c.observed == [(1, 1), (0, 1), (3, 1), (0, 1), (2, 0)]
     assert [sid for sid, ok, _ in done if ok] == ["a", "b", "c"]
     assert world.sim.events_processed == 18
 
@@ -418,7 +401,7 @@ def test_a_departing_head_mid_count_hands_the_entry_to_the_next_countdown(world,
 
 def test_an_observing_policy_arriving_mid_count_gets_every_span(world):
     # a and b observe nothing, so after a's exchange b counts its 4
-    # slots on a slot clock.  c's policy observes spans: when c arrives
+    # slots on a slot clock.  c's policy observes slots: when c arrives
     # the channel goes back to per-station countdowns, b keeps its
     # expiry, and c sees its freezes by b's DATA and ACK
     air = Air(world)
@@ -446,6 +429,21 @@ def test_an_observing_policy_arriving_mid_count_gets_every_span(world):
     assert world.sim.events_processed == 19
 
 
+@pytest.mark.parametrize("own", ["nav", "slot"])
+def test_a_channel_refuses_a_second_nav_or_slot_time(world, own):
+    # the DCFs on one channel count on one NAV and one slot grid
+    make_tx(world, "a")
+    nav, timing = world.nav, world.timing
+    if own == "nav":
+        nav, match = Nav(), "has its own NAV"
+    else:
+        timing, match = PhyTiming(slot=9e-6), "counts 9e-06 s slots"
+    with pytest.raises(ValueError, match=match):
+        DcfTransmitter(world.sim, world.channel, timing, DrawOnlyBackoff([1]),
+                       world.rng("b"), "b", nav)
+    assert [tx.station_id for tx in world.channel.backoff_agenda.dcfs] == ["a"]
+
+
 class ScriptedAifs(AifsDifferentiation):
     """Extra AIFS of 0, 2 and 4 slots by level, with scripted draws."""
 
@@ -459,7 +457,7 @@ class ScriptedAifs(AifsDifferentiation):
 
 class ObservingScriptedAifs(ScriptedAifs):
     def observe_slots(self, idle_slots, busy_events):
-        """Observing spans puts the channel on the per-station path."""
+        """Observing slots puts the channel on the per-station path."""
 
 
 @pytest.mark.parametrize(

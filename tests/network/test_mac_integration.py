@@ -34,7 +34,7 @@ def run_with_transmission_log(scheme="proposed", **cfg_kw):
     return sc, results, log
 
 
-CONTENTION_TYPES = {FrameType.DATA, FrameType.REQUEST, FrameType.RTS}
+CONTENTION_TYPES = {FrameType.DATA, FrameType.REQUEST}
 CFP_TYPES = {FrameType.CF_POLL, FrameType.CF_MULTIPOLL, FrameType.CF_DATA}
 
 
