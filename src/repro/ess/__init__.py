@@ -10,7 +10,7 @@ here to the AP interconnect (primary path + pre-computed disjoint
 alternates, single-fault failover with no re-convergence).
 
 * :mod:`repro.ess.topology` — pure-Python AP graph; max-flow
-  (vertex-split) node-disjoint path finder; deterministic Dijkstra;
+  (vertex-split) node-disjoint path finder;
 * :mod:`repro.ess.routing` — health-aware router with failover and
   per-link metrics;
 * :mod:`repro.ess.cells` — call-level microcell model (ownership,
@@ -37,7 +37,6 @@ from .topology import (
     grid_topology,
     max_disjoint_paths,
     node_disjoint_paths,
-    shortest_path,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "grid_topology",
     "node_disjoint_paths",
     "max_disjoint_paths",
-    "shortest_path",
     "BackhaulRouter",
     "RouteResult",
     "Cell",

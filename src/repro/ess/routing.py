@@ -79,18 +79,6 @@ class BackhaulRouter:
         self.unroutable = 0
 
     # -- link / AP health --------------------------------------------------
-    def set_link_health(self, a: str, b: str, healthy: bool) -> None:
-        if not self.graph.has_link(a, b):
-            raise KeyError(f"no backhaul link {a!r}-{b!r}")
-        key = link_key(a, b)
-        if healthy:
-            self.faulted_links.discard(key)
-        else:
-            self.faulted_links.add(key)
-
-    def link_is_healthy(self, a: str, b: str) -> bool:
-        return link_key(a, b) not in self.faulted_links
-
     def path_is_healthy(self, path: typing.Sequence[str]) -> bool:
         if self.faulted_aps and any(ap in self.faulted_aps for ap in path):
             return False

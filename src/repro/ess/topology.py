@@ -25,7 +25,6 @@ functions of the graph alone.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import typing
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "grid_topology",
     "node_disjoint_paths",
     "max_disjoint_paths",
-    "shortest_path",
 ]
 
 
@@ -160,46 +158,6 @@ def grid_topology(
                     grid_ap_id(r, c - 1), grid_ap_id(r, c), capacity, latency
                 )
     return graph
-
-
-# -- shortest path (deterministic Dijkstra) --------------------------------
-def shortest_path(
-    graph: ApGraph,
-    src: str,
-    dst: str,
-    exclude_nodes: typing.Collection[str] = (),
-    exclude_links: typing.Collection[tuple[str, str]] = (),
-) -> list[str] | None:
-    """Minimum-latency ``src -> dst`` path, or ``None`` when cut off.
-
-    ``exclude_nodes`` never appear as intermediates; ``exclude_links``
-    (canonical :func:`link_key` pairs) are skipped entirely.  Ties
-    break on the lexicographically smallest path, so the result is a
-    pure function of its inputs.
-    """
-    if not graph.has_ap(src) or not graph.has_ap(dst):
-        raise KeyError(f"unknown endpoint {src!r} or {dst!r}")
-    banned = set(exclude_nodes) - {src, dst}
-    cut = {link_key(a, b) for a, b in exclude_links}
-    best: dict[str, tuple[float, tuple[str, ...]]] = {}
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
-    while heap:
-        dist, path = heapq.heappop(heap)
-        node = path[-1]
-        if node == dst:
-            return list(path)
-        seen = best.get(node)
-        if seen is not None and seen <= (dist, path):
-            continue
-        best[node] = (dist, path)
-        for nxt in graph.neighbors(node):
-            if nxt in banned or nxt in path:
-                continue
-            if link_key(node, nxt) in cut:
-                continue
-            step = graph.link(node, nxt).latency
-            heapq.heappush(heap, (dist + step, path + (nxt,)))
-    return None
 
 
 # -- node-disjoint paths via vertex-split max flow --------------------------

@@ -37,7 +37,7 @@ from .scheduler import (
     PointScheduler,
     simulate_schedule,
 )
-from .telemetry import PointRecord, RunTelemetry, phase_utilization
+from .telemetry import PointRecord, RunTelemetry
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -60,5 +60,4 @@ __all__ = [
     "simulate_schedule",
     "PointRecord",
     "RunTelemetry",
-    "phase_utilization",
 ]

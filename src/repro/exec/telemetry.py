@@ -25,24 +25,10 @@ import dataclasses
 import time
 import typing
 
-__all__ = ["PointRecord", "RunTelemetry", "phase_utilization"]
+__all__ = ["PointRecord", "RunTelemetry"]
 
 #: terminal states a point can reach
 STATUSES = ("executed", "cached", "resumed", "failed")
-
-
-def phase_utilization(
-    busy_s: float, workers: int, steady_s: float, drain_capacity_s: float
-) -> float:
-    """Busy worker-seconds over usable capacity (the summary arithmetic).
-
-    ``drain_capacity_s`` is the integral of still-busy workers over the
-    drain window; warm-up contributes no capacity at all (no task can
-    run before the environment handshake).  Pinned by
-    ``tests/exec/test_telemetry_phases.py``.
-    """
-    capacity = max(1, workers) * steady_s + drain_capacity_s
-    return busy_s / capacity if capacity > 0 else 0.0
 
 
 @dataclasses.dataclass(frozen=True)

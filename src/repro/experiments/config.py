@@ -13,8 +13,7 @@ comparisons the figures make are preserved.
 
 from __future__ import annotations
 
-from ..network.bss import DEFAULT_VIDEO, DEFAULT_VOICE, RT_PACKET_BITS, ScenarioConfig
-from ..phy.timing import PhyTiming
+from ..network.bss import DEFAULT_VIDEO, DEFAULT_VOICE, ScenarioConfig
 
 __all__ = [
     "TABLE2",
@@ -88,16 +87,3 @@ def sweep_config(
         voice=DEFAULT_VOICE,
         video=DEFAULT_VIDEO,
     )
-
-
-def phy_overheads(timing: PhyTiming | None = None) -> dict[str, float]:
-    """Derived per-frame costs, for documentation and sanity checks."""
-    t = timing or PhyTiming()
-    return {
-        "rt_exchange_time": (
-            t.poll_time() + t.sifs + t.frame_airtime(RT_PACKET_BITS) + t.sifs
-        ),
-        "data_exchange_time": t.data_exchange_time(1024 * 8),
-        "beacon_time": t.beacon_time(),
-        "poll_time": t.poll_time(),
-    }

@@ -20,9 +20,9 @@ Each idle transition reserves one insertion number
 (:meth:`Simulator.reserve`) for every clock, and a per-station arm
 reserves its own; entries are scheduled with that number and ties go
 to the lower fan-out index, so same-instant ties fire in the order
-per-station timers would.  If a DCF's policy observes idle slots, the
-whole channel counts one station at a time instead, in fan-out order,
-as the observations must arrive.
+per-station timers would.  If a DCF's policy observes idle slots, each
+busy transition reports the slots every countdown it stopped counted,
+in fan-out order, whether the countdown was on a clock or armed alone.
 
 Faithful-to-the-paper simplifications (single BSS, all stations in
 range):
@@ -119,10 +119,9 @@ class _BackoffAgenda(ChannelListener):
     the last armed idle transition reserved for the clocks.
 
     Every DCF on the channel shares the first one's NAV and slot time;
-    :meth:`attach` refuses any other.  ``per_station`` latches when a
-    DCF attaches whose policy observes idle slots: from then on every
-    transition reaches every DCF's own ``_freeze``/``_arm``, and the
-    clocks stay empty.
+    :meth:`attach` refuses any other.  ``observing`` is set once a DCF
+    attaches whose policy observes idle slots: from then on a busy
+    transition reports each stopped countdown's slots to its policy.
 
     ``loose`` holds DCFs that went NAV-waiting mid-idle; the next busy
     transition puts them on their clocks.  ``head`` is None while
@@ -133,7 +132,7 @@ class _BackoffAgenda(ChannelListener):
 
     __slots__ = (
         "sim", "nav", "slot", "dcfs", "armed", "head", "handle", "clocks",
-        "seq", "loose", "per_station", "_attached",
+        "seq", "loose", "observing", "_attached",
     )
 
     def __init__(self, sim: Simulator, channel: Channel, nav: Nav, slot: float) -> None:
@@ -147,13 +146,13 @@ class _BackoffAgenda(ChannelListener):
         self.clocks: dict[float, _SlotClock] = {}
         self.seq = 0
         self.loose: list[DcfTransmitter] = []
-        self.per_station = False
+        self.observing = False
         self._attached = 0
         channel.attach(self)
 
     # -- membership ------------------------------------------------------------
     def attach(self, dcf: "DcfTransmitter") -> None:
-        """Add ``dcf`` to the fan-out; latch the per-station path if it needs it."""
+        """Add ``dcf`` to the fan-out; note whether its policy observes."""
         if dcf.nav is not self.nav:
             raise ValueError(
                 f"DCF {dcf.station_id!r} has its own NAV; "
@@ -167,13 +166,8 @@ class _BackoffAgenda(ChannelListener):
         dcf._index = self._attached
         self._attached += 1
         self.dcfs.append(dcf)
-        if dcf._policy_observes and not self.per_station:
-            for clock in self.clocks.values():
-                for entry in clock.members:
-                    self.unclock(entry[2])
-            self.clocks.clear()
-            self.loose.clear()
-            self.per_station = True
+        if dcf._policy_observes:
+            self.observing = True
 
     def detach(self, dcf: "DcfTransmitter") -> None:
         """Drop ``dcf``'s countdown outside a transition; hand the entry on."""
@@ -259,11 +253,8 @@ class _BackoffAgenda(ChannelListener):
 
     # -- channel listener callbacks ----------------------------------------------
     def on_medium_busy(self, now: float) -> None:
-        if self.per_station:
-            freeze = DcfTransmitter._freeze
-            for dcf in self.dcfs:
-                freeze(dcf, now)
-            return
+        # (fan-out index, slots counted, dcf) of every stopped countdown
+        observed = [] if self.observing else None
         slot = self.slot
         for clock in self.clocks.values():
             if not clock.counting:
@@ -277,6 +268,9 @@ class _BackoffAgenda(ChannelListener):
             # the sender, float-capped counts) take the per-station path
             while members and members[0][0] <= limit:
                 self.unclock(heapq.heappop(members)[2])
+            if observed is not None:
+                slots = limit - clock.consumed
+                observed += [(index, slots, dcf) for _, index, dcf in members]
             clock.consumed = limit
             clock.freezes += 1
             clock.counting = False
@@ -287,22 +281,23 @@ class _BackoffAgenda(ChannelListener):
         armed = self.armed
         if armed:
             for dcf in armed[:]:
-                dcf._freeze(now)
+                slots = dcf._freeze(now)
+                if observed is not None:
+                    observed.append((dcf._index, slots, dcf))
                 if not dcf._armed:
                     self.join(dcf)
         if self.loose:
             for dcf in self.loose:
                 dcf._arm(now)
             self.loose.clear()
+        if observed:
+            observed.sort()  # fan-out indices are unique
+            for _, slots, dcf in observed:
+                dcf.policy.observe_slots(slots, 1)
         if armed and self.head is None:
             self.promote()
 
     def on_medium_idle(self, now: float) -> None:
-        if self.per_station:
-            arm = DcfTransmitter._arm
-            for dcf in self.dcfs:
-                arm(dcf, now)
-            return
         if now < self.nav.until:
             # NAV set: each member without a NAV timer takes its own, in
             # fan-out order
@@ -533,10 +528,8 @@ class DcfTransmitter(ChannelListener):
     def _arm(self, now: float) -> None:
         """Start the backoff countdown if conditions allow.
 
-        Also each DCF's medium-idle step when the agenda counts one
-        station at a time, so the whole arm happens in this one body.
-        On the slot clocks, a countdown that has to wait for the next
-        idle transition waits on its class's clock.
+        A countdown that has to wait for the next idle transition waits
+        on its class's slot clock.
         """
         head = self._head
         if head is None or self._slots_left is None or self._armed:
@@ -547,14 +540,14 @@ class DcfTransmitter(ChannelListener):
         channel = self.channel
         agenda = self._agenda
         if channel._active:
-            if clock is None and not agenda.per_station:
+            if clock is None:
                 agenda.join(self)
             return  # the next idle transition re-arms
         until = self.nav.until
         if now < until:  # NAV set: virtual carrier sense says busy
             if self._nav_timer is None:
                 self._nav_timer = self.sim.call_at(until, self._nav_expired)
-            if clock is None and not agenda.per_station:
+            if clock is None:
                 agenda.loose.append(self)
             return
         if clock is not None:
@@ -588,32 +581,27 @@ class DcfTransmitter(ChannelListener):
         self._nav_timer = None
         self._arm(self.sim._now)
 
-    def _freeze(self, now: float) -> None:
+    def _freeze(self, now: float) -> int:
         """Subtract the whole slots counted before ``now``; stop counting.
 
-        The per-station busy step.  The frozen expiry leaves the agenda
-        without handing the entry on: the same busy transition freezes
-        every other armed DCF.
+        The busy step of an armed countdown; returns the slots it
+        counted, for the agenda to report.  The frozen expiry leaves
+        the agenda without handing the entry on: the same busy
+        transition freezes every other armed DCF.
         """
-        if not self._armed:
-            return
         slots_left = self._slots_left
-        begin = self._count_begin
-        if begin is not None:
-            elapsed = now - begin
-            consumed = int(elapsed / self._slot + _SLOT_EPSILON) if elapsed > 0 else 0
-            if consumed > slots_left:
-                consumed = slots_left
-            self._slots_left = slots_left = slots_left - consumed
-            self._stats.idle_slots_observed += consumed
-            if self._policy_observes:
-                self.policy.observe_slots(consumed, 1)
+        elapsed = now - self._count_begin
+        consumed = int(elapsed / self._slot + _SLOT_EPSILON) if elapsed > 0 else 0
+        if consumed > slots_left:
+            consumed = slots_left
+        self._slots_left = slots_left = slots_left - consumed
+        self._stats.idle_slots_observed += consumed
         # If our own expiry is due exactly now (counter hit zero at this
         # very slot boundary) we are *also* transmitting in this slot:
         # keep the expiry so the collision actually happens.
         if slots_left == 0 and self._due <= now + 1e-15:
             self._count_begin = None
-            return
+            return consumed
         self._stats.busy_freezes += 1
         self._armed = False
         self._count_begin = None
@@ -622,6 +610,7 @@ class DcfTransmitter(ChannelListener):
         if agenda.head is self:
             agenda.handle.cancel()
             agenda.head = agenda.handle = None
+        return consumed
 
     # -- channel listener callback ------------------------------------------------
     def on_frame(self, frame: Frame, ok: bool, now: float) -> None:

@@ -330,7 +330,6 @@ def run_campaign(
                 champ.genome,
                 champ.verdict,
                 evaluate_one,
-                config.settings,
                 max_evals=config.shrink_budget,
             )
             champ.shrunk = shrunk

@@ -26,8 +26,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from ..faults.plan import FrameLossRule
-from .genome import DecodeSettings, ScenarioGenome
+from .genome import ScenarioGenome
 from .objective import BreachVerdict
 
 __all__ = ["shrink_genome"]
@@ -148,7 +147,6 @@ def shrink_genome(
     genome: ScenarioGenome,
     verdict: BreachVerdict,
     evaluate_one: typing.Callable[[ScenarioGenome], BreachVerdict],
-    settings: DecodeSettings | None = None,
     max_evals: int = 48,
 ) -> tuple[ScenarioGenome, BreachVerdict, int]:
     """Minimize ``genome`` while its breach persists.
@@ -158,7 +156,6 @@ def shrink_genome(
     and its signature must contain every kind of the **original**
     verdict's signature.
     """
-    del settings  # reserved for future window-floor tuning
     current, current_verdict = genome, verdict
     used = 0
     progressed = True

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ess import BackhaulRouter, grid_ap_id, grid_topology
+from repro.ess.topology import link_key
 from repro.obs import MetricsRegistry
 
 
@@ -27,7 +28,7 @@ class TestRouting:
     def test_fault_triggers_disjoint_failover(self):
         router = make_router()
         primary = router.paths(A, D)[0]
-        router.set_link_health(primary[0], primary[1], healthy=False)
+        router.faulted_links = {link_key(primary[0], primary[1])}
         result = router.route(A, D)
         assert result is not None and result.failover
         # the alternate shares no intermediate with the primary
@@ -36,24 +37,18 @@ class TestRouting:
 
     def test_unroutable_when_all_paths_cut(self):
         router = make_router()
-        router.set_link_health(A, B, healthy=False)
-        router.set_link_health(A, C, healthy=False)
+        router.faulted_links = {link_key(A, B), link_key(A, C)}
         assert router.route(A, D) is None
         assert router.unroutable == 1
         assert router.routed == 0
 
     def test_health_is_reversible(self):
         router = make_router()
-        router.set_link_health(A, B, healthy=False)
-        assert not router.link_is_healthy(B, A)
-        router.set_link_health(B, A, healthy=True)  # either orientation
-        assert router.link_is_healthy(A, B)
+        router.faulted_links = {link_key(B, A)}  # either orientation
+        assert not router.path_is_healthy((A, B))
+        router.faulted_links = set()
+        assert router.path_is_healthy((A, B))
         assert router.route(A, D).path_index == 0
-
-    def test_unknown_link_health_raises(self):
-        router = make_router()
-        with pytest.raises(KeyError):
-            router.set_link_health(A, D, healthy=False)  # diagonal: no link
 
     def test_reverse_direction_shares_the_path_cache(self):
         router = make_router()
@@ -73,7 +68,7 @@ class TestRouting:
 
     def test_summary_shape(self):
         router = make_router()
-        router.set_link_health(A, B, healthy=False)
+        router.faulted_links = {link_key(A, B)}
         router.route(A, D)
         s = router.summary()
         assert s["routed"] == 1
@@ -84,8 +79,7 @@ class TestRouting:
         metrics = MetricsRegistry(subsystem="ess", seed=1)
         router = make_router(metrics=metrics)
         router.route(A, D)
-        router.set_link_health(A, B, healthy=False)
-        router.set_link_health(A, C, healthy=False)
+        router.faulted_links = {link_key(A, B), link_key(A, C)}
         router.route(A, D)
         counters = metrics.snapshot()["counters"]
         assert any(k.startswith("backhaul_routed") for k in counters)

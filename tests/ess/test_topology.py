@@ -19,7 +19,6 @@ from repro.ess import (
     grid_topology,
     max_disjoint_paths,
     node_disjoint_paths,
-    shortest_path,
 )
 from repro.ess.topology import link_key
 
@@ -125,27 +124,6 @@ class TestGridTopology:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             grid_topology(0, 3)
-
-
-class TestShortestPath:
-    def test_prefers_low_latency(self):
-        g = ApGraph()
-        g.add_link("a", "b", latency=1.0)
-        g.add_link("b", "c", latency=1.0)
-        g.add_link("a", "c", latency=5.0)
-        assert shortest_path(g, "a", "c") == ["a", "b", "c"]
-
-    def test_exclusions(self):
-        g = grid_topology(2, 2)
-        a, b = grid_ap_id(0, 0), grid_ap_id(1, 1)
-        via_01 = shortest_path(g, a, b, exclude_nodes=[grid_ap_id(1, 0)])
-        assert via_01 == [a, grid_ap_id(0, 1), b]
-        cut = [(a, grid_ap_id(0, 1)), (a, grid_ap_id(1, 0))]
-        assert shortest_path(g, a, b, exclude_links=cut) is None
-
-    def test_unknown_endpoint_raises(self):
-        with pytest.raises(KeyError):
-            shortest_path(grid_topology(2, 2), "ap/0x0", "nope")
 
 
 class TestNodeDisjointPaths:

@@ -7,7 +7,7 @@ fails loudly with known-good values on both sides.
 
 import pytest
 
-from repro.exec import PointRecord, RunTelemetry, phase_utilization
+from repro.exec import PointRecord, RunTelemetry
 
 
 def _record(index: int, wall: float, status: str = "executed") -> PointRecord:
@@ -15,32 +15,6 @@ def _record(index: int, wall: float, status: str = "executed") -> PointRecord:
         index=index, scheme="proposed", load=1.0, seed=index,
         status=status, wall_time=wall, attempts=1, sim_events=100,
     )
-
-
-class TestPhaseUtilization:
-    def test_hand_worked_example(self):
-        # 4 workers, 3 s of steady state (12 worker-seconds of capacity)
-        # plus 2 integrated busy-worker-seconds of drain; 10 busy
-        # worker-seconds => 10 / (4*3 + 2)
-        assert phase_utilization(
-            busy_s=10.0, workers=4, steady_s=3.0, drain_capacity_s=2.0
-        ) == pytest.approx(10.0 / 14.0)
-
-    def test_warmup_contributes_no_capacity(self):
-        # warm-up seconds never appear in the denominator: the same
-        # busy/steady/drain numbers give the same answer regardless of
-        # how long the pool took to spawn
-        assert phase_utilization(5.0, 2, 3.0, 1.0) == pytest.approx(5.0 / 7.0)
-
-    def test_zero_capacity_reports_zero(self):
-        assert phase_utilization(0.0, 4, 0.0, 0.0) == 0.0
-
-    def test_full_drain_tail_counts_only_busy_workers(self):
-        # one straggler draining for 4 s on a 4-worker pool adds 4
-        # worker-seconds of capacity, not 16
-        assert phase_utilization(
-            busy_s=8.0, workers=4, steady_s=1.0, drain_capacity_s=4.0
-        ) == pytest.approx(1.0)
 
 
 class TestSummaryArithmetic:
@@ -67,10 +41,9 @@ class TestSummaryArithmetic:
             "warmup_s": 1.5, "steady_s": 3.0, "drain_s": 1.0,
             "capacity_s": 14.0,
         }
-        # set_phases matches the helper given the same split
-        assert summary["worker_utilization"] == pytest.approx(
-            phase_utilization(10.0, 4, 3.0, 2.0)
-        )
+        # 4 workers x 3 s of steady state plus 2 busy-worker-seconds of
+        # drain: warm-up adds no capacity
+        assert summary["worker_utilization"] == pytest.approx(10.0 / 14.0)
 
     def test_serial_runs_fall_back_to_raw(self):
         # no phase split: busy time over the whole run's capacity

@@ -18,7 +18,6 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.config import phy_overheads
 
 
 class TestTables:
@@ -89,10 +88,6 @@ class TestRunner:
         assert lines[0] == "T"
         assert "a" in lines[1] and "b" in lines[1]
         assert "1.235" in lines[3]
-
-    def test_phy_overheads_sane(self):
-        o = phy_overheads()
-        assert 0 < o["poll_time"] < o["rt_exchange_time"]
 
 
 class TestFigures:

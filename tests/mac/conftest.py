@@ -11,8 +11,7 @@ from repro.sim import RandomStreams, Simulator
 class DrawOnlyBackoff(BackoffPolicy):
     """Deterministic policy: pops preset slot counts (then repeats last).
 
-    It observes no idle slots, so its DCFs count their backoff on
-    the channel's slot clocks.
+    It observes no idle slots, so no busy transition reports any.
     """
 
     def __init__(self, slots):
@@ -32,7 +31,7 @@ class DrawOnlyBackoff(BackoffPolicy):
 class FixedBackoff(DrawOnlyBackoff):
     """:class:`DrawOnlyBackoff` that also records its slot observations.
 
-    Observing slots puts the whole channel on the per-station path.
+    Each busy transition reports the slots its countdown counted.
     """
 
     def __init__(self, slots):

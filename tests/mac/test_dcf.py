@@ -1,5 +1,8 @@
 """Unit tests for the DCF CSMA/CA engine."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.core.edcf import AifsDifferentiation
@@ -14,9 +17,9 @@ from .conftest import DrawOnlyBackoff, FixedBackoff, MacWorld
 def backoff():
     """The scripted policy of the contention tests below.
 
-    :class:`FixedBackoff` observes slots, so these tests drive the
-    per-station path; :class:`TestOnTheSlotClock` reruns them with a
-    policy that observes nothing, on the slot clocks.
+    :class:`FixedBackoff` observes slots, so every busy transition
+    reports to it; :class:`TestOnTheSlotClock` reruns the tests with a
+    policy that observes nothing.
     """
     return FixedBackoff
 
@@ -207,7 +210,7 @@ def test_beacon_frame_sets_nav(world, backoff):
 
 
 @pytest.mark.parametrize(
-    "policy_cls", [FixedBackoff, DrawOnlyBackoff], ids=["per-station", "slot-clock"]
+    "policy_cls", [FixedBackoff, DrawOnlyBackoff], ids=["observing", "draw-only"]
 )
 def test_countdowns_the_nav_stopped_resume_in_fan_out_order(world, policy_cls):
     # a beacon freezes a and b with 9 slots left and c with 11.  Their
@@ -349,8 +352,8 @@ def test_three_way_same_slot_tie_collides_then_each_retry_completes(world, backo
 
 class TestOnTheSlotClock:
     """The scripted contention tests again, with a policy that observes
-    nothing: the same times, orders and event counts, counted on the
-    channel's slot clocks."""
+    nothing, so no busy transition reports to it: the same times,
+    orders and event counts on the channel's slot clocks."""
 
     @pytest.fixture
     def backoff(self):
@@ -379,7 +382,7 @@ class TestOnTheSlotClock:
 
 
 @pytest.mark.parametrize(
-    "policy_cls", [FixedBackoff, DrawOnlyBackoff], ids=["per-station", "slot-clock"]
+    "policy_cls", [FixedBackoff, DrawOnlyBackoff], ids=["observing", "draw-only"]
 )
 def test_a_departing_head_mid_count_hands_the_entry_to_the_next_countdown(world, policy_cls):
     # after a's exchange b (4 slots left) and c (6 left) count down
@@ -400,10 +403,10 @@ def test_a_departing_head_mid_count_hands_the_entry_to_the_next_countdown(world,
 
 
 def test_an_observing_policy_arriving_mid_count_gets_every_span(world):
-    # a and b observe nothing, so after a's exchange b counts its 4
-    # slots on a slot clock.  c's policy observes slots: when c arrives
-    # the channel goes back to per-station countdowns, b keeps its
-    # expiry, and c sees its freezes by b's DATA and ACK
+    # a and b observe nothing; after a's exchange b counts its 4 slots
+    # on a slot clock.  c's policy observes slots: c arrives while that
+    # clock counts, b keeps its expiry, and c sees its freezes by b's
+    # DATA and ACK
     air = Air(world)
     txs, done = contend(world, {"a": DrawOnlyBackoff([1]), "b": DrawOnlyBackoff([5])})
     t = world.timing
@@ -457,11 +460,11 @@ class ScriptedAifs(AifsDifferentiation):
 
 class ObservingScriptedAifs(ScriptedAifs):
     def observe_slots(self, idle_slots, busy_events):
-        """Observing slots puts the channel on the per-station path."""
+        """Observes slots, so each busy transition reports to it."""
 
 
 @pytest.mark.parametrize(
-    "policy_cls", [ObservingScriptedAifs, ScriptedAifs], ids=["per-station", "slot-clock"]
+    "policy_cls", [ObservingScriptedAifs, ScriptedAifs], ids=["observing", "draw-only"]
 )
 def test_aifs_levels_count_on_their_own_slot_grids(world, policy_cls):
     # b (AIFS +2) wins at DIFS + 4 slots.  a (AIFS 0) freezes with 5 of
@@ -489,6 +492,121 @@ def test_aifs_levels_count_on_their_own_slot_grids(world, policy_cls):
                for sid, tx in txs.items()}
     assert counted == {"a": (12, 2), "b": (2, 0), "c": (6, 4)}
     assert world.sim.events_processed == 26
+
+
+class RecordingAifs(AifsDifferentiation):
+    """AIFS of 0, 2 and 4 slots on a 16-slot window; records every
+    ``(slots, busy)`` observation."""
+
+    def __init__(self, timing):
+        super().__init__(timing, aifs_slots=(0, 2, 4), cw_min=16)
+        self.observed = []
+
+    def observe_slots(self, idle_slots, busy_events):
+        self.observed.append((idle_slots, busy_events))
+
+
+class PifsBeacon(ChannelListener):
+    """One beacon carrying a ``nav``-second NAV, sent PIFS into the
+    first idle medium from ``at`` on, the way a point coordinator
+    seizes the medium."""
+
+    def __init__(self, world, at, nav):
+        self.world = world
+        self.frame = Frame(FrameType.BEACON, src="ap", dest="*", nav_duration=nav)
+        self.waiting = False
+        self.timer = None
+        world.channel.attach(self)
+        world.sim.call_at(at, self.seize)
+
+    def seize(self):
+        self.waiting = True
+        self.on_medium_idle(self.world.sim.now)
+
+    def on_medium_idle(self, now):
+        channel = self.world.channel
+        if self.waiting and not channel.is_busy:
+            at = max(channel.idle_since + self.world.timing.pifs, now)
+            self.timer = self.world.sim.call_at(at, self.send)
+
+    def on_medium_busy(self, now):
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def send(self):
+        self.waiting = False
+        self.timer = None
+        self.world.channel.transmit(self.frame, self.frame.airtime(self.world.timing),
+                                    sender=None)
+
+
+#: per seed: the shared policy's observation count and sha256, every
+#: DCF's DcfStats fields (enqueued, attempts, successes, failures,
+#: drops, idle_slots_observed, busy_freezes) and the events processed
+CROSS_STATION_PINS = {
+    1: (5626, "198b2577b4b81f5dbed87058f0e74f69792f3d76eb99e22e3c7c2af113971d30", {
+        "beb/0": (369, 473, 368, 105, 0, 5281, 2297),
+        "beb/1": (397, 508, 396, 112, 0, 5117, 2195),
+        "beb/2": (310, 416, 309, 107, 0, 5072, 2363),
+        "obs/0": (337, 442, 336, 106, 0, 5105, 2287),
+        "obs/1": (35, 49, 34, 15, 0, 603, 679),
+        "obs/2": (24, 38, 23, 15, 0, 788, 2168),
+    }, 10651),
+    2: (5536, "907e3255a0bd10eb2b2771361ef214448ac870aad174149eb381c2d2b3c7b18c", {
+        "beb/0": (386, 496, 385, 111, 0, 5408, 2263),
+        "beb/1": (225, 310, 224, 86, 0, 5396, 2603),
+        "beb/2": (375, 504, 374, 129, 0, 5192, 2206),
+        "obs/0": (412, 528, 411, 117, 0, 5368, 2123),
+        "obs/1": (23, 39, 22, 17, 0, 689, 658),
+        "obs/2": (51, 74, 50, 24, 0, 988, 2140),
+    }, 10749),
+    3: (5539, "c158a08ab0297c3e44f42fc27b9619752989667b118efa718b64d325bd97c168", {
+        "beb/0": (338, 463, 337, 126, 0, 5387, 2362),
+        "beb/1": (336, 445, 335, 109, 0, 5298, 2351),
+        "beb/2": (300, 419, 299, 120, 0, 5214, 2388),
+        "obs/0": (415, 519, 414, 105, 0, 5351, 2155),
+        "obs/1": (43, 52, 42, 10, 0, 614, 624),
+        "obs/2": (46, 68, 45, 23, 0, 886, 2160),
+    }, 10818),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CROSS_STATION_PINS))
+def test_observations_of_every_clock_reach_a_shared_policy_in_fan_out_order(seed):
+    # three DCFs share one observing policy, one per AIFS class, so
+    # three slot clocks count; three saturated BEB DCFs with other
+    # frame sizes share the DIFS clock.  A beacon's 10 ms NAV stops
+    # every clock, and the level-1 observer departs mid-run.  The
+    # shared list holds each busy transition's observations in fan-out
+    # order.
+    world = MacWorld(ber=1e-5, seed=seed)
+    t = world.timing
+    PifsBeacon(world, at=0.4, nav=0.01)
+    policy = RecordingAifs(t)
+    txs = {}
+
+    def saturate(sid, policy, bits, level):
+        tx = txs[sid] = DcfTransmitter(world.sim, world.channel, t, policy,
+                                       world.rng(sid), sid, world.nav)
+
+        def again(ok=None):
+            tx.enqueue(data_frame(sid, bits=bits), level, again)
+
+        again()
+
+    for sid, bits in (("beb/0", 3000), ("beb/1", 4500), ("beb/2", 6000)):
+        saturate(sid, StandardBEB(16), bits, LEVEL_NEW_OR_DATA)
+    for level, at in enumerate((0.05, 0.25, 0.45)):
+        world.sim.call_at(at, saturate, f"obs/{level}", policy, 2000, level)
+    world.sim.call_at(0.6, lambda: txs["obs/1"].shutdown())
+    world.sim.run(until=1.5)
+    assert world.nav.until > 0.41  # the beacon went out intact
+    digest = hashlib.sha256(repr(policy.observed).encode()).hexdigest()
+    stats = {sid: dataclasses.astuple(tx.stats) for sid, tx in txs.items()}
+    assert (len(policy.observed), digest, stats, world.sim.events_processed) == (
+        CROSS_STATION_PINS[seed]
+    )
 
 
 def test_standard_beb_window_growth():

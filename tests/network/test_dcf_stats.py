@@ -43,7 +43,7 @@ PINS = {
         "data/7": (472, 636, 471, 165, 0, 13942, 5630),
     }),
     # a figure_sweep point: the proposed scheme's adaptive CW observes
-    # idle slots, so its DCFs count backoff one station at a time
+    # the idle slots its DCFs count on the slot clocks
     "proposed-3.0": (sweep_config("proposed", 3.0, 1, sim_time=6.0, warmup=0.75), {
         "data/0": (286, 320, 285, 34, 0, 2344, 142),
         "data/1": (302, 324, 302, 22, 0, 2049, 117),
