@@ -110,13 +110,13 @@ class _SlotClock:
 class _BackoffAgenda(ChannelListener):
     """The backoff countdowns of every DCF on one channel.
 
-    The channel's only busy/idle listener for its DCFs (``dcfs``, in
-    fan-out order).  A countdown is either on its IFS class's clock in
-    ``clocks`` or a per-station expiry in ``armed``.  Only ``head``,
-    the earliest by ``(due, insertion number, fan-out index)``, has a
-    simulator entry (``handle``).  A displaced head that becomes the
-    earliest again is scheduled at its same number; ``seq`` is the one
-    the last armed idle transition reserved for the clocks.
+    The channel's only busy/idle listener for its DCFs.  A countdown
+    is either on its IFS class's clock in ``clocks`` or a per-station
+    expiry in ``armed``.  Only ``head``, the earliest by ``(due,
+    insertion number, fan-out index)``, has a simulator entry
+    (``handle``).  A displaced head that becomes the earliest again is
+    scheduled at its same number; ``seq`` is the one the last armed
+    idle transition reserved for the clocks.
 
     Every DCF on the channel shares the first one's NAV and slot time;
     :meth:`attach` refuses any other.  ``observing`` is set once a DCF
@@ -131,15 +131,14 @@ class _BackoffAgenda(ChannelListener):
     """
 
     __slots__ = (
-        "sim", "nav", "slot", "dcfs", "armed", "head", "handle", "clocks",
-        "seq", "loose", "observing", "_attached",
+        "sim", "nav", "slot", "armed", "head", "handle", "clocks", "seq",
+        "loose", "observing", "_attached",
     )
 
     def __init__(self, sim: Simulator, channel: Channel, nav: Nav, slot: float) -> None:
         self.sim = sim
         self.nav = nav
         self.slot = slot
-        self.dcfs: list[DcfTransmitter] = []
         self.armed: list[DcfTransmitter] = []
         self.head: DcfTransmitter | None = None
         self.handle: TimerHandle | None = None
@@ -152,7 +151,7 @@ class _BackoffAgenda(ChannelListener):
 
     # -- membership ------------------------------------------------------------
     def attach(self, dcf: "DcfTransmitter") -> None:
-        """Add ``dcf`` to the fan-out; note whether its policy observes."""
+        """Give ``dcf`` its fan-out index; note whether its policy observes."""
         if dcf.nav is not self.nav:
             raise ValueError(
                 f"DCF {dcf.station_id!r} has its own NAV; "
@@ -165,7 +164,6 @@ class _BackoffAgenda(ChannelListener):
             )
         dcf._index = self._attached
         self._attached += 1
-        self.dcfs.append(dcf)
         if dcf._policy_observes:
             self.observing = True
 
@@ -180,7 +178,6 @@ class _BackoffAgenda(ChannelListener):
                 self.handle.cancel()
                 self.head = self.handle = None
                 self.promote()
-        self.dcfs.remove(dcf)
         if dcf in self.loose:
             self.loose = [other for other in self.loose if other is not dcf]
 

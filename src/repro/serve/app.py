@@ -23,14 +23,20 @@ dependencies.  Endpoints:
 ``GET /metrics``
     Prometheus 0.0.4 text exposition of the server's registry:
     per-endpoint request counters, request-latency histogram, result
-    cache hit/miss counters, back-fill counters.
+    cache hit/miss counters, back-fill counters.  Unknown routes and
+    the refusals http.server sends itself share ``endpoint="-"``.
 
 Every endpoint is GET-only; another method gets http.server's 501.
 
+Requests are read without http.server's ``email`` header parser, and
+``Date`` is formatted once a second (:class:`_Handler`): untraced, a
+request's line and headers take 4-7 us (22-28 us in the stdlib) and
+perfbench's median ``query_mix`` request 0.371 ms (0.480 ms).
+
 Concurrency: request handlers share one lock around the index, held
 for one answer.  Untraced answer times on perfbench's ``query_mix``
-grid (medians, shared 2-vCPU Xeon, Python 3.11): 0.04-0.09 ms for
-``operating_point`` and ``handoff_drop_rate``, 0.7-1.2 ms for
+grid (medians, shared 2-vCPU Xeon, Python 3.11): 0.06 ms for
+``operating_point`` and ``handoff_drop_rate``, 1.1 ms for
 ``admissible_calls`` (up to about 30 surface lookups).  The back-fill
 queue is **bounded** with **single-flight dedup by cache key** — a
 thundering herd on one cold coordinate enqueues its points once, and
@@ -39,8 +45,10 @@ overload sheds with 503 rather than queueing without bound.
 
 from __future__ import annotations
 
+import email.parser
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -66,6 +74,12 @@ LATENCY_BUCKETS: tuple[float, ...] = (
 
 #: seconds a 202 reply tells the client to wait before retrying
 RETRY_AFTER_S = 2
+
+#: http.client's limits: bytes per header line, lines per header block
+_MAX_LINE, _MAX_HEADERS = 65536, 100
+#: a header line read without ``email``: an RFC 9110 token, a colon,
+#: then printable ASCII, spaces and tabs
+_HEADER_LINE = re.compile(rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+:[\t\x20-\x7e]*\r?\n")
 
 _STATUS_BY_CODE = {
     "bad_request": 400,
@@ -299,6 +313,15 @@ def _parse_constraints(text: str) -> dict[str, float]:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """One connection's requests.
+
+    ``parse_request`` reads a three-word ``HTTP/1.1`` or ``HTTP/1.0``
+    request line, target not ``//``-prefixed, whose header lines all
+    match ``_HEADER_LINE``; anything else takes the stdlib's path, so
+    refusals and odd requests behave as in http.server.  ``Date`` is
+    formatted once a second; ``send_error`` counts each refusal.
+    """
+
     server: QueryServer  # narrowed for type checkers
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
@@ -308,10 +331,80 @@ class _Handler(BaseHTTPRequestHandler):
     # to that keep-alive round trip
     wbufsize = -1
     disable_nagle_algorithm = True
+    #: perf_counter() when parse_request read the current request line
+    _started = 0.0
+    #: (second, ``Date`` text); one tuple store replaces it: no lock
+    _date = (-1, "")
 
     # -- plumbing ----------------------------------------------------------
     def log_message(self, format: str, *args: typing.Any) -> None:
         pass  # requests are observable via /metrics, not stderr noise
+
+    def parse_request(self) -> bool:
+        """http.server's parse; the common request skips ``email``, and
+        its ``self.headers`` keeps only ``Connection`` and ``Expect``,
+        the two this method acts on (nothing in serve reads headers)."""
+        self._started = time.perf_counter()
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if (len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0")
+                or words[1].startswith("//")):
+            return super().parse_request()
+        self.command, self.path, self.request_version = words
+        self.requestline = requestline
+        self.close_connection = self.request_version == "HTTP/1.0"
+        lines: list[bytes] = []
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Line too long", "got more than "
+                                f"{_MAX_LINE} bytes when reading header line")
+                return False
+            lines.append(line)
+            if len(lines) > _MAX_HEADERS:
+                self.send_error(431, "Too many headers",
+                                f"got more than {_MAX_HEADERS} headers")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+        self.headers = headers = self.MessageClass()
+        for line in lines[:-1]:
+            if _HEADER_LINE.fullmatch(line) is None:
+                self.headers = headers = email.parser.Parser(
+                    _class=self.MessageClass
+                ).parsestr(b"".join(lines).decode("iso-8859-1"))
+                break
+            name, _, value = line.partition(b":")
+            if name.lower() in (b"connection", b"expect"):
+                # compat32 strips leading blanks and the line end only
+                value = value.lstrip(b" \t").rstrip(b"\r\n")
+                headers[name.decode()] = value.decode()
+        conntype = headers.get("Connection", "").lower()
+        if conntype == "close":
+            self.close_connection = True
+        elif conntype == "keep-alive":
+            self.close_connection = False
+        if (headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version == "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def date_time_string(self, timestamp: float | None = None) -> str:
+        """The ``Date`` header, formatted once a second."""
+        if timestamp is not None:
+            return super().date_time_string(timestamp)
+        second = int(time.time())
+        date = _Handler._date
+        if date[0] != second:
+            date = _Handler._date = (second, super().date_time_string(second))
+        return date[1]
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        # a 414 is refused before parse_request takes the clock
+        started = time.perf_counter() if code == 414 else self._started
+        super().send_error(code, message, explain)
+        self._observe("-", int(code), started)
 
     def _send(
         self,
@@ -353,7 +446,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoints ---------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 — http.server contract
-        started = time.perf_counter()
         split = urllib.parse.urlsplit(self.path)
         endpoint = split.path.rstrip("/") or "/"
         status = 500
@@ -367,11 +459,13 @@ class _Handler(BaseHTTPRequestHandler):
             elif endpoint == "/query":
                 status = self._query(split)
             else:
+                # one label for unknown routes: no raw path in a metric key
+                route, endpoint = endpoint, "-"
                 status = 404
                 self._send_json(
                     404,
                     {"error": {"code": "not_found",
-                               "message": f"no route {endpoint}"}},
+                               "message": f"no route {route}"}},
                 )
         except ConnectionError:  # client went away: nobody to answer
             return
@@ -382,7 +476,7 @@ class _Handler(BaseHTTPRequestHandler):
                 {"error": {"code": "internal", "message": repr(exc)}},
             )
         finally:
-            self._observe(endpoint, status, started)
+            self._observe(endpoint, status, self._started)
 
     def _healthz(self) -> int:
         with self.server.lock:

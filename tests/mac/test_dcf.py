@@ -444,7 +444,11 @@ def test_a_channel_refuses_a_second_nav_or_slot_time(world, own):
     with pytest.raises(ValueError, match=match):
         DcfTransmitter(world.sim, world.channel, timing, DrawOnlyBackoff([1]),
                        world.rng("b"), "b", nav)
-    assert [tx.station_id for tx in world.channel.backoff_agenda.dcfs] == ["a"]
+    # the refused DCF never joined the channel or its agenda
+    attached = [listener.station_id for listener in world.channel._listeners
+                if isinstance(listener, DcfTransmitter)]
+    assert attached == ["a"]
+    assert world.channel.backoff_agenda._attached == 1
 
 
 class ScriptedAifs(AifsDifferentiation):

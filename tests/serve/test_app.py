@@ -1,6 +1,7 @@
 """The HTTP serving layer, end to end over a real socket."""
 
 import json
+import re
 import socket
 import struct
 import sys
@@ -8,12 +9,14 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
 from repro.exec import ResultCache, config_key
 from repro.experiments import sweep_config
 from repro.serve import SurfaceIndex, answer_query, build_server
+from repro.serve.app import _Handler
 
 
 def _row(load, seed):
@@ -88,8 +91,6 @@ class TestEndpoints:
         _get(server.url + "/healthz")
         status, body = _get(server.url + "/metrics")
         assert status == 200
-        import re
-
         sample = re.compile(
             r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9.einf+]+$'
         )
@@ -101,6 +102,31 @@ class TestEndpoints:
         assert "# TYPE serve_requests_total counter" in text
         assert "# TYPE serve_request_seconds histogram" in text
         assert 'le="+Inf"' in text
+
+    def test_refusals_and_unknown_routes_share_one_label(self, server):
+        address = server.server_address[:2]
+        _exchange(address, b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                           b"Content-Length: 2\r\n\r\n{}")
+        _exchange(address, b"GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n")
+        _exchange(address, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+        for path in ("/scan-0", "/scan,a=b"):
+            assert _get(server.url + path)[0] == 404
+        _status, body = _get(server.url + "/metrics")
+        text = body.decode()
+        # the probe after each raw request went unanswered: not counted
+        assert 'serve_requests_total{endpoint="-",status="501"} 1' in text
+        assert 'serve_requests_total{endpoint="-",status="505"} 1' in text
+        assert 'serve_requests_total{endpoint="-",status="414"} 1' in text
+        assert 'serve_requests_total{endpoint="-",status="404"} 2' in text
+        counts = re.findall(
+            r'^serve_request_seconds_count\{endpoint="([^"]*)"\} (\d+)$',
+            text, re.M,
+        )
+        assert [n for label, n in counts if label == "-"] == ["5"]
+        endpoints = set(re.findall(r'endpoint="([^"]*)"', text))
+        assert endpoints <= {"/query", "/healthz", "/surfaces", "/metrics",
+                             "-"}
+        assert "scan" not in text
 
 
 class TestQueries:
@@ -245,6 +271,179 @@ class TestOneWrite:
         status, _body = _get(server.url + "/healthz")
         assert status == 200
         assert "Traceback" not in capsys.readouterr().err
+
+
+class _StdlibHandler(_Handler):
+    """The handler with http.server's own request parsing and Date."""
+
+    parse_request = BaseHTTPRequestHandler.parse_request
+    date_time_string = BaseHTTPRequestHandler.date_time_string
+
+
+#: sent after each case on the same socket: only a connection the case
+#: left open answers it
+_PROBE = b"GET /probe HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+_PROBE_REPLY = b"HTTP/1.1 404 Not Found\r\n"
+_HEAD = b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+_HEAD_10 = b"GET /healthz HTTP/1.0\r\nHost: x\r\n"
+_OK = ("HTTP/1.1 200 OK",)
+_CLOSE = b"Connection: close\r\n"
+
+# (raw request, status lines of its reply, connection kept open)
+_RAW_CASES = {
+    "http11-keeps-alive": (_HEAD + b"\r\n", _OK, True),
+    "connection-close": (_HEAD + _CLOSE + b"\r\n", _OK, False),
+    "close-any-case": (_HEAD + b"CONNECTION: CLOSE\r\n\r\n", _OK, False),
+    "close-after-tab": (_HEAD + b"Connection:\tclose\r\n\r\n", _OK, False),
+    "http10-closes": (_HEAD_10 + b"\r\n", _OK, False),
+    "http10-keep-alive": (
+        _HEAD_10 + b"Connection: keep-alive\r\n\r\n", _OK, True),
+    "first-connection-wins": (
+        _HEAD + b"Connection: keep-alive\r\n" + _CLOSE + b"\r\n", _OK, True),
+    "close-trailing-spaces": (
+        _HEAD + b"Connection: Close  \r\n\r\n", _OK, True),
+    "space-before-colon": (_HEAD + b"Connection :close\r\n\r\n", _OK, True),
+    "folded-close": (_HEAD + b"Connection:\r\n close\r\n\r\n", _OK, True),
+    "colon-less-line": (_HEAD + b"bogus\r\n" + _CLOSE + b"\r\n", _OK, True),
+    "empty-name": (_HEAD + b": x\r\n" + _CLOSE + b"\r\n", _OK, False),
+    "from-line": (_HEAD + b"From me\r\n" + _CLOSE + b"\r\n", _OK, False),
+    "vertical-tab-value": (
+        _HEAD + b"X-Note: a\x0bb\r\n" + _CLOSE + b"\r\n", _OK, False),
+    "bare-cr-value": (
+        _HEAD + b"X-Note: a\rb\r\n" + _CLOSE + b"\r\n", _OK, True),
+    "latin1-value": (
+        _HEAD + b"X-Note: caf\xe9\r\n" + _CLOSE + b"\r\n", _OK, False),
+    "lf-only": (
+        b"GET /healthz HTTP/1.1\nHost: x\nConnection: close\n\n", _OK, False),
+    "expect-100-http11": (
+        _HEAD + b"Expect: 100-Continue\r\n\r\n",
+        ("HTTP/1.1 100 Continue", "HTTP/1.1 200 OK"), True),
+    "expect-100-http10": (
+        _HEAD_10 + b"Expect: 100-continue\r\n\r\n", _OK, False),
+    "post-with-body": (
+        b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}",
+        ("HTTP/1.1 501 Unsupported method ('POST')",), False),
+    "head": (
+        b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        ("HTTP/1.1 501 Unsupported method ('HEAD')",), False),
+    "lowercase-get": (
+        b"get /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        ("HTTP/1.1 501 Unsupported method ('get')",), False),
+    "double-slash-target": (
+        b"GET //healthz HTTP/1.1\r\nHost: x\r\n\r\n", _OK, True),
+    # the stdlib refuses these before it takes the version: no status line
+    "http2-is-505": (b"GET /healthz HTTP/2.0\r\nHost: x\r\n\r\n", (), False),
+    "bad-version-is-400": (
+        b"GET /healthz HTTX/1.1\r\nHost: x\r\n\r\n", (), False),
+    "four-words": (
+        b"GET /healthz extra HTTP/1.1\r\nHost: x\r\n\r\n",
+        ("HTTP/1.1 400 Bad request syntax "
+         "('GET /healthz extra HTTP/1.1')",), False),
+    "nbsp-in-target": (
+        b"GET /heal\xa0thz HTTP/1.1\r\nHost: x\r\n\r\n",
+        ("HTTP/1.1 400 Bad request syntax "
+         "('GET /heal\\xa0thz HTTP/1.1')",), False),
+    "request-line-too-long": (
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+        ("HTTP/1.1 414 Request-URI Too Long",), False),
+    "header-line-too-long": (
+        _HEAD + b"X-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+        ("HTTP/1.1 431 Line too long",), False),
+    "100-header-lines": (
+        _HEAD + b"".join(b"X-%d: v\r\n" % i for i in range(99)) + b"\r\n",
+        ("HTTP/1.1 431 Too many headers",), False),
+    "99-header-lines": (
+        _HEAD + b"".join(b"X-%d: v\r\n" % i for i in range(98)) + b"\r\n",
+        _OK, True),
+    "http09": (b"GET /healthz\r\n\r\n", (), False),
+    "blank-request-line": (b"\r\n", (), False),
+}
+
+
+def _exchange(address, raw):
+    """Send ``raw`` then the probe on a fresh socket; read to EOF."""
+    with socket.create_connection(address, timeout=10) as sock:
+        try:
+            sock.sendall(raw)
+            sock.sendall(_PROBE)
+        except ConnectionError:
+            pass  # refused mid-send: the reply is still readable
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # closed on unread bytes
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestRawRequests:
+    """Each raw request's reply, pinned and matched to the stdlib's."""
+
+    @pytest.fixture(scope="class")
+    def servers(self, tmp_path_factory):
+        cache = tmp_path_factory.mktemp("raw") / "cache"
+        _seed(cache)
+        served, reference = (
+            build_server(str(cache), port=0, backfill=False)
+            for _ in range(2)
+        )
+        reference.RequestHandlerClass = _StdlibHandler
+        threads = [
+            threading.Thread(target=srv.serve_forever, daemon=True)
+            for srv in (served, reference)
+        ]
+        for thread in threads:
+            thread.start()
+        yield served, reference
+        for srv in (served, reference):
+            srv.stop()
+        for thread in threads:
+            thread.join(timeout=10)
+
+    @pytest.mark.parametrize(
+        "raw, status_lines, kept_open",
+        list(_RAW_CASES.values()),
+        ids=list(_RAW_CASES),
+    )
+    def test_reply_matches_the_stdlib(
+        self, servers, raw, status_lines, kept_open
+    ):
+        served, reference = servers
+        reply = _exchange(served.server_address[:2], raw)
+        answered_probe = reply.endswith(b'"no route /probe"}}\n')
+        case_reply = (
+            reply[:reply.rindex(_PROBE_REPLY)] if answered_probe else reply
+        )
+        found = re.findall(rb"^HTTP/1\.1 \d{3}[^\r\n]*", case_reply, re.M)
+        assert tuple(line.decode("latin-1") for line in found) == (
+            status_lines
+        )
+        assert answered_probe is kept_open
+
+        def masked(text):
+            return re.sub(rb"\r\nDate: [^\r]*", b"\r\nDate: -", text)
+
+        expected = _exchange(reference.server_address[:2], raw)
+        assert masked(reply) == masked(expected)
+
+
+def test_date_is_formatted_once_a_second(monkeypatch):
+    handler = _Handler.__new__(_Handler)
+    stdlib = BaseHTTPRequestHandler.date_time_string
+    now = [1_700_000_000.25]
+    monkeypatch.setattr(_Handler, "_date", (-1, ""))
+    monkeypatch.setattr(time, "time", lambda: now[0])
+    first = handler.date_time_string()
+    assert first == stdlib(handler, 1_700_000_000.25)
+    now[0] = 1_700_000_000.75
+    assert handler.date_time_string() is first
+    now[0] = 1_700_000_001.0
+    assert handler.date_time_string() == stdlib(handler, 1_700_000_001.0)
+    assert handler.date_time_string(86_400.0) == stdlib(handler, 86_400.0)
 
 
 class TestBackfill:
