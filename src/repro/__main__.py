@@ -151,7 +151,6 @@ def _run_grid(args: argparse.Namespace, label: str, job):
         executor = SweepExecutor(
             ExecutorConfig(
                 workers=args.workers,
-                schedule=args.schedule,
                 cache_dir=None if args.no_cache else args.cache_dir,
                 journal=args.journal,
                 resume=args.resume,
@@ -204,7 +203,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     import cProfile
-    import json
     import os
     import pstats
     import time
@@ -240,17 +238,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     lines = scenario.trace.export_jsonl(trace_path)
     validated = validate_trace_file(trace_path)
     assert validated == lines
-    metrics_path = os.path.join(args.out_dir, "metrics.json")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "final": scenario.metrics.snapshot(now=cfg.sim_time),
-                "periodic": scenario.metrics.snapshots,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+    metrics_path = write_json(
+        os.path.join(args.out_dir, "metrics.json"),
+        {
+            "final": scenario.metrics.snapshot(now=cfg.sim_time),
+            "periodic": scenario.metrics.snapshots,
+        },
+    )
 
     print(f"trace written to {trace_path} ({lines} events, schema ok)")
     print(f"metrics written to {metrics_path} "
@@ -411,7 +405,6 @@ def _cmd_redteam(args: argparse.Namespace) -> int:
         executor = SweepExecutor(
             ExecutorConfig(
                 workers=args.workers,
-                schedule=args.schedule,
                 timeout=args.timeout,
                 on_failure="skip",
             )
@@ -433,6 +426,12 @@ def _cmd_redteam(args: argparse.Namespace) -> int:
     print(f"  campaign report written to {path}", file=sys.stderr)
     print(report.render())
     return 2 if report.new_unarchived else 0
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import run_gate
+
+    return run_gate(args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -487,13 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` parser, every subcommand and flag included.
 
     Flags that several commands share are declared once, on argparse
-    parent parsers: ``--workers``; ``--cache-dir``; the pool flags
-    (``--schedule``, ``--timeout``); the cached-grid flags (``--resume``,
-    ``--no-cache``, and ``--journal``, whose default names the command:
+    parent parsers: ``--workers``; ``--cache-dir``; the pool flag
+    ``--timeout``; the cached-grid flags (``--resume``, ``--no-cache``,
+    and ``--journal``, whose default names the command:
     ``.repro-cache/<command>-journal.jsonl``); and the single-BSS
     scenario flags of ``quick`` and ``trace``.
     """
-    from .exec.scheduler import SCHEDULE_POLICIES
+    from .bench.gate import DEFAULT_BASELINE, MIN_SWEEP_SPEEDUP
     from .network.bss import SCHEMES
     from .obs import CATEGORIES
 
@@ -506,10 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="result cache directory "
                                 "(default: .repro-cache)")
     pool = _flags(workers)
-    pool.add_argument("--schedule", default="cost",
-                      choices=list(SCHEDULE_POLICIES),
-                      help="dispatch order in pool mode: grid order (fifo) "
-                           "or longest-expected-first (cost, default)")
     pool.add_argument("--timeout", type=float, default=None,
                       help="per-point wall-clock budget in s (pool mode)")
 
@@ -714,13 +709,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="back-fill queue depth before shedding "
                             "(default: 64)")
 
-    # listed for --help only: main() hands ``bench`` to the gate, which
-    # owns its flag set (repro.bench.gate.build_parser)
-    sub.add_parser(
+    bench = sub.add_parser(
         "bench",
-        help="perf microbenchmarks + regression gate (see bench --help)",
-        add_help=False,
+        help="perf microbenchmarks + regression gate",
+        description="kernel perf benchmarks + regression gate",
     )
+    bench.add_argument("--baseline", default=DEFAULT_BASELINE,
+                       help=f"committed baseline (default: {DEFAULT_BASELINE})")
+    bench.add_argument("--out", default=".repro-cache/bench-report.json",
+                       help="where the fresh report is written")
+    bench.add_argument("--tolerance", type=float, default=0.10,
+                       help="relative throughput/allocation slack "
+                            "(default: 0.10; CI uses 0.25)")
+    bench.add_argument("--with-sweep", action="store_true",
+                       help="also measure the serial-vs-pool sweep "
+                            "section; on a machine with a core per pool "
+                            "worker, fail unless the pool is "
+                            f"{MIN_SWEEP_SPEEDUP:g}x faster")
+    bench.add_argument("--update", action="store_true",
+                       help="rewrite the baseline from this run and exit 0")
     return parser
 
 
@@ -732,6 +739,7 @@ _HANDLERS = {
     "validate": _cmd_tier,
     "chaos": _cmd_tier,
     "trace": _cmd_trace,
+    "bench": _cmd_bench,
     "ess": _cmd_ess,
     "redteam": _cmd_redteam,
     "serve": _cmd_serve,
@@ -739,16 +747,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw = sys.argv[1:] if argv is None else list(argv)
-    if raw[:1] == ["bench"]:
-        # argparse's REMAINDER cannot forward leading optionals through
-        # a subparser, so the gate parses its own arguments
-        from .bench import main as bench_main
-
-        return bench_main(raw[1:])
-
     parser = build_parser()
-    args = parser.parse_args(raw)
+    args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()
         return 0

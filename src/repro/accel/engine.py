@@ -92,8 +92,6 @@ def fast_path_refusal(config: ScenarioConfig) -> str | None:
         or config.handoff_video_rate != 0.0
     ):
         return "a real-time call rate is not zero"
-    if config.mobility != "poisson":
-        return f"mobility {config.mobility!r} is not 'poisson'"
     if config.faults is not None:
         return "a fault plan is attached"
     if config.trace is not None:

@@ -21,7 +21,7 @@ from .gate import (
     DEFAULT_BASELINE,
     compare,
     load_report,
-    main,
+    run_gate,
     run_parallel_sweep,
 )
 from .micro import BENCHMARKS, run_benchmark, run_benchmarks
@@ -31,8 +31,8 @@ __all__ = [
     "DEFAULT_BASELINE",
     "compare",
     "load_report",
-    "main",
     "run_benchmark",
     "run_benchmarks",
+    "run_gate",
     "run_parallel_sweep",
 ]

@@ -21,7 +21,8 @@ Wall-clock numbers are machine-relative; CI therefore runs the gate
 with a generous tolerance (``--tolerance 0.25``).  End-to-end wall time
 is perfbench's: its calibrated ``cost_ms`` bounds time the full-stack
 workloads.  ``--update`` rewrites the baseline deliberately, in the
-shape above.
+shape above.  The flags are declared with the rest of the CLI, on the
+``bench`` subparser in :mod:`repro.__main__`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ __all__ = [
     "MIN_BATCHED_SPEEDUP",
     "MIN_SWEEP_SPEEDUP",
     "compare",
-    "build_parser",
     "load_report",
-    "main",
+    "run_gate",
 ]
 
 #: committed baseline, relative to the repository root / current dir
@@ -184,34 +184,9 @@ def run_accel_section(results: dict[str, typing.Any]) -> dict[str, typing.Any]:
 
 # -- CLI ---------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro bench`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="kernel perf benchmarks + regression gate",
-    )
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help=f"committed baseline (default: {DEFAULT_BASELINE})")
-    parser.add_argument("--out", default=".repro-cache/bench-report.json",
-                        help="where the fresh report is written")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="relative throughput/allocation slack "
-                             "(default: 0.10; CI uses 0.25)")
-    parser.add_argument("--with-sweep", action="store_true",
-                        help="also measure the serial-vs-pool sweep "
-                             "section; on a machine with a core per pool "
-                             "worker, fail unless the pool is "
-                             f"{MIN_SWEEP_SPEEDUP:g}x faster")
-    parser.add_argument("--update", action="store_true",
-                        help="rewrite the baseline from this run and exit 0")
-    return parser
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro bench`` entry."""
+def run_gate(args: argparse.Namespace) -> int:
+    """``python -m repro bench``: ``args`` holds its parsed flags."""
     import sys
-
-    args = build_parser().parse_args(argv)
 
     def progress(name: str, entry: dict) -> None:
         print(

@@ -38,7 +38,10 @@ class AdaptiveCW(PriorityBackoff):
 
     Instances can be shared by any number of DCF engines; the
     observations simply pool, matching the fact that every station of a
-    single BSS sees the same channel.
+    single BSS sees the same channel.  The estimate of ``n`` reads every
+    busy slot as a contender running this window, so a channel's DCFs
+    must all share the one instance: a channel refuses a DCF with any
+    other policy beside it (``infers_contenders``).
 
     Parameters
     ----------
@@ -53,6 +56,8 @@ class AdaptiveCW(PriorityBackoff):
     alphas, beta, max_stage_:
         Forwarded to :class:`PriorityBackoff`.
     """
+
+    infers_contenders = True
 
     def __init__(
         self,

@@ -433,10 +433,9 @@ def run_ess(
     frame-level grid is dispatched through it, so workers, caching,
     resume and cost-aware scheduling all apply to ESS sharding exactly
     as to figure sweeps.  Shards vary widely in cost (a cell-epoch with
-    many handoff arrivals simulates far more traffic), which is why the
-    default executor uses the ``cost`` schedule: its prior includes a
-    per-handoff-arrival term, so heavy shards dispatch first instead of
-    straggling at the tail of the epoch.
+    many handoff arrivals simulates far more traffic); the scheduler's
+    cost prior includes a per-handoff-arrival term, so heavy shards
+    dispatch first instead of straggling at the tail of the epoch.
     """
     coordinator = EssCoordinator(config)
     coordinator.run()
@@ -445,6 +444,6 @@ def run_ess(
         if executor is None:
             from ..exec import ExecutorConfig, SweepExecutor
 
-            executor = SweepExecutor(ExecutorConfig(schedule="cost"))
+            executor = SweepExecutor(ExecutorConfig())
         frames_rows = executor.run(coordinator.frames_grid())
     return coordinator.report(frames_rows)

@@ -31,12 +31,7 @@ from .executor import (
 from .hashing import KEY_FORMAT, canonical_json, config_key, jsonable, normalize_row
 from .journal import SweepJournal
 from .pool import WorkerPool
-from .scheduler import (
-    SCHEDULE_POLICIES,
-    CostModel,
-    PointScheduler,
-    simulate_schedule,
-)
+from .scheduler import CostModel, PointScheduler, simulate_schedule
 from .telemetry import PointRecord, RunTelemetry
 
 __all__ = [
@@ -54,7 +49,6 @@ __all__ = [
     "normalize_row",
     "SweepJournal",
     "WorkerPool",
-    "SCHEDULE_POLICIES",
     "CostModel",
     "PointScheduler",
     "simulate_schedule",

@@ -44,7 +44,7 @@ from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .hashing import config_key, normalize_row
 from .journal import SweepJournal
 from .pool import WorkerPool
-from .scheduler import SCHEDULE_POLICIES, PointScheduler
+from .scheduler import PointScheduler
 from .telemetry import PointRecord, RunTelemetry
 
 __all__ = [
@@ -131,8 +131,9 @@ class ExecutorConfig:
     resume: bool = False
     #: ``"raise"`` a :class:`SweepExecutionError` or ``"skip"`` failed points
     on_failure: str = "raise"
-    #: dispatch order in pool mode: ``"cost"`` = longest-expected-first
-    #: with online refinement (default), ``"fifo"`` = grid order
+    #: dispatch order in pool mode: ``"cost"``, longest-expected-first
+    #: with online refinement, is the only one.  The field stays because
+    #: perfbench's ``figure_sweep`` passes it
     schedule: str = "cost"
     #: per-worker-slot restart budget: how many times one slot may be
     #: respawned (crash or wedge) before it is retired for the run.
@@ -165,11 +166,8 @@ class ExecutorConfig:
             raise ValueError(
                 f"on_failure must be 'raise' or 'skip', got {self.on_failure!r}"
             )
-        if self.schedule not in SCHEDULE_POLICIES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULE_POLICIES}, "
-                f"got {self.schedule!r}"
-            )
+        if self.schedule != "cost":
+            raise ValueError(f"schedule must be 'cost', got {self.schedule!r}")
 
 
 class SweepExecutor:
@@ -339,7 +337,7 @@ class SweepExecutor:
         self, configs, keys, rows, pending, cache, journal, tel, failures
     ) -> None:
         cfg = self.config
-        scheduler = PointScheduler(cfg.schedule)
+        scheduler = PointScheduler()
         attempts: dict[int, int] = {}
         for i in pending:
             attempts[i] = 0

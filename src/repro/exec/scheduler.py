@@ -4,7 +4,7 @@ The warm-worker pool (:mod:`repro.exec.pool`) dispatches one point per
 idle worker, so the only scheduling decision is *which pending point
 starts next*.  Dispatching longest-expected-first (LPT order) keeps a
 long point from being picked up last and straggling the whole sweep's
-tail; FIFO order is retained for debugging (``--schedule fifo``).
+tail.
 
 Everything here is a pure-python model — no processes — so the same
 :class:`PointScheduler` object both drives the live pool and is
@@ -23,26 +23,21 @@ Scheduler invariants (the property tests pin both):
 * **greedy dispatch** — no worker sits idle while the queue is
   non-empty (list scheduling: whichever worker frees first takes the
   scheduler's next point immediately);
-* **LPT tail bound** — for longest-first order the simulated makespan
-  never exceeds Graham's ``(4/3 - 1/(3m)) x OPT`` guarantee, and any
-  greedy order satisfies ``makespan <= total/m + max_cost``.
+* **LPT tail bound** — the simulated makespan never exceeds Graham's
+  ``(4/3 - 1/(3m)) x OPT`` guarantee, nor the greedy bound
+  ``total/m + max_cost``.
 """
 
 from __future__ import annotations
 
-import collections
 import heapq
 import typing
 
 __all__ = [
-    "SCHEDULE_POLICIES",
     "CostModel",
     "PointScheduler",
     "simulate_schedule",
 ]
-
-#: accepted ``ExecutorConfig.schedule`` values
-SCHEDULE_POLICIES = ("fifo", "cost")
 
 
 class CostModel:
@@ -90,29 +85,18 @@ class CostModel:
 
 
 class PointScheduler:
-    """The pending-point queue: FIFO or refined longest-expected-first.
+    """The pending-point queue, refined longest-expected-first.
 
     ``pop()`` re-evaluates estimates at dispatch time, so cost
     refinements observed *after* a point was added still reorder it.
-    Ties (and the whole queue under ``fifo``) resolve in arrival
-    order, keeping dispatch deterministic for a fixed completion
-    history.
+    Ties resolve in arrival order, keeping dispatch deterministic for a
+    fixed completion history.
     """
 
-    def __init__(
-        self, policy: str = "cost", model: CostModel | None = None
-    ) -> None:
-        if policy not in SCHEDULE_POLICIES:
-            raise ValueError(
-                f"schedule must be one of {SCHEDULE_POLICIES}, got {policy!r}"
-            )
-        self.policy = policy
+    def __init__(self, *, model: CostModel | None = None) -> None:
         self.model = model or CostModel()
-        self._pending: "collections.OrderedDict[int, typing.Any]" = (
-            collections.OrderedDict()
-        )
-        self._arrival: dict[int, int] = {}
-        self._seq = 0
+        #: pending configs by point index, in arrival order
+        self._pending: dict[int, typing.Any] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -125,27 +109,16 @@ class PointScheduler:
         if index in self._pending:
             raise ValueError(f"point #{index} is already pending")
         self._pending[index] = config
-        self._arrival[index] = self._seq
-        self._seq += 1
 
     def pop(self) -> tuple[int, typing.Any]:
         """Next point to dispatch: ``(index, config)``."""
         if not self._pending:
             raise IndexError("pop from an empty scheduler")
-        if self.policy == "fifo":
-            index, config = next(iter(self._pending.items()))
-        else:
-            index = max(
-                self._pending,
-                key=lambda i: (
-                    self.model.estimate(self._pending[i]),
-                    -self._arrival[i],
-                ),
-            )
-            config = self._pending[index]
-        del self._pending[index]
-        del self._arrival[index]
-        return index, config
+        # max keeps the first of equal estimates: the earliest arrival
+        index = max(
+            self._pending, key=lambda i: self.model.estimate(self._pending[i])
+        )
+        return index, self._pending.pop(index)
 
     def observe(self, config: typing.Any, wall: float) -> None:
         """Refine the cost model from one completed point."""
@@ -164,9 +137,7 @@ class _GivenCosts(CostModel):
 
 
 def simulate_schedule(
-    costs: typing.Sequence[float],
-    workers: int,
-    policy: str = "cost",
+    costs: typing.Sequence[float], workers: int
 ) -> dict[str, typing.Any]:
     """List-schedule ``costs`` onto ``workers`` identical machines.
 
@@ -174,8 +145,7 @@ def simulate_schedule(
     whenever a worker is free and points are pending, the next point
     popped from a :class:`PointScheduler` — the same queue the pool
     dispatches from, here estimating each point at its given cost —
-    starts on it immediately.  ``policy="cost"`` dispatches
-    longest-first (LPT), ``"fifo"`` in the given order.
+    starts on it immediately, longest first (LPT).
 
     Returns ``makespan``, per-point ``assignments`` (``(worker, start,
     end)`` in dispatch order), per-worker ``finish`` times, and
@@ -185,7 +155,7 @@ def simulate_schedule(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    scheduler = PointScheduler(policy, model=_GivenCosts(costs))
+    scheduler = PointScheduler(model=_GivenCosts(costs))
     for i in range(len(costs)):
         scheduler.add(i, i)
     free: list[tuple[float, int]] = [(0.0, w) for w in range(workers)]

@@ -42,6 +42,11 @@ class BackoffPolicy:
     are no-ops.
     """
 
+    #: True for a policy that infers the number of contenders from the
+    #: slots it observes: it must hear every DCF on its channel, so a
+    #: channel refuses it beside any other policy object
+    infers_contenders = False
+
     def draw_slots(
         self, level: int, stage: int, rng: np.random.Generator
     ) -> int:  # pragma: no cover - abstract

@@ -119,7 +119,10 @@ class _BackoffAgenda(ChannelListener):
     idle transition reserved for the clocks.
 
     Every DCF on the channel shares the first one's NAV and slot time;
-    :meth:`attach` refuses any other.  ``observing`` is set once a DCF
+    :meth:`attach` refuses any other.  It also refuses a second policy
+    object when either policy infers the contender count from the whole
+    channel (``BackoffPolicy.infers_contenders``, the paper's
+    ``AdaptiveCW``).  ``observing`` is set once a DCF
     attaches whose policy observes idle slots: from then on a busy
     transition reports each stopped countdown's slots to its policy.
 
@@ -131,14 +134,18 @@ class _BackoffAgenda(ChannelListener):
     """
 
     __slots__ = (
-        "sim", "nav", "slot", "armed", "head", "handle", "clocks", "seq",
-        "loose", "observing", "_attached",
+        "sim", "nav", "slot", "policy", "armed", "head", "handle", "clocks",
+        "seq", "loose", "observing", "_attached",
     )
 
-    def __init__(self, sim: Simulator, channel: Channel, nav: Nav, slot: float) -> None:
+    def __init__(
+        self, sim: Simulator, channel: Channel, nav: Nav, slot: float,
+        policy: BackoffPolicy,
+    ) -> None:
         self.sim = sim
         self.nav = nav
         self.slot = slot
+        self.policy = policy
         self.armed: list[DcfTransmitter] = []
         self.head: DcfTransmitter | None = None
         self.handle: TimerHandle | None = None
@@ -161,6 +168,16 @@ class _BackoffAgenda(ChannelListener):
             raise ValueError(
                 f"DCF {dcf.station_id!r} counts {dcf._slot} s slots; "
                 f"this channel's DCFs count {self.slot} s slots"
+            )
+        policy = dcf.policy
+        if policy is not self.policy and (
+            policy.infers_contenders or self.policy.infers_contenders
+        ):
+            inferring = policy if policy.infers_contenders else self.policy
+            raise ValueError(
+                f"DCF {dcf.station_id!r} brings a second backoff policy: "
+                f"{type(inferring).__name__} infers the contender count "
+                "from the whole channel, so the DCFs on its channel share one"
             )
         dcf._index = self._attached
         self._attached += 1
@@ -412,7 +429,9 @@ class DcfTransmitter(ChannelListener):
 
         agenda = channel.backoff_agenda
         if agenda is None:
-            agenda = channel.backoff_agenda = _BackoffAgenda(sim, channel, nav, self._slot)
+            agenda = channel.backoff_agenda = _BackoffAgenda(
+                sim, channel, nav, self._slot, policy
+            )
         self._agenda = agenda
         agenda.attach(self)
         channel.attach(self)

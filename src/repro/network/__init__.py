@@ -1,14 +1,8 @@
-"""Call-level dynamics, mobility, and full-BSS scenario assembly."""
+"""Call-level dynamics, roaming calls, and full-BSS scenario assembly."""
 
 from .bss import RT_PACKET_BITS, SCHEMES, BssScenario, ScenarioConfig
 from .calls import ActiveCall, CallGenerator, CallMixConfig
-from .mobility import (
-    ROAM_KINDS,
-    EssCellContext,
-    NeighborhoodConfig,
-    NeighborhoodMobility,
-    draw_roam_step,
-)
+from .mobility import ROAM_KINDS, EssCellContext, draw_roam_step
 
 __all__ = [
     "CallGenerator",
@@ -18,8 +12,6 @@ __all__ = [
     "ScenarioConfig",
     "SCHEMES",
     "RT_PACKET_BITS",
-    "NeighborhoodConfig",
-    "NeighborhoodMobility",
     "EssCellContext",
     "draw_roam_step",
     "ROAM_KINDS",

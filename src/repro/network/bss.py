@@ -89,9 +89,9 @@ class ScenarioConfig(JsonRecord):
     handoff_time: float = 0.005
     voice: VoiceParams = DEFAULT_VOICE
     video: VideoParams = DEFAULT_VIDEO
-    #: handoff arrival model: "poisson" (the paper's abstraction) or
-    #: "neighborhood" (state-dependent, from simulated neighbour cells;
-    #: the handoff_*_rate fields are then ignored)
+    #: handoff arrival model: the paper's "poisson" is the only one (the
+    #: ESS layer models real neighbour cells).  The field stays because
+    #: it is in every cache key and every served surface_id
     mobility: str = "poisson"
     # ablation switches
     adaptive_cw: bool = True
@@ -136,9 +136,9 @@ class ScenarioConfig(JsonRecord):
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        if self.mobility not in ("poisson", "neighborhood"):
+        if self.mobility != "poisson":
             raise ValueError(
-                f"mobility must be 'poisson' or 'neighborhood', got {self.mobility!r}"
+                f"mobility must be 'poisson', got {self.mobility!r}"
             )
         if self.sim_time <= self.warmup:
             raise ValueError("sim_time must exceed warmup")
@@ -281,32 +281,6 @@ class BssScenario:
         )
         self.data_stations: list[DataStation] = []
         self._build_data_stations()
-        self.mobility = None
-        if config.mobility == "neighborhood":
-            from .mobility import NeighborhoodConfig, NeighborhoodMobility
-
-            # calibrated so the equilibrium handoff intensity matches
-            # what the poisson model would have offered at this load:
-            # target = pop / (res * d) with
-            # pop = cells * lam / (1/holding + 1/(res*d))
-            # => lam = target * (res*d/holding + 1) / cells
-            target = (
-                (config.handoff_voice_rate + config.handoff_video_rate)
-                * config.load
-                / 2.0
-            )
-            res, directions, cells = 30.0, 6, 6
-            lam = target * (res * directions / config.mean_holding + 1.0) / cells
-            ncfg = NeighborhoodConfig(
-                cells=cells,
-                mean_holding=config.mean_holding,
-                mean_residence=res,
-                directions=directions,
-                new_call_rate=max(1e-9, lam),
-            )
-            self.mobility = NeighborhoodMobility(
-                self.sim, self.call_generator, self.streams, ncfg
-            )
         #: fired count of the ESS context's scheduled inbound handoffs
         self._ess_handoffs_injected = 0
         if config.ess is not None:
@@ -396,20 +370,13 @@ class BssScenario:
 
     def _call_mix(self) -> CallMixConfig:
         cfg = self.config
-        # under the neighbourhood mobility model handoffs come from the
-        # simulated neighbour cells, not from fixed-rate streams
-        poisson_handoffs = cfg.mobility == "poisson"
         return CallMixConfig(
             voice=cfg.voice,
             video=cfg.video,
             new_voice_rate=cfg.new_voice_rate * cfg.load,
             new_video_rate=cfg.new_video_rate * cfg.load,
-            handoff_voice_rate=(
-                cfg.handoff_voice_rate * cfg.load if poisson_handoffs else 0.0
-            ),
-            handoff_video_rate=(
-                cfg.handoff_video_rate * cfg.load if poisson_handoffs else 0.0
-            ),
+            handoff_voice_rate=cfg.handoff_voice_rate * cfg.load,
+            handoff_video_rate=cfg.handoff_video_rate * cfg.load,
             mean_holding=cfg.mean_holding,
             handoff_deadline=cfg.handoff_deadline,
             handoff_time=cfg.handoff_time,
@@ -501,8 +468,6 @@ class BssScenario:
     def run(self) -> dict[str, typing.Any]:
         """Run to ``sim_time`` and summarize everything the figures need."""
         self.call_generator.start()
-        if self.mobility is not None:
-            self.mobility.start()
         self.sim.run(until=self.config.sim_time)
         return self.collect_results()
 

@@ -149,7 +149,7 @@ class CallGenerator:
             self._new_call(kind, handoff)
 
     def inject_handoff(self, kind: TrafficKind) -> None:
-        """External mobility models deliver handoff arrivals here."""
+        """ESS cell shards deliver their routed handoff arrivals here."""
         self._new_call(kind, handoff=True)
 
     # -- one call's lifecycle -------------------------------------------------------

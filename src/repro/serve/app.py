@@ -22,9 +22,11 @@ dependencies.  Endpoints:
 
 ``GET /metrics``
     Prometheus 0.0.4 text exposition of the server's registry:
-    per-endpoint request counters, request-latency histogram, result
-    cache hit/miss counters, back-fill counters.  Unknown routes and
-    the refusals http.server sends itself share ``endpoint="-"``.
+    per-endpoint counters of the replies sent, request-latency
+    histogram, result cache hit/miss counters, back-fill counters.
+    Unknown routes and the refusals http.server sends itself share
+    ``endpoint="-"``.  A client that goes away before its reply is
+    sent is not counted.
 
 Every endpoint is GET-only; another method gets http.server's 501.
 
@@ -448,7 +450,6 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 — http.server contract
         split = urllib.parse.urlsplit(self.path)
         endpoint = split.path.rstrip("/") or "/"
-        status = 500
         try:
             if endpoint == "/healthz":
                 status = self._healthz()
@@ -467,7 +468,7 @@ class _Handler(BaseHTTPRequestHandler):
                     {"error": {"code": "not_found",
                                "message": f"no route {route}"}},
                 )
-        except ConnectionError:  # client went away: nobody to answer
+        except ConnectionError:  # client went away: no reply was sent
             return
         except Exception as exc:  # noqa: BLE001 — surface, don't hang
             status = 500
@@ -475,8 +476,7 @@ class _Handler(BaseHTTPRequestHandler):
                 500,
                 {"error": {"code": "internal", "message": repr(exc)}},
             )
-        finally:
-            self._observe(endpoint, status, self._started)
+        self._observe(endpoint, status, self._started)
 
     def _healthz(self) -> int:
         with self.server.lock:

@@ -163,12 +163,11 @@ class TestRefusal:
             (dict(trace=TraceConfig()), "trace"),
             (dict(ess=EssCellContext(cell="ap/0x0")), "ESS context"),
             (dict(monitor_invariants=True), "invariant monitors"),
-            (dict(mobility="neighborhood"), "mobility 'neighborhood'"),
             (dict(n_data_stations=0), "zero data stations"),
         ],
         ids=[
             "call-rate", "handoff-rate", "scheme", "faults", "trace",
-            "ess", "monitors", "mobility", "no-data-stations",
+            "ess", "monitors", "no-data-stations",
         ],
     )
     def test_unmodelable_config_is_refused(self, overrides, condition):

@@ -6,12 +6,12 @@ import pathlib
 
 import pytest
 
+from repro.__main__ import main
 from repro.bench import (
     BENCHMARKS,
     DEFAULT_BASELINE,
     compare,
     load_report,
-    main,
     run_benchmark,
     run_benchmarks,
 )
@@ -142,7 +142,7 @@ class TestParallelSweepSection:
 
 
 def stub_run(monkeypatch, **suites):
-    """Make ``main`` report fixed entries instead of timing the suites.
+    """Make the gate report fixed entries instead of timing the suites.
 
     Every registered suite reads 100,000 ev/s and the batched one sits
     at its 5x floor; ``suites`` overrides single entries.
@@ -158,7 +158,7 @@ def stub_run(monkeypatch, **suites):
 
 class TestCli:
     def _gate(self, tmp_path, *extra):
-        return main(["--baseline", str(tmp_path / "BENCH.json"),
+        return main(["bench", "--baseline", str(tmp_path / "BENCH.json"),
                      "--out", str(tmp_path / "fresh.json"), *extra])
 
     def test_update_creates_baseline_and_passes(self, tmp_path, monkeypatch):
@@ -250,7 +250,8 @@ class TestSpeedupFloors:
             **{name: entry(ev_s=100_000) for name in BENCHMARKS}
         ))
         out = tmp_path / "fresh.json"
-        return main(["--baseline", str(baseline), "--out", str(out)]), out
+        return main(["bench", "--baseline", str(baseline),
+                     "--out", str(out)]), out
 
     def test_full_run_below_the_batched_floor_exits_one(
         self, tmp_path, monkeypatch, capsys
@@ -290,7 +291,7 @@ class TestSpeedupFloors:
         })
         baseline = tmp_path / "BENCH.json"
         write_json(baseline, report(timer_chain=entry(events=30_000, ev_s=1)))
-        assert main(["--baseline", str(baseline),
+        assert main(["bench", "--baseline", str(baseline),
                      "--out", str(tmp_path / "fresh.json"),
                      "--with-sweep"]) == code
         err = capsys.readouterr().err

@@ -3,8 +3,7 @@
 ``data/flag_surface.json`` records each subcommand's option strings,
 defaults, choices, nargs, types and actions.  Scripts and CI jobs call
 these flags, so a change to the surface must be a deliberate edit of
-that table.  ``bench`` parses its own arguments, so its entry comes
-from the gate's parser.
+that table.
 """
 
 import argparse
@@ -14,7 +13,6 @@ import pathlib
 import pytest
 
 from repro.__main__ import build_parser
-from repro.bench.gate import build_parser as build_bench_parser
 
 TABLE = json.loads(
     (pathlib.Path(__file__).parent / "data" / "flag_surface.json").read_text()
@@ -53,13 +51,12 @@ def test_subcommand_set_is_unchanged():
 
 @pytest.mark.parametrize("command", sorted(TABLE))
 def test_flag_surface_is_unchanged(command):
-    parser = build_bench_parser() if command == "bench" else _subcommands()[command]
-    assert _surface(parser) == TABLE[command]
+    assert _surface(_subcommands()[command]) == TABLE[command]
 
 
 @pytest.mark.parametrize(
-    "flag", ["--workers", "--cache-dir", "--schedule", "--timeout",
-             "--resume", "--no-cache"],
+    "flag", ["--workers", "--cache-dir", "--timeout", "--resume",
+             "--no-cache"],
 )
 def test_shared_flags_are_declared_once(flag):
     """Every subcommand taking a shared flag holds the same argparse

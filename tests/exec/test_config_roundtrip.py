@@ -27,7 +27,6 @@ def _custom_config() -> ScenarioConfig:
         n_data_stations=2,
         voice=VoiceParams(rate=20.0, max_jitter=0.025, mean_on=1.0),
         video=VideoParams(avg_rate=50.0, burstiness=5.0, max_delay=0.040),
-        mobility="neighborhood",
         adaptive_cw=False,
         alphas=(2, 6, 8),
         beta=1,

@@ -335,6 +335,12 @@ class TestExecutorConfig:
         with pytest.raises(ValueError):
             ExecutorConfig(**kwargs)
 
+    def test_fifo_dispatch_is_refused(self):
+        # longest-expected-first is the one dispatch order left
+        with pytest.raises(ValueError, match="schedule must be 'cost', got 'fifo'"):
+            ExecutorConfig(schedule="fifo")
+        assert ExecutorConfig().schedule == "cost"
+
     def test_summary_requires_a_run(self):
         with pytest.raises(RuntimeError):
             SweepExecutor().summary()

@@ -9,7 +9,7 @@ invariants:
   instances) and the order-free ``total/m + max`` greedy bound on
   large random ones;
 * **greedy dispatch** — no worker-second is idle while the queue is
-  non-empty, for either policy.
+  non-empty.
 
 Plus unit coverage of the cost model's prior and its online
 refinement reordering the pending tail.
@@ -47,7 +47,7 @@ class TestMakespanBounds:
         rng = random.Random(seed)
         costs = _random_costs(rng, rng.randint(1, 8))
         opt = _brute_force_opt(costs, workers)
-        result = simulate_schedule(costs, workers, policy="cost")
+        result = simulate_schedule(costs, workers)
         bound = (4.0 / 3.0 - 1.0 / (3.0 * workers)) * opt
         assert result["makespan"] <= bound + 1e-9
 
@@ -56,20 +56,17 @@ class TestMakespanBounds:
         rng = random.Random(1000 + seed)
         workers = rng.randint(2, 8)
         costs = _random_costs(rng, rng.randint(1, 200))
-        for policy in ("cost", "fifo"):
-            result = simulate_schedule(costs, workers, policy=policy)
-            bound = sum(costs) / workers + max(costs)
-            assert result["makespan"] <= bound + 1e-9
+        result = simulate_schedule(costs, workers)
+        bound = sum(costs) / workers + max(costs)
+        assert result["makespan"] <= bound + 1e-9
 
     def test_lpt_beats_fifo_on_the_classic_straggler_tail(self):
-        # a long point submitted last straggles a FIFO schedule; LPT
-        # front-loads it and the short points pack the other worker
+        # a long point submitted last would straggle grid order (a
+        # makespan of 6); LPT front-loads it and the short points pack
+        # the other worker
         costs = [1.0, 1.0, 1.0, 1.0, 4.0]
-        fifo = simulate_schedule(costs, 2, policy="fifo")["makespan"]
-        lpt = simulate_schedule(costs, 2, policy="cost")["makespan"]
+        lpt = simulate_schedule(costs, 2)["makespan"]
         assert lpt == pytest.approx(4.0)
-        assert fifo == pytest.approx(6.0)
-        assert lpt < fifo
 
 
 class TestGreedyDispatch:
@@ -78,9 +75,8 @@ class TestGreedyDispatch:
         rng = random.Random(2000 + seed)
         workers = rng.randint(1, 6)
         costs = _random_costs(rng, rng.randint(0, 60))
-        for policy in ("cost", "fifo"):
-            result = simulate_schedule(costs, workers, policy=policy)
-            assert result["idle_before_empty"] == pytest.approx(0.0)
+        result = simulate_schedule(costs, workers)
+        assert result["idle_before_empty"] == pytest.approx(0.0)
 
     def test_idle_metric_detects_a_non_greedy_schedule(self):
         # sanity: the invariant metric is not vacuous — hand-build a
@@ -148,27 +144,21 @@ class TestCostModel:
 
 class TestPointScheduler:
     def test_cost_policy_pops_longest_expected_first(self):
-        scheduler = PointScheduler("cost")
+        scheduler = PointScheduler()
         scheduler.add(0, _config(load=0.5))
         scheduler.add(1, _config(load=3.0))
         scheduler.add(2, _config(load=1.0))
         order = [scheduler.pop()[0] for _ in range(3)]
         assert order == [1, 2, 0]
 
-    def test_fifo_policy_preserves_grid_order(self):
-        scheduler = PointScheduler("fifo")
-        for i, load in enumerate((0.5, 3.0, 1.0)):
-            scheduler.add(i, _config(load=load))
-        assert [scheduler.pop()[0] for _ in range(3)] == [0, 1, 2]
-
     def test_ties_resolve_in_arrival_order(self):
-        scheduler = PointScheduler("cost")
+        scheduler = PointScheduler()
         for i in range(4):
             scheduler.add(i, _config())
         assert [scheduler.pop()[0] for _ in range(4)] == [0, 1, 2, 3]
 
     def test_online_refinement_reorders_the_pending_tail(self):
-        scheduler = PointScheduler("cost")
+        scheduler = PointScheduler()
         scheduler.add(0, _config(scheme="proposed", load=1.0))
         scheduler.add(1, _config(scheme="conventional", load=1.1))
         # completed "proposed" points came back 10x over their prior —
@@ -179,19 +169,20 @@ class TestPointScheduler:
         assert scheduler.pop()[0] == 0
 
     def test_duplicate_pending_index_rejected(self):
-        scheduler = PointScheduler("cost")
+        scheduler = PointScheduler()
         scheduler.add(0, _config())
         with pytest.raises(ValueError):
             scheduler.add(0, _config())
 
     def test_pop_from_empty_raises(self):
         with pytest.raises(IndexError):
-            PointScheduler("fifo").pop()
+            PointScheduler().pop()
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            PointScheduler("random")
-        with pytest.raises(ValueError):
-            simulate_schedule([1.0], 2, policy="random")
+        # one dispatch order is left, so neither takes a policy
+        with pytest.raises(TypeError):
+            PointScheduler("fifo")
+        with pytest.raises(TypeError):
+            simulate_schedule([1.0], 2, policy="fifo")
         with pytest.raises(ValueError):
             simulate_schedule([1.0], 0)

@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from repro.core.adaptive_cw import AdaptiveCW
 from repro.core.edcf import AifsDifferentiation
 from repro.mac import DcfTransmitter, Frame, FrameType, Nav, StandardBEB
 from repro.mac.backoff import LEVEL_NEW_OR_DATA
@@ -449,6 +450,40 @@ def test_a_channel_refuses_a_second_nav_or_slot_time(world, own):
                 if isinstance(listener, DcfTransmitter)]
     assert attached == ["a"]
     assert world.channel.backoff_agenda._attached == 1
+
+
+@pytest.mark.parametrize("order", ["adaptive-first", "adaptive-last"])
+def test_a_channel_refuses_adaptive_cw_beside_other_policies(world, order):
+    # AdaptiveCW reads every busy slot it observes as a contender of its
+    # own window, so the DCFs on its channel must share the one instance
+    beb = [(f"beb/{i}", StandardBEB(32, 1024)) for i in range(4)]
+    adaptive = [("acw", AdaptiveCW(world.timing))]
+    stations = adaptive + beb if order == "adaptive-first" else beb + adaptive
+    refusal = "AdaptiveCW infers the contender count from the whole channel"
+    refused = []
+    for sid, policy in stations:
+        try:
+            DcfTransmitter(world.sim, world.channel, world.timing, policy,
+                           world.rng(sid), sid, world.nav)
+        except ValueError as exc:
+            assert refusal in str(exc)
+            refused.append(sid)
+    assert refused == (
+        [sid for sid, _ in beb] if order == "adaptive-first" else ["acw"]
+    )
+    # the refused DCFs never joined the agenda
+    assert world.channel.backoff_agenda._attached == len(stations) - len(refused)
+
+
+def test_a_channel_refuses_a_second_adaptive_cw(world):
+    shared, other = AdaptiveCW(world.timing), AdaptiveCW(world.timing)
+    for sid in ("a", "b"):
+        DcfTransmitter(world.sim, world.channel, world.timing, shared,
+                       world.rng(sid), sid, world.nav)
+    with pytest.raises(ValueError, match="AdaptiveCW infers the contender count"):
+        DcfTransmitter(world.sim, world.channel, world.timing, other,
+                       world.rng("c"), "c", world.nav)
+    assert world.channel.backoff_agenda._attached == 2
 
 
 class ScriptedAifs(AifsDifferentiation):

@@ -1,4 +1,4 @@
-"""Tests for the neighbourhood mobility model."""
+"""Tests for the roaming-call helpers and the ESS handoff injection."""
 
 import json
 
@@ -8,71 +8,10 @@ from repro.network import (
     ROAM_KINDS,
     BssScenario,
     EssCellContext,
-    NeighborhoodConfig,
-    NeighborhoodMobility,
     ScenarioConfig,
     draw_roam_step,
 )
-from repro.sim import RandomStreams, Simulator
-from repro.traffic import TrafficKind
-
-
-class SinkSpy:
-    def __init__(self):
-        self.handoffs = []
-
-    def inject_handoff(self, kind):
-        self.handoffs.append(kind)
-
-
-def make(sim=None, **cfg_kw):
-    sim = sim or Simulator()
-    sink = SinkSpy()
-    config = NeighborhoodConfig(**cfg_kw)
-    mob = NeighborhoodMobility(sim, sink, RandomStreams(4), config)
-    return sim, sink, mob
-
-
-class TestNeighborhoodConfig:
-    def test_equilibrium_population_formula(self):
-        c = NeighborhoodConfig(cells=6, new_call_rate=0.05,
-                               mean_holding=40.0, mean_residence=30.0,
-                               directions=6)
-        departure = 1 / 40 + 1 / (30 * 6)
-        assert c.equilibrium_population() == pytest.approx(0.3 / departure)
-
-    def test_equilibrium_handoff_rate(self):
-        c = NeighborhoodConfig()
-        expected = c.equilibrium_population() / c.mean_residence / c.directions
-        assert c.equilibrium_handoff_rate() == pytest.approx(expected)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NeighborhoodConfig(cells=0)
-        with pytest.raises(ValueError):
-            NeighborhoodConfig(new_call_rate=-1)
-        with pytest.raises(ValueError):
-            NeighborhoodConfig(mean_holding=0)
-        with pytest.raises(ValueError):
-            NeighborhoodConfig(directions=0)
-
-    def test_validation_messages_name_field_and_value(self):
-        # each invalid field fails on its own check with the offending
-        # value in the message, so misconfigurations are diagnosable
-        with pytest.raises(ValueError, match="directions must be >= 1, got 0"):
-            NeighborhoodConfig(directions=0)
-        with pytest.raises(ValueError, match="directions must be >= 1, got -3"):
-            NeighborhoodConfig(directions=-3)
-        with pytest.raises(
-            ValueError, match="mean_residence must be > 0, got -2.5"
-        ):
-            NeighborhoodConfig(mean_residence=-2.5)
-        with pytest.raises(
-            ValueError, match="new_call_rate must be >= 0, got -0.1"
-        ):
-            NeighborhoodConfig(new_call_rate=-0.1)
-        with pytest.raises(ValueError, match="mean_holding must be > 0"):
-            NeighborhoodConfig(mean_holding=-1.0)
+from repro.sim import RandomStreams
 
 
 class TestDrawRoamStep:
@@ -154,69 +93,9 @@ class TestEssHandoffInjection:
         assert "ess" not in r
 
 
-class TestNeighborhoodMobility:
-    def test_warm_start_seeds_population(self):
-        sim, sink, mob = make(new_call_rate=0.5)
-        mob.start(warm=True)
-        total = sum(mob.population.values())
-        assert total > 0
-
-    def test_cold_start_begins_empty(self):
-        sim, sink, mob = make(new_call_rate=0.0)
-        mob.start(warm=False)
-        assert sum(mob.population.values()) == 0
-        sim.run(until=100.0)
-        assert sink.handoffs == []  # nobody to hand off
-
-    def test_handoffs_eventually_arrive(self):
-        sim, sink, mob = make(new_call_rate=0.3, mean_residence=5.0)
-        mob.start(warm=True)
-        sim.run(until=200.0)
-        assert len(sink.handoffs) > 0
-        assert set(sink.handoffs) <= {TrafficKind.VOICE, TrafficKind.VIDEO}
-
-    def test_population_never_negative(self):
-        sim, sink, mob = make(new_call_rate=0.3, mean_residence=5.0,
-                              mean_holding=10.0)
-        mob.start(warm=True)
-        for _ in range(40):
-            sim.run(until=sim.now + 5.0)
-            assert all(v >= 0 for v in mob.population.values())
-
-    def test_handoff_rate_tracks_equilibrium(self):
-        """Long-run handoff intensity approaches the analytic value."""
-        sim, sink, mob = make(cells=8, new_call_rate=0.4,
-                              mean_holding=20.0, mean_residence=10.0)
-        mob.start(warm=True)
-        horizon = 2000.0
-        sim.run(until=horizon)
-        per_class = len(sink.handoffs) / 2 / horizon
-        expected = mob.config.equilibrium_handoff_rate()
-        assert per_class == pytest.approx(expected, rel=0.2)
-
-    def test_start_is_idempotent(self):
-        sim, sink, mob = make(new_call_rate=0.2)
-        mob.start()
-        pop = dict(mob.population)
-        mob.start()
-        assert mob.population == pop
-
-
 class TestScenarioIntegration:
-    def test_neighborhood_scenario_runs(self):
-        cfg = ScenarioConfig(
-            scheme="proposed", seed=3, sim_time=15.0, warmup=2.0,
-            mobility="neighborhood",
-            new_voice_rate=0.3, new_video_rate=0.2,
-            handoff_voice_rate=0.3, handoff_video_rate=0.2,
-            mean_holding=15.0,
-        )
-        sc = BssScenario(cfg)
-        r = sc.run()
-        assert sc.mobility is not None
-        # handoff attempts come from the mobility model, not Poisson
-        assert r["call_attempts_handoff"] == sc.mobility.handoffs_injected
-
     def test_invalid_mobility_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(mobility="teleport")
+        # "poisson" is the one handoff model; the ESS models neighbours
+        for mobility in ("teleport", "neighborhood"):
+            with pytest.raises(ValueError, match="mobility must be 'poisson'"):
+                ScenarioConfig(mobility=mobility)

@@ -273,6 +273,23 @@ class TestOneWrite:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    def test_a_client_that_went_away_is_not_counted(self, server, monkeypatch):
+        # /metrics counts the replies that were sent, not a 500 nobody saw
+        def gone(self_):
+            raise ConnectionResetError("the client reset the connection")
+
+        monkeypatch.setattr(_Handler, "_healthz", gone)
+        address = server.server_address[:2]
+        with socket.create_connection(address, timeout=10) as sock:
+            sock.sendall(_HEAD + _CLOSE + b"\r\n")
+            assert sock.recv(1024) == b""  # closed, with no reply
+        status, body = _get(server.url + "/metrics")
+        assert status == 200
+        text = body.decode()
+        assert 'status="500"' not in text
+        assert 'endpoint="/healthz"' not in text
+
+
 class _StdlibHandler(_Handler):
     """The handler with http.server's own request parsing and Date."""
 

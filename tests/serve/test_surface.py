@@ -86,6 +86,22 @@ class TestIndexing:
         assert index.describe()["skipped_entries"] == 1
         assert index.rows == 1
 
+    def test_rows_of_the_removed_neighbourhood_model_are_skipped(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        poisson = sweep_config("proposed", 1.0, 1, 8.0, 1.0)
+        cache.put(config_key(poisson), _row(1.0, 1), poisson)
+        # an entry an older build wrote under the removed handoff model
+        neighborhood = dict(poisson.to_dict(), mobility="neighborhood")
+        cache.put("cd" * 32, _row(1.0, 1), types.SimpleNamespace(
+            to_dict=lambda: neighborhood
+        ))
+        index = SurfaceIndex.from_cache(cache)
+        assert len(index.surfaces) == 1
+        assert index.describe()["skipped_entries"] == 1
+        assert index.rows == 1
+
     def test_rows_of_the_batched_tier_are_skipped(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         exact = sweep_config("conventional", 1.0, 1, 8.0, 1.0)
