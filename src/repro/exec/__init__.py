@@ -28,7 +28,7 @@ from .executor import (
     SweepExecutor,
     default_point_fn,
 )
-from .hashing import KEY_FORMAT, canonical_json, config_key, jsonable, normalize_row
+from .hashing import KEY_FORMAT, canonical_json, config_key, normalize_row
 from .journal import SweepJournal
 from .pool import WorkerPool
 from .scheduler import CostModel, PointScheduler, simulate_schedule
@@ -45,7 +45,6 @@ __all__ = [
     "KEY_FORMAT",
     "canonical_json",
     "config_key",
-    "jsonable",
     "normalize_row",
     "SweepJournal",
     "WorkerPool",

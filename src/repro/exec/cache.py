@@ -27,7 +27,7 @@ import pathlib
 import typing
 
 from ..obs.registry import MetricsRegistry
-from .hashing import KEY_FORMAT, canonical_json, jsonable
+from .hashing import KEY_FORMAT, canonical_json
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ..network.bss import ScenarioConfig
@@ -107,8 +107,8 @@ class ResultCache:
         entry = {
             "format": KEY_FORMAT,
             "key": key,
-            "config": jsonable(config.to_dict()) if config is not None else None,
-            "row": jsonable(row),
+            "config": config.to_dict() if config is not None else None,
+            "row": row,
         }
         path = self._path(key)
         tmp = path.with_suffix(_TMP_SUFFIX)

@@ -2,8 +2,9 @@
 
 The execution subsystem identifies a simulation point by a stable hash
 of its :class:`~repro.network.bss.ScenarioConfig`: the config is taken
-through :meth:`to_dict`, coerced to plain JSON types, dumped with
-sorted keys and hashed.  Two configs produce the same key iff they
+through :meth:`to_dict`, dumped by
+:func:`~repro.obs.jsonutil.canonical_json` (sorted keys, numpy scalars
+unwrapped) and hashed.  Two configs produce the same key iff they
 describe the same simulated point, so the key doubles as the result
 cache's address and the checkpoint journal's resume key.
 
@@ -18,7 +19,7 @@ import hashlib
 import json
 import typing
 
-from ..obs.jsonutil import jsonable
+from ..obs.jsonutil import canonical_json
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from ..network.bss import ScenarioConfig
@@ -26,7 +27,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "KEY_FORMAT",
     "ACCEL_KEY_FORMAT",
-    "jsonable",
     "canonical_json",
     "normalize_row",
     "config_key",
@@ -48,11 +48,6 @@ KEY_FORMAT = 5
 #: untouched; ``engine="batched"`` rows carry the engine tag and hash
 #: under this format instead.
 ACCEL_KEY_FORMAT = 6
-
-
-def canonical_json(value: typing.Any) -> str:
-    """Deterministic JSON encoding: coerced types, sorted keys, no spaces."""
-    return json.dumps(jsonable(value), sort_keys=True, separators=(",", ":"))
 
 
 def normalize_row(row: dict[str, typing.Any]) -> dict[str, typing.Any]:

@@ -51,7 +51,7 @@ def _static_bss(
     sim = Simulator()
     timing = PhyTiming()
     streams = RandomStreams(seed)
-    channel = Channel(sim, BitErrorModel(1e-5, streams.get("phy/errors")))
+    channel = Channel(sim, BitErrorModel(1e-5, streams.blocks("phy/errors")))
     nav = Nav()
     collector = MetricsCollector(warmup=_FIG5_WARMUP)
     ap = QosAccessPoint(
@@ -70,7 +70,7 @@ def _static_bss(
             continue
         admitted_voice += 1
         dcf = DcfTransmitter(
-            sim, channel, timing, StandardBEB(8), streams.get(f"dcf/{sid}"),
+            sim, channel, timing, StandardBEB(8), streams.blocks(f"dcf/{sid}"),
             sid, nav,
         )
         sta = RealTimeStation(
@@ -81,7 +81,7 @@ def _static_bss(
         ap.policy.add_session(session)
         sta.grant()
         source = OnOffVoiceSource(
-            sim, sid, sta.packet_arrival, streams.get(f"traffic/{sid}"),
+            sim, sid, sta.packet_arrival, streams.blocks(f"traffic/{sid}"),
             DEFAULT_VOICE, start_talking=True,
         )
         sta.activity_probe = lambda src=source: src.talking
@@ -93,7 +93,7 @@ def _static_bss(
             continue
         admitted_video += 1
         dcf = DcfTransmitter(
-            sim, channel, timing, StandardBEB(8), streams.get(f"dcf/{sid}"),
+            sim, channel, timing, StandardBEB(8), streams.blocks(f"dcf/{sid}"),
             sid, nav,
         )
         sta = RealTimeStation(
@@ -104,7 +104,7 @@ def _static_bss(
         ap.policy.add_session(session)
         sta.grant()
         MaglarisVideoSource(
-            sim, sid, sta.packet_arrival, streams.get(f"traffic/{sid}"),
+            sim, sid, sta.packet_arrival, streams.blocks(f"traffic/{sid}"),
             DEFAULT_VIDEO,
         ).start()
 

@@ -12,7 +12,7 @@ import json
 import pathlib
 import typing
 
-from ..exec.hashing import jsonable
+from ..obs.jsonutil import unwrap_scalar
 
 __all__ = ["save_results", "load_results"]
 
@@ -39,7 +39,7 @@ def save_results(
                 + "\n"
             )
         for row in rows:
-            fh.write(json.dumps(jsonable(row)) + "\n")
+            fh.write(json.dumps(row, default=unwrap_scalar) + "\n")
     return p
 
 

@@ -98,6 +98,10 @@ class StandardBEB(BackoffPolicy):
             raise ValueError(f"invalid CW bounds [{cw_min}, {cw_max}]")
         self.cw_min = cw_min
         self.cw_max = cw_max
+        stage = 0
+        while cw_min * (2**stage) < cw_max:
+            stage += 1
+        self._max_stage = stage
 
     def window(self, stage: int) -> int:
         """Contention-window size at ``stage``."""
@@ -106,10 +110,7 @@ class StandardBEB(BackoffPolicy):
         return min(self.cw_min * (2**stage), self.cw_max)
 
     def max_stage(self) -> int:
-        stage = 0
-        while self.cw_min * (2**stage) < self.cw_max:
-            stage += 1
-        return stage
+        return self._max_stage
 
     def draw_slots(self, level: int, stage: int, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.window(stage)))

@@ -397,12 +397,16 @@ class DcfTransmitter(ChannelListener):
         # parameter (it is, for every policy in this repo — see
         # DESIGN.md "Performance")
         self._slot = timing.slot
-        self._ack_timeout = timing.sifs + timing.ack_time() + timing.slot
+        self._ack_airtime = timing.ack_time()
+        self._ack_timeout = timing.sifs + self._ack_airtime + timing.slot
         self._ifs_memo: dict[int, float] = {}
-        # a policy that keeps the inherited no-op observation hook is
-        # not called with idle-slot counts at all
+        # a policy that keeps an inherited no-op observation hook is not
+        # called with idle-slot counts or outcomes at all
         self._policy_observes = (
             type(policy).observe_slots is not BackoffPolicy.observe_slots
+        )
+        self._policy_observes_outcome = (
+            type(policy).observe_outcome is not BackoffPolicy.observe_outcome
         )
 
         self._queue: collections.deque[_Entry] = collections.deque()
@@ -681,7 +685,7 @@ class DcfTransmitter(ChannelListener):
     def _send_ack(self, entry: _Entry) -> None:
         ack = Frame(FrameType.ACK, src=entry.frame.dest, dest=entry.frame.src)
         self.channel.transmit(
-            ack, ack.airtime(self.timing), self,
+            ack, self._ack_airtime, self,
             lambda outcome: self._resolve(outcome.ok),
         )
 
@@ -689,7 +693,8 @@ class DcfTransmitter(ChannelListener):
         entry = self._head
         assert entry is not None
         self._in_exchange = False
-        self.policy.observe_outcome(success)
+        if self._policy_observes_outcome:
+            self.policy.observe_outcome(success)
         if success:
             self._stats.successes += 1
             self._finish(entry, True)

@@ -217,12 +217,12 @@ class BssScenario:
         )
         # Fault injectors draw from their own streams (faults/*) so a
         # plan-free run sees exactly the seed's draw sequences.
-        error_model = BitErrorModel(config.ber, self.streams.get("phy/errors"))
+        error_model = BitErrorModel(config.ber, self.streams.blocks("phy/errors"))
         if plan is not None and plan.gilbert_elliott is not None:
             from ..faults.gilbert import GilbertElliottModel
 
             error_model = GilbertElliottModel(
-                plan.gilbert_elliott, self.streams.get("faults/channel")
+                plan.gilbert_elliott, self.streams.blocks("faults/channel")
             )
         self.channel = Channel(self.sim, error_model)
         self.frame_injector = None
@@ -230,7 +230,7 @@ class BssScenario:
             from ..faults.injector import FrameLossInjector
 
             self.frame_injector = FrameLossInjector(
-                plan.frame_loss, self.streams.get("faults/frames")
+                plan.frame_loss, self.streams.blocks("faults/frames")
             )
             self.channel.fault_injector = self.frame_injector
         self.invariants = None
@@ -391,7 +391,7 @@ class BssScenario:
                 self.channel,
                 self.timing,
                 self._shared_policy,
-                self.streams.get(f"dcf/{sid}"),
+                self.streams.blocks(f"dcf/{sid}"),
                 sid,
                 self.nav,
             )
@@ -406,7 +406,7 @@ class BssScenario:
                 self.sim,
                 sid,
                 station.packet_arrival,
-                self.streams.get(f"traffic/{sid}"),
+                self.streams.blocks(f"traffic/{sid}"),
                 arrival_rate=cfg.data_msdus_per_station * cfg.load,
             )
             source.start()

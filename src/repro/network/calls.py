@@ -162,7 +162,7 @@ class CallGenerator:
             self.channel,
             self.timing,
             self.policy_factory(),
-            self.streams.get(f"dcf/{sid}"),
+            self.streams.blocks(f"dcf/{sid}"),
             sid,
             self.nav,
         )
@@ -229,7 +229,7 @@ class CallGenerator:
 
     def _make_source(self, call: ActiveCall):
         sid = call.station.station_id
-        rng = self.streams.get(f"traffic/{sid}")
+        rng = self.streams.blocks(f"traffic/{sid}")
         if call.kind == TrafficKind.VOICE:
             source = OnOffVoiceSource(
                 self.sim,

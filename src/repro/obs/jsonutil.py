@@ -1,11 +1,16 @@
-"""Shared JSON helpers: type coercion, the record codec and the report writer.
+"""Shared JSON helpers: canonical encoding, record codec and report writer.
 
-Both the execution subsystem's canonical hashing
-(:mod:`repro.exec.hashing`) and the trace exporter
-(:mod:`repro.obs.trace`) must turn numpy scalars and tuples into plain
-JSON types before serializing (:func:`jsonable`), and the validate,
-chaos, ESS, bench and redteam reports and the reproducer fixtures are
-all written by :func:`write_json`.
+:func:`canonical_json` is the one deterministic encoding: sorted keys,
+no spaces, in one pass of the C encoder.  The execution subsystem's
+keys, cache entries and journal lines (:mod:`repro.exec`) and the
+trace exporter's ``trace.jsonl`` (:mod:`repro.obs.trace`) are all
+written by it.  Numpy scalars need no walk before encoding: the encoder
+writes ``np.float64``, a ``float`` subclass, with ``float``'s repr, and
+hands every other numpy scalar to :func:`unwrap_scalar`, its
+``default=`` hook, which unwraps it through ``.item()``; tuples encode
+as arrays natively.  The validate, chaos, ESS, bench and redteam
+reports and the reproducer fixtures are all written by
+:func:`write_json`.
 
 This is also the one place a config record's JSON form is decided.
 :func:`to_jsonable` and :func:`from_jsonable` map a dataclass record
@@ -16,8 +21,8 @@ take their ``to_dict``/``from_dict`` from :class:`JsonRecord`, and the
 reproducer fixture and campaign report build their schema-tagged forms
 on the same two functions.  A point's identity is the JSON form of its
 ``ScenarioConfig``, so these few functions decide every cache key and
-journal line.  :func:`jsonable` stays record-blind: it runs on every
-leaf of every result row, where a dataclass check would cost each one.
+journal line.  :func:`unwrap_scalar` stays record-blind: a record is
+taken through ``to_dict`` before it is encoded.
 
 The helpers live here, in ``obs`` — the lowest observability layer —
 so ``exec`` can import them without ``obs`` ever importing upward.
@@ -35,27 +40,37 @@ import typing
 
 __all__ = [
     "JsonRecord",
+    "canonical_json",
     "from_jsonable",
-    "jsonable",
     "to_jsonable",
+    "unwrap_scalar",
     "write_json",
 ]
 
 
-def jsonable(value: typing.Any) -> typing.Any:
-    """Coerce numpy scalars and tuples into plain JSON types.
+def unwrap_scalar(value: typing.Any) -> typing.Any:
+    """The ``default=`` hook of the compact encodes: numpy scalars to Python.
 
-    Dicts and lists are rebuilt recursively, tuples become lists, and
-    anything exposing ``.item()`` (numpy scalars) is unwrapped.  Plain
-    JSON values pass through unchanged.
+    :func:`canonical_json` and the results archive
+    (:func:`repro.experiments.io.save_results`) pass it to the encoder,
+    which calls it only for values it cannot write itself:
+    anything exposing ``.item()`` (numpy scalars, 0-d arrays) is
+    unwrapped, and any other type raises ``TypeError``, as the encoder
+    would without a hook.
     """
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return value
+    item = getattr(value, "item", None)
+    if item is None:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        )
+    return item()
+
+
+def canonical_json(value: typing.Any) -> str:
+    """Deterministic JSON encoding: sorted keys, no spaces, numpy unwrapped."""
+    return json.dumps(
+        value, sort_keys=True, separators=(",", ":"), default=unwrap_scalar
+    )
 
 
 def write_json(path: str | pathlib.Path, payload: typing.Any) -> pathlib.Path:

@@ -29,8 +29,7 @@ import typing
 
 # shared with repro.exec.hashing; obs sits below the exec layer, so
 # the one definition lives here in obs (see repro.obs.jsonutil)
-from .jsonutil import JsonRecord
-from .jsonutil import jsonable as _jsonable
+from .jsonutil import JsonRecord, canonical_json
 
 __all__ = [
     "CATEGORIES",
@@ -164,9 +163,7 @@ class TraceRecorder:
                         f"event field {key!r} collides with a reserved key"
                     )
                 record[key] = value
-            yield json.dumps(
-                _jsonable(record), sort_keys=True, separators=(",", ":")
-            )
+            yield canonical_json(record)
 
     def export_jsonl(self, path: str) -> int:
         """Write the trace to ``path``; returns the line count."""

@@ -201,9 +201,10 @@ class Channel:
         :class:`TxOutcome` — after the receivers' ``on_frame`` and the
         idle announcement, as its own agenda fire (which happens even
         when ``on_done`` is None).  Overlap with any other transmission
-        collides **both**.
+        collides **both**.  A duration that is not positive, NaN
+        included, raises ``ValueError``.
         """
-        if duration <= 0:
+        if not duration > 0:
             raise ValueError(f"transmission duration must be > 0, got {duration}")
         sim = self.sim
         now = sim._now

@@ -217,11 +217,13 @@ class Simulator:
         ``seq`` is an insertion number from :meth:`reserve` (default: a
         fresh one).  Each reserved number must key at most one live
         entry; once that entry is cancelled the number may be scheduled
-        again.
+        again.  A ``time`` before *now*, or NaN, raises ``ValueError``.
         """
-        if time < self._now:
+        # written so that NaN fails it too: every comparison with NaN is
+        # false, and a NaN key would break the heap order
+        if not time >= self._now:
             raise ValueError(
-                f"cannot schedule in the past ({time} < now={self._now})"
+                f"cannot schedule at {time} (now={self._now})"
             )
         handle = TimerHandle(time, fn, args, self)
         if seq is None:
@@ -234,13 +236,16 @@ class Simulator:
     def call_in(
         self, delay: float, fn: typing.Callable, *args: typing.Any, priority: int = 0
     ) -> TimerHandle:
-        """Run ``fn(*args)`` after ``delay`` time units; cancellable."""
+        """Run ``fn(*args)`` after ``delay`` time units; cancellable.
+
+        A negative or NaN ``delay`` raises ``ValueError``.
+        """
         # call_at's body, duplicated: this is the single most common
         # scheduling entrypoint and the extra frame is measurable
         time = self._now + delay
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(
-                f"cannot schedule in the past ({time} < now={self._now})"
+                f"cannot schedule after a delay of {delay} (now={self._now})"
             )
         handle = TimerHandle(time, fn, args, self)
         self._seq = seq = self._seq + 1
@@ -344,7 +349,8 @@ class Simulator:
         ----------
         until:
             ``None`` — run to agenda exhaustion.  A number — run until the
-            clock would pass it (the clock is then set to it).
+            clock would pass it (the clock is then set to it).  A number
+            before *now*, or NaN, raises ``ValueError``.
 
         An exception raised by a timer callback or a process body
         propagates out of this call.
@@ -352,8 +358,8 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
         deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
-            raise ValueError(f"deadline {deadline} is in the past")
+        if not deadline >= self._now:
+            raise ValueError(f"deadline {deadline} is not at or after now={self._now}")
         self._running = True
         try:
             self._loop(deadline)

@@ -106,8 +106,11 @@ class Process:
                 self._generator = None
                 raise
             if isinstance(delay, (int, float)):
-                if delay < 0:
-                    raise ValueError(f"negative delay {delay!r}")
+                if not delay >= 0:  # NaN fails this too
+                    raise ValueError(
+                        f"negative delay {delay!r}" if delay < 0
+                        else f"delay {delay!r} is not a number"
+                    )
                 self._wake = sim._schedule(sim._now + delay, self._resume)
                 return
             resume = self._generator.throw

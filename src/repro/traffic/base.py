@@ -32,6 +32,12 @@ class TrafficKind(enum.Enum):
     VOICE = "voice"
     VIDEO = "video"
 
+    # members are singletons, so identity hashing is equivalent to the
+    # default name hash — but it is a C-level slot, and the collector
+    # looks its per-kind counters up by kind for every packet (no set of
+    # kinds is iterated, so no order depends on the hash)
+    __hash__ = object.__hash__
+
 
 _packet_ids = itertools.count()
 
@@ -61,7 +67,7 @@ class Packet:
     completed: float | None = None
     #: True if the deadline lapsed before delivery (packet discarded)
     expired: bool = False
-    uid: int = dataclasses.field(default_factory=lambda: next(_packet_ids))
+    uid: int = dataclasses.field(default_factory=_packet_ids.__next__)
 
     @property
     def total_bits(self) -> int:

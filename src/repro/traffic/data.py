@@ -67,10 +67,12 @@ class PoissonDataSource(TrafficSource):
 
     def _run(self) -> typing.Generator:
         rng = self._rng
+        mean_gap = 1.0 / self.arrival_rate
+        mean_length = self.mean_length_bits
         try:
             while True:
-                yield rng.exponential(1.0 / self.arrival_rate)
-                msdu = max(1, int(round(rng.exponential(self.mean_length_bits))))
+                yield rng.exponential(mean_gap)
+                msdu = max(1, int(round(rng.exponential(mean_length))))
                 for mpdu_bits in self.fragment(msdu):
                     self._emit(mpdu_bits)
         except Interrupt:

@@ -1,36 +1,48 @@
 """The shared JSON helpers (repro.obs.jsonutil).
 
-:func:`jsonable` was extracted from the duplicate copies in
-``exec.hashing`` and ``obs.trace``; both now import it from here, so
-this is the single place the numpy-scalar/tuple coercion contract is
-pinned.  :func:`write_json` is the one writer of every JSON report and
-fixture.
+:func:`canonical_json` is the one deterministic encoding: the cache,
+the journal and the trace exporter all encode through it, and numpy
+scalars reach its one ``default=`` hook, :func:`unwrap_scalar`, instead
+of a walk over every value first.  This is the single place that
+coercion contract is pinned.  :func:`write_json` is the one writer of
+every JSON report and fixture.
 """
 
 import json
+import math
 
 import numpy as np
+import pytest
 
-from repro.obs.jsonutil import jsonable, write_json
+from repro.obs import jsonutil
+from repro.obs.jsonutil import canonical_json, unwrap_scalar, write_json
+
+
+def decoded(value):
+    return json.loads(canonical_json(value))
 
 
 class TestScalars:
     def test_numpy_floats_unwrap_to_python_floats(self):
-        out = jsonable(np.float64(0.25))
+        out = decoded(np.float64(0.25))
         assert type(out) is float and out == 0.25
+        assert canonical_json(np.float64(0.25)) == canonical_json(0.25)
 
     def test_numpy_ints_unwrap_to_python_ints(self):
-        out = jsonable(np.int64(7))
+        out = decoded(np.int64(7))
         assert type(out) is int and out == 7
+        assert canonical_json(np.int64(7)) == "7"
 
     def test_plain_values_pass_through(self):
         for v in (1, 2.5, "x", True, None):
-            assert jsonable(v) is v
+            assert canonical_json(v) == json.dumps(v)
+            out = decoded(v)
+            assert out == v and type(out) is type(v)
 
 
 class TestContainers:
     def test_tuples_become_lists(self):
-        assert jsonable((1, 2, (3, 4))) == [1, 2, [3, 4]]
+        assert decoded((1, 2, (3, 4))) == [1, 2, [3, 4]]
 
     def test_nested_mixed_structure(self):
         row = {
@@ -38,7 +50,7 @@ class TestContainers:
             "counts": (np.int64(2), np.int64(3)),
             "sub": {"loads": [np.float64(0.5), 1.0]},
         }
-        out = jsonable(row)
+        out = decoded(row)
         assert out == {
             "delay": 1.5, "counts": [2, 3], "sub": {"loads": [0.5, 1.0]}
         }
@@ -46,15 +58,77 @@ class TestContainers:
         assert all(type(c) is int for c in out["counts"])
 
     def test_dict_keys_preserved(self):
-        assert jsonable({"a": (1,), "b": {}}) == {"a": [1], "b": {}}
+        assert decoded({"a": (1,), "b": {}}) == {"a": [1], "b": {}}
 
-    def test_shared_import_sites_agree(self):
-        # exec.hashing and obs.trace must both resolve to this helper
-        from repro.exec import hashing
+    def test_shared_import_sites_agree(self, tmp_path, monkeypatch):
+        # the cache, the journal and the trace exporter all encode
+        # through canonical_json, so through its one hook
+        from repro.exec import ResultCache, SweepJournal, cache, hashing, journal
         from repro.obs import trace
 
-        assert hashing.jsonable is jsonable
-        assert trace._jsonable is jsonable
+        for module in (hashing, cache, journal, trace):
+            assert module.canonical_json is canonical_json
+        unwrapped = []
+
+        def recording(value):
+            unwrapped.append(type(value))
+            return unwrap_scalar(value)
+
+        monkeypatch.setattr(jsonutil, "unwrap_scalar", recording)
+        ResultCache(tmp_path / "cache").put("k", {"n": np.int64(1)})
+        log = SweepJournal(tmp_path / "j.jsonl")
+        log.append("k", {"n": np.int32(2)})
+        log.close()
+        recorder = trace.TraceRecorder(trace.TraceConfig())
+        recorder.emit(0.5, "frame", "tx", n=np.int16(3))
+        assert list(recorder.jsonl_lines()) == [
+            '{"cat":"frame","ev":"tx","n":3,"seq":1,"t":0.5}'
+        ]
+        assert unwrapped == [np.int64, np.int32, np.int16]
+
+
+def _walk(value):
+    """The walk every encode used to run first, kept as the reference."""
+    if isinstance(value, dict):
+        return {k: _walk(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_walk(v) for v in value]
+    if hasattr(value, "item"):  # numpy scalar
+        return value.item()
+    return value
+
+
+class TestAgainstTheWalk:
+    CASES = {
+        "int64": np.int64(-7),
+        "float32": np.float32(0.1),
+        "float64": np.float64(1 / 3),
+        "bool_": np.bool_(True),
+        "nan": math.nan,
+        "numpy nan": np.float64("nan"),
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "numpy -inf": np.float32("-inf"),
+        "0-d float array": np.array(2.5),
+        "0-d int array": np.array(3),
+        "nested tuples": (1, (np.int32(2), (np.float64(0.5), ())), [np.uint8(255)]),
+        "row": {"b": (np.int16(2),), "a": {"z": np.float32(1.5), "y": [np.bool_(False)]}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_encodes_the_walked_bytes(self, name):
+        value = self.CASES[name]
+        old = json.dumps(_walk(value), sort_keys=True, separators=(",", ":"))
+        assert canonical_json(value) == old
+        # the results archive's default-separator encoding agrees too
+        assert json.dumps(value, default=unwrap_scalar) == json.dumps(_walk(value))
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, {"k": [b"x"]}])
+    def test_an_unsupported_type_raises_on_both_sides(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(_walk(value), sort_keys=True, separators=(",", ":"))
+        with pytest.raises(TypeError):
+            canonical_json(value)
 
 
 class TestWriteJson:

@@ -173,6 +173,14 @@ def test_zero_duration_rejected():
         ch.transmit(FakeFrame(), 0.0, sender=None)
 
 
+def test_nan_duration_rejected():
+    sim = Simulator()
+    ch = make_channel(sim)
+    with pytest.raises(ValueError, match="nan"):
+        ch.transmit(FakeFrame(), float("nan"), sender=None)
+    assert not ch.is_busy
+
+
 def test_attach_twice_rejected():
     sim = Simulator()
     ch = make_channel(sim)

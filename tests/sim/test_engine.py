@@ -139,6 +139,34 @@ def test_run_until_past_deadline_raises():
         sim.run(until=5.0)
 
 
+# NaN compares false with everything, so a check written as "time < now"
+# lets it through and its heap key breaks the agenda order
+
+
+def test_call_at_nan_raises():
+    sim = Simulator()
+    sim.call_at(1.0, lambda: None)
+    with pytest.raises(ValueError, match="nan"):
+        sim.call_at(float("nan"), lambda: None)
+    assert len(sim._heap) == 1
+
+
+def test_call_in_nan_raises():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="nan"):
+        sim.call_in(float("nan"), lambda: None)
+    assert sim._heap == []
+
+
+def test_run_until_nan_raises():
+    sim = Simulator()
+    seen = []
+    sim.call_at(1.0, lambda: seen.append(sim.now))
+    with pytest.raises(ValueError, match="nan"):
+        sim.run(until=float("nan"))
+    assert seen == [] and sim.now == 0.0
+
+
 def test_peek_skips_cancelled_timers():
     sim = Simulator()
     h = sim.call_in(1.0, lambda: None)

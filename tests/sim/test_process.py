@@ -100,6 +100,21 @@ def test_negative_delay_raises_valueerror():
         sim.run()
 
 
+def test_nan_delay_raises_valueerror():
+    sim = Simulator()
+    woke = []
+
+    def body():
+        yield float("nan")
+        woke.append(sim.now)
+
+    sim.process(body())
+    with pytest.raises(ValueError, match="not a number"):
+        sim.run()
+    sim.run()
+    assert woke == []
+
+
 def test_interrupt_delivers_cause():
     sim = Simulator()
     caught = []
