@@ -21,7 +21,9 @@ Wall-clock numbers are machine-relative; CI therefore runs the gate
 with a generous tolerance (``--tolerance 0.25``).  End-to-end wall time
 is perfbench's: its calibrated ``cost_ms`` bounds time the full-stack
 workloads.  ``--update`` rewrites the baseline deliberately, in the
-shape above.  The flags are declared with the rest of the CLI, on the
+shape above.  Without it the baseline is read before any suite runs,
+so a missing one (``--baseline`` resolves against the working
+directory) fails at once instead of after the suites.  The flags are declared with the rest of the CLI, on the
 ``bench`` subparser in :mod:`repro.__main__`.
 """
 
@@ -197,6 +199,21 @@ def run_gate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
+    baseline: dict[str, typing.Any] = {}
+    if not args.update:
+        # a gate run without a baseline can only fail: say so before
+        # the suites run, not after
+        try:
+            baseline = load_report(args.baseline)
+        except FileNotFoundError:
+            print(
+                f"error: no baseline at {args.baseline}; pass --baseline "
+                f"with the path of the committed {DEFAULT_BASELINE} "
+                "(at the repository root)",
+                file=sys.stderr,
+            )
+            return 1
+
     results = run_benchmarks(progress=progress)
     report: dict[str, typing.Any] = {"schema": _SCHEMA, "benchmarks": results}
 
@@ -259,15 +276,6 @@ def run_gate(args: argparse.Namespace) -> int:
         write_json(args.baseline, {"schema": _SCHEMA, "benchmarks": suites})
         print(f"  baseline updated: {args.baseline}", file=sys.stderr)
         return 0
-    try:
-        baseline = load_report(args.baseline)
-    except FileNotFoundError:
-        print(
-            f"error: no baseline at {args.baseline} "
-            "(run with --update to create it)",
-            file=sys.stderr,
-        )
-        return 1
     problems = compare(report, baseline, args.tolerance)
     if problems:
         print(

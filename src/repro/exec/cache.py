@@ -7,9 +7,10 @@ directory is self-describing and auditable with nothing but ``jq`` —
 and scannable into query surfaces by :mod:`repro.serve`.
 
 Writes go through a temp file + ``os.replace`` so a crash mid-write
-can never leave a truncated entry behind; corrupt or unreadable
-entries are treated as misses and overwritten on the next run.  A
-crash *between* the temp-file write and the rename leaves a
+can never leave a truncated entry behind; corrupt, unreadable,
+malformed (``row`` not a JSON object) or misfiled (inner ``key`` not
+the file's) entries are treated as misses and overwritten on the next
+run.  A crash *between* the temp-file write and the rename leaves a
 ``<key>.json.tmp`` orphan: scans skip those and :meth:`clear` sweeps
 them up alongside the real entries.
 
@@ -79,17 +80,26 @@ class ResultCache:
         )
 
     def get(self, key: str) -> dict[str, typing.Any] | None:
-        """Return the cached row for ``key``, or ``None`` on a miss."""
-        path = self._path(key)
+        """Return the cached row for ``key``, or ``None`` on a miss.
+
+        The decoded row is returned as it is (the executor does not
+        normalize it again), so this is the one check between a file
+        and a returned row: an entry of another format, one whose
+        ``row`` is not a JSON object, or one filed under a key other
+        than its own ``key`` is a miss, and the next ``put`` rewrites
+        it.
+        """
         try:
-            entry = json.loads(path.read_text())
+            with open(os.path.join(self.results_dir, key + ".json"), "rb") as fh:
+                entry = json.loads(fh.read())
         except (OSError, ValueError):
             self.misses.inc()
             return None
         if (
             not isinstance(entry, dict)
             or entry.get("format") != KEY_FORMAT
-            or "row" not in entry
+            or entry.get("key") != key
+            or not isinstance(entry.get("row"), dict)
         ):
             self.misses.inc()
             return None

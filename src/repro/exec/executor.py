@@ -21,11 +21,14 @@
   with warm workers exactly as with serial runs, because resume
   filtering happens coordinator-side before any task is dispatched.
 
-Result rows come back in input order and are JSON-normalized
-(:func:`~repro.exec.hashing.normalize_row`), so a serial run, a
-parallel run, a cached replay and a resumed run of the same grid all
-return byte-identical rows — dispatch *order* is a performance
-decision and never leaks into results.
+Result rows come back in input order.  A row a point function returns
+is JSON-normalized (:func:`~repro.exec.hashing.normalize_row`) before
+it is cached, journaled or returned; a row read back from the cache or
+the journal was written as canonical JSON of such a row, so its decode
+is returned as it is.  A serial run, a parallel run, a cached replay
+and a resumed run of the same grid therefore all return byte-identical
+rows — dispatch *order* is a performance decision and never leaks
+into results.
 
 Per-point timeouts are only enforceable in pool mode (a serial run
 cannot preempt itself); serial mode still honours ``retries``.
@@ -200,34 +203,37 @@ class SweepExecutor:
 
         cache = ResultCache(cfg.cache_dir) if cfg.cache_dir else None
         journal = SweepJournal(cfg.journal) if cfg.journal else None
-        journaled: dict[str, dict] = {}
-        if journal is not None:
-            if cfg.resume:
-                journaled = journal.load()
-                tel.journal_skipped_lines = journal.skipped_lines
-            journal.start(resume=cfg.resume)
-
-        pending: list[int] = []
-        for i, key in enumerate(keys):
-            if key in journaled:
-                rows[i] = normalize_row(journaled[key])
-                self._emit(tel, i, configs[i], "resumed")
-                continue
-            if cache is not None:
-                row = cache.get(key)
-                if row is not None:
-                    tel.cache_hits += 1
-                    rows[i] = normalize_row(row)
-                    if journal is not None:
-                        journal.append(key, rows[i])
-                    self._emit(tel, i, configs[i], "cached")
-                    continue
-                tel.cache_misses += 1
-            pending.append(i)
-
         failures: list[PointFailure] = []
         self.failures = failures
         try:
+            journaled: dict[str, dict] = {}
+            if journal is not None:
+                if cfg.resume:
+                    journaled = journal.load()
+                    tel.journal_skipped_lines = journal.skipped_lines
+                journal.start(resume=cfg.resume)
+
+            # a row decoded from a journal line or a cache entry is used
+            # as it is: both hold canonical JSON of a normalized row, a
+            # fixed point of normalize_row
+            pending: list[int] = []
+            for i, key in enumerate(keys):
+                if key in journaled:
+                    rows[i] = journaled[key]
+                    self._emit(tel, i, configs[i], "resumed")
+                    continue
+                if cache is not None:
+                    row = cache.get(key)
+                    if row is not None:
+                        tel.cache_hits += 1
+                        rows[i] = row
+                        if journal is not None:
+                            journal.append(key, row)
+                        self._emit(tel, i, configs[i], "cached")
+                        continue
+                    tel.cache_misses += 1
+                pending.append(i)
+
             if pending:
                 runner = self._run_serial if cfg.workers == 1 else self._run_pool
                 runner(configs, keys, rows, pending, cache, journal, tel, failures)

@@ -53,10 +53,14 @@ ACCEL_KEY_FORMAT = 6
 def normalize_row(row: dict[str, typing.Any]) -> dict[str, typing.Any]:
     """Round-trip a result row through JSON.
 
-    Every row the executor returns passes through here, so rows are
-    byte-identical regardless of provenance — freshly simulated, read
-    back from the cache, or replayed from a resume journal (JSON turns
-    tuples into lists; normalizing up front makes that uniform).
+    Every row a point function returns passes through here before the
+    executor caches, journals or returns it (JSON turns tuples into
+    lists and numpy scalars into Python numbers; normalizing up front
+    makes that uniform).  Rows read back from the cache or a resume
+    journal skip it: they decode from ``canonical_json`` of a row
+    already normalized, and such a row is a fixed point — its values
+    and its sorted key order come back unchanged — so rows are
+    byte-identical regardless of provenance.
     """
     return json.loads(canonical_json(row))
 

@@ -11,10 +11,10 @@ Only the coordinator process ever writes the journal (warm workers
 ship rows back over their result pipes; they never touch the file), so
 rows land in *completion* order — which under cost-aware scheduling is
 not grid order.  ``load()`` returns a key-addressed dict precisely so
-resume is order-independent.  The file handle is held open across
-appends (one ``open`` per sweep instead of one per point) with an
-explicit flush per row, so a ``SIGKILL`` still loses at most the line
-being written.
+resume is order-independent.  :meth:`SweepJournal.start` opens the
+file once per sweep and writes the manifest through the same handle
+that every append then uses, with an explicit flush per line, so a
+``SIGKILL`` still loses at most the line being written.
 
 Corruption *anywhere* in the file — not just the truncated tail — is
 survivable: a mid-file line that fails to parse (disk corruption, a
@@ -111,17 +111,25 @@ class SweepJournal:
         return done
 
     def start(self, resume: bool = False) -> None:
-        """Begin a run: keep a current journal when resuming, else rewrite it."""
+        """Begin a run: keep a current journal when resuming, else rewrite it.
+
+        Either way this opens the handle :meth:`append` then writes
+        through, until :meth:`close`.
+        """
         self.close()
         if resume and self.exists():
             with self.path.open() as fh:
-                if _is_current_manifest(fh.readline()):
-                    return
+                current = _is_current_manifest(fh.readline())
+            if current:
+                self._fh = self.path.open("a")
+                return
         from .. import __version__
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
         manifest = {"_manifest": True, "format": KEY_FORMAT, "repro": __version__}
-        self.path.write_text(json.dumps(manifest) + "\n")
+        self._fh = self.path.open("w")
+        self._fh.write(json.dumps(manifest) + "\n")
+        self._fh.flush()
 
     def append(self, key: str, row: dict[str, typing.Any]) -> None:
         """Record one completed point (flushed immediately)."""

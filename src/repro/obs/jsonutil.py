@@ -66,11 +66,26 @@ def unwrap_scalar(value: typing.Any) -> typing.Any:
     return item()
 
 
+def _unwrap(value: typing.Any) -> typing.Any:
+    # looks ``unwrap_scalar`` up per call, so a hook patched over the
+    # module attribute reaches the shared encoder too
+    return unwrap_scalar(value)
+
+
+#: the one encoder behind :func:`canonical_json`, built once
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_unwrap
+)
+
+
 def canonical_json(value: typing.Any) -> str:
-    """Deterministic JSON encoding: sorted keys, no spaces, numpy unwrapped."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), default=unwrap_scalar
-    )
+    """Deterministic JSON encoding: sorted keys, no spaces, numpy unwrapped.
+
+    The same bytes as ``json.dumps(value, sort_keys=True,
+    separators=(",", ":"), default=unwrap_scalar)``, through one
+    module-level encoder instead of a new one per call.
+    """
+    return _CANONICAL.encode(value)
 
 
 def write_json(path: str | pathlib.Path, payload: typing.Any) -> pathlib.Path:
@@ -83,18 +98,26 @@ def write_json(path: str | pathlib.Path, payload: typing.Any) -> pathlib.Path:
     return path
 
 
+#: exact types :func:`to_jsonable` keeps as they are without a call
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(value: typing.Any) -> typing.Any:
     """A record's JSON form: every field, nested records as dicts.
 
     Tuples and lists become lists; any other value is kept as is.
+    Field and item values of the exact types in :data:`_PLAIN` (most
+    config fields) are copied without a recursive call, which would
+    return them unchanged; a subclass of one still takes the call.
     """
     if hasattr(value, "__dataclass_fields__"):
-        return {
-            name: to_jsonable(getattr(value, name))
-            for name in _names(type(value))
-        }
+        out = {}
+        for name in _names(type(value)):
+            field = getattr(value, name)
+            out[name] = field if type(field) in _PLAIN else to_jsonable(field)
+        return out
     if isinstance(value, (tuple, list)):
-        return [to_jsonable(v) for v in value]
+        return [v if type(v) in _PLAIN else to_jsonable(v) for v in value]
     return value
 
 

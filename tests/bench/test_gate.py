@@ -169,9 +169,18 @@ class TestCli:
         ]["events"] == 30_000
         assert self._gate(tmp_path) == 0
 
-    def test_missing_baseline_fails(self, tmp_path, monkeypatch):
-        stub_run(monkeypatch)
-        assert self._gate(tmp_path) == 1
+    def test_missing_baseline_fails(self, tmp_path, monkeypatch, capsys):
+        # before any suite runs, naming the flag and the committed file
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite ran before the baseline was read")
+
+        monkeypatch.setattr(gate, "run_benchmarks", refuse)
+        monkeypatch.setattr(gate, "run_parallel_sweep", refuse)
+        assert self._gate(tmp_path, "--with-sweep") == 1
+        err = capsys.readouterr().err
+        assert "--baseline" in err and DEFAULT_BASELINE in err, err
+        assert "--update" not in err, err
+        assert not (tmp_path / "fresh.json").exists()
 
     def test_regression_exits_nonzero(self, tmp_path, monkeypatch):
         stub_run(monkeypatch)

@@ -145,3 +145,61 @@ def test_distinct_configs_do_not_collide(tmp_path):
     cache.put(config_key(b), {"seed": 2}, b)
     assert cache.get(config_key(a)) == {"seed": 1}
     assert cache.get(config_key(b)) == {"seed": 2}
+
+
+def _seed_point(config):
+    return {"seed": config.seed, "load": config.load}
+
+
+def test_sweep_resimulates_an_entry_whose_row_is_not_an_object(tmp_path):
+    import json
+
+    from repro.exec import ExecutorConfig, SweepExecutor
+
+    cache_dir = tmp_path / "cache"
+    grid = [ScenarioConfig(seed=1, sim_time=4.0, warmup=1.0)]
+    path = ResultCache(cache_dir).put(
+        config_key(grid[0]), _seed_point(grid[0]), grid[0]
+    )
+    entry = json.loads(path.read_text())
+    entry["row"] = [entry["row"]]
+    path.write_text(json.dumps(entry))
+
+    executor = SweepExecutor(
+        ExecutorConfig(cache_dir=str(cache_dir)), point_fn=_seed_point
+    )
+    assert executor.run(grid) == [_seed_point(grid[0])]
+    summary = executor.summary()
+    assert (
+        summary["executed"], summary["cache_hits"], summary["cache_misses"]
+    ) == (1, 0, 1)
+    # put rewrote the entry with the fresh row
+    assert json.loads(path.read_text())["row"] == _seed_point(grid[0])
+
+
+def test_sweep_resimulates_an_entry_filed_under_another_key(tmp_path):
+    import json
+    import shutil
+
+    from repro.exec import ExecutorConfig, SweepExecutor
+
+    cache_dir = tmp_path / "cache"
+    grid = [ScenarioConfig(seed=s, sim_time=4.0, warmup=1.0) for s in (1, 2)]
+    SweepExecutor(
+        ExecutorConfig(cache_dir=str(cache_dir)), point_fn=_seed_point
+    ).run(grid)
+    # the seed-1 entry copied over the seed-2 one
+    results = cache_dir / "results"
+    victim = results / f"{config_key(grid[1])}.json"
+    shutil.copy(results / f"{config_key(grid[0])}.json", victim)
+
+    executor = SweepExecutor(
+        ExecutorConfig(cache_dir=str(cache_dir)), point_fn=_seed_point
+    )
+    rows = executor.run(grid)
+    assert rows == [_seed_point(c) for c in grid]
+    summary = executor.summary()
+    assert (summary["executed"], summary["cache_hits"]) == (1, 1)
+    rewritten = json.loads(victim.read_text())
+    assert rewritten["key"] == config_key(grid[1])
+    assert rewritten["row"] == _seed_point(grid[1])

@@ -37,6 +37,7 @@ def test_start_without_resume_rewrites(tmp_path):
     journal.append("k1", {"seed": 1})
     journal.start(resume=False)
     assert journal.load() == {}
+    journal.close()  # start() opens the handle append() writes through
 
 
 def test_start_with_resume_preserves(tmp_path):
@@ -45,6 +46,7 @@ def test_start_with_resume_preserves(tmp_path):
     journal.append("k1", {"seed": 1})
     journal.start(resume=True)
     assert journal.load() == {"k1": {"seed": 1}}
+    journal.close()
 
 
 def test_foreign_manifest_ignored(tmp_path):
