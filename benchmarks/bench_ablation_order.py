@@ -32,11 +32,7 @@ def run_order(order: str, sim_time: float = 40.0) -> dict:
     collector = MetricsCollector(warmup=2.0)
     ap = QosAccessPoint(
         sim, channel, timing, nav,
-        config=QosApConfig(
-            rt_packet_bits=RT_PACKET_BITS,
-            adaptation_interval=0.0,
-            voice_order=order,
-        ),
+        config=QosApConfig(adaptation_interval=0.0, voice_order=order),
     )
     rates = (10.0, 20.0, 40.0, 80.0)
     for i, rate in enumerate(rates):

@@ -55,7 +55,7 @@ import heapq
 import math
 import typing
 
-from ..baseline.conventional import ConventionalApConfig
+from ..baseline.conventional import SUPERFRAME
 from ..metrics.stats import OnlineStats
 from ..network.bss import BssScenario, ScenarioConfig
 from ..phy.timing import PhyTiming
@@ -173,7 +173,7 @@ class BatchedContentionModel:
 
         # superframe ticks: the conventional AP re-arms its timer every
         # superframe; with an empty request table that is all it does
-        events += int(sim_time / ConventionalApConfig().superframe)
+        events += int(sim_time / SUPERFRAME)
 
         # pending MSDU arrivals, at most one per station: (time, seq,
         # station), so equal times pop in insertion order

@@ -1,5 +1,5 @@
 """The conventional IEEE 802.11 comparison baseline."""
 
-from .conventional import ConventionalAccessPoint, ConventionalApConfig
+from .conventional import ConventionalAccessPoint
 
-__all__ = ["ConventionalAccessPoint", "ConventionalApConfig"]
+__all__ = ["ConventionalAccessPoint"]

@@ -29,30 +29,17 @@ from ..obs.registry import MetricsRegistry
 from ..phy.channel import Channel, ChannelListener
 from ..phy.timing import PhyTiming
 from ..sim.engine import Simulator
+from ..traffic.base import RT_PACKET_BITS
 from ..traffic.video import VideoParams
 from ..traffic.voice import VoiceParams
 from .. import core
 
-__all__ = ["ConventionalApConfig", "ConventionalAccessPoint"]
+__all__ = ["ConventionalAccessPoint"]
 
-
-@dataclasses.dataclass(frozen=True)
-class ConventionalApConfig:
-    """Fixed-schedule PCF parameters (paper's evaluation defaults)."""
-
-    superframe: float = 0.075
-    cfp_max: float = 0.050
-    rt_packet_bits: int = 512 * 8
-
-    def __post_init__(self) -> None:
-        if self.superframe <= 0:
-            raise ValueError(f"superframe must be > 0, got {self.superframe}")
-        if not 0 < self.cfp_max < self.superframe:
-            raise ValueError(
-                f"need 0 < cfp_max < superframe, got {self.cfp_max}"
-            )
-        if self.rt_packet_bits <= 0:
-            raise ValueError("rt_packet_bits must be > 0")
+#: the fixed superframe, and the most of it a CFP may take (the
+#: paper's evaluation defaults: 75 and 50 ms)
+SUPERFRAME = 0.075
+CFP_MAX = 0.050
 
 
 @dataclasses.dataclass
@@ -70,7 +57,6 @@ class ConventionalAccessPoint(ChannelListener):
         channel: Channel,
         timing: PhyTiming,
         nav,
-        config: ConventionalApConfig | None = None,
         ap_id: str = "ap",
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -78,14 +64,13 @@ class ConventionalAccessPoint(ChannelListener):
         self.channel = channel
         self.timing = timing
         self.ap_id = ap_id
-        self.config = config or ConventionalApConfig()
         self.metrics = metrics or MetricsRegistry()
         self.coordinator = PcfCoordinator(
             sim, channel, timing, nav, ap_id, metrics=self.metrics
         )
-        self.packet_time = core.rt_exchange_time(timing, self.config.rt_packet_bits)
+        self.packet_time = core.rt_exchange_time(timing, RT_PACKET_BITS)
         #: fraction of the superframe the CFP may occupy
-        self.cfp_share = self.config.cfp_max / self.config.superframe
+        self.cfp_share = CFP_MAX / SUPERFRAME
 
         self.admitted: dict[str, _Admitted] = {}
         self.stations: dict[str, RealTimeStation] = {}
@@ -98,7 +83,7 @@ class ConventionalAccessPoint(ChannelListener):
         self.rejected_handoff = 0
 
         channel.attach(self)
-        self.sim.call_in(self.config.superframe, self._superframe_tick)
+        self.sim.call_in(SUPERFRAME, self._superframe_tick)
 
     # -- registry ------------------------------------------------------------
     def register_station(self, station: RealTimeStation) -> None:
@@ -161,9 +146,9 @@ class ConventionalAccessPoint(ChannelListener):
 
     # -- fixed superframe schedule ----------------------------------------------
     def _superframe_tick(self) -> None:
-        self.sim.call_in(self.config.superframe, self._superframe_tick)
+        self.sim.call_in(SUPERFRAME, self._superframe_tick)
         if self.request_table and not self.coordinator.active:
-            self.coordinator.start_cfp(self, self.config.cfp_max, lambda: None)
+            self.coordinator.start_cfp(self, CFP_MAX, lambda: None)
 
     # -- CfpScheduler (round-robin over the request table) -----------------------
     def next_action(self, now: float, elapsed: float) -> PollAction | None:

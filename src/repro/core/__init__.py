@@ -4,7 +4,7 @@ the QoS access point that composes them."""
 
 from .adaptive_cw import AdaptiveCW
 from .admission import AdmissionController, Session, rt_exchange_time
-from .bandwidth import AdaptiveBandwidthManager, BandwidthThresholds
+from .bandwidth import AdaptiveBandwidthManager
 from .edcf import AifsDifferentiation, CwDifferentiation
 from .erlang import erlang_b, erlang_b_inverse_capacity, offered_load
 from .capacity import (
@@ -59,7 +59,6 @@ __all__ = [
     "TokenPolicy",
     "TokenState",
     "AdaptiveBandwidthManager",
-    "BandwidthThresholds",
     "QosAccessPoint",
     "QosApConfig",
 ]

@@ -24,87 +24,51 @@ toward their floors to hand bandwidth back to data traffic.
 
 from __future__ import annotations
 
-import dataclasses
+__all__ = ["AdaptiveBandwidthManager"]
 
-__all__ = ["BandwidthThresholds", "AdaptiveBandwidthManager"]
-
-
-@dataclasses.dataclass(frozen=True)
-class BandwidthThresholds:
-    """Tunables of the adaptation loop (paper's threshold_* family)."""
-
-    #: threshold_D — acceptable handoff dropping probability
-    drop: float = 0.01
-    #: threshold_B — acceptable new-call blocking probability
-    block: float = 0.05
-    #: eta — "good enough" bandwidth utilization.  Measured as channel
-    #: busy fraction, whose saturation point on this PHY (header + IFS
-    #: overheads included) sits near 0.65; eta defaults just below it.
-    utilization: float = 0.55
-    #: multiplicative expansion factor (paper's "up")
-    up: float = 1.25
-    #: multiplicative decay factor (paper's "down")
-    down: float = 0.9
-    #: threshold_channel_I_max — hard cap of channel I
-    ch1_max: float = 0.6
-    #: threshold_channel_I_medium — cap when utilization is already high
-    ch1_medium: float = 0.5
-    #: threshold_channel_I_min — floor of channel I.  Floors are kept
-    #: high enough that a lightly loaded cell can still admit a
-    #: handoff without waiting for the feedback loop to re-grow the
-    #: channels (the decay branch reclaims idle bandwidth for data,
-    #: not the ability to accept calls).
-    ch1_min: float = 0.2
-    #: threshold_channel_II_max — cap of channel II when utilization high
-    ch2_max: float = 0.25
-    #: threshold_channel_II_min — floor of channel II
-    ch2_min: float = 0.1
-    #: guaranteed minimum share of channel III (data)
-    ch3_min: float = 0.15
-
-    def __post_init__(self) -> None:
-        for name in ("drop", "block", "utilization"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {v}")
-        if self.up <= 1.0:
-            raise ValueError(f"up must be > 1, got {self.up}")
-        if not 0.0 < self.down < 1.0:
-            raise ValueError(f"down must be in (0,1), got {self.down}")
-        if not (0.0 < self.ch1_min <= self.ch1_medium <= self.ch1_max <= 1.0):
-            raise ValueError("need 0 < ch1_min <= ch1_medium <= ch1_max <= 1")
-        if not (0.0 < self.ch2_min <= self.ch2_max <= 1.0):
-            raise ValueError("need 0 < ch2_min <= ch2_max <= 1")
-        if not 0.0 <= self.ch3_min < 1.0:
-            raise ValueError(f"ch3_min must be in [0,1), got {self.ch3_min}")
+# -- the pseudocode's thresholds ---------------------------------------------
+#: threshold_D — acceptable handoff dropping probability
+THRESHOLD_D = 0.01
+#: threshold_B — acceptable new-call blocking probability
+THRESHOLD_B = 0.05
+#: eta — "good enough" bandwidth utilization.  Measured as channel busy
+#: fraction, whose saturation point on this PHY (header + IFS overheads
+#: included) sits near 0.65; eta sits just below it.
+ETA = 0.55
+#: multiplicative expansion factor (paper's "up")
+UP = 1.25
+#: multiplicative decay factor (paper's "down")
+DOWN = 0.9
+#: threshold_channel_I_max — hard cap of channel I
+THRESHOLD_CHANNEL_I_MAX = 0.6
+#: threshold_channel_I_medium — cap when utilization is already high
+THRESHOLD_CHANNEL_I_MEDIUM = 0.5
+#: threshold_channel_I_min — floor of channel I.  Floors are kept high
+#: enough that a lightly loaded cell can still admit a handoff without
+#: waiting for the feedback loop to re-grow the channels (the decay
+#: branch reclaims idle bandwidth for data, not the ability to accept
+#: calls).
+THRESHOLD_CHANNEL_I_MIN = 0.2
+#: threshold_channel_II_max — cap of channel II when utilization high
+THRESHOLD_CHANNEL_II_MAX = 0.25
+#: threshold_channel_II_min — floor of channel II
+THRESHOLD_CHANNEL_II_MIN = 0.1
+#: guaranteed minimum share of channel III (data)
+THRESHOLD_CHANNEL_III_MIN = 0.15
+#: shares of channels I and II before the first update
+INITIAL_SHARE_I = 0.4
+INITIAL_SHARE_II = 0.1
 
 
 class AdaptiveBandwidthManager:
     """Feedback controller over the (I, II, III) channel split."""
 
-    def __init__(
-        self,
-        thresholds: BandwidthThresholds | None = None,
-        initial_share_i: float = 0.4,
-        initial_share_ii: float = 0.1,
-    ) -> None:
-        self.thresholds = thresholds or BandwidthThresholds()
-        t = self.thresholds
-        if not t.ch1_min <= initial_share_i <= t.ch1_max:
-            raise ValueError(
-                f"initial_share_i {initial_share_i} outside "
-                f"[{t.ch1_min}, {t.ch1_max}]"
-            )
-        if not t.ch2_min <= initial_share_ii <= t.ch2_max:
-            raise ValueError(
-                f"initial_share_ii {initial_share_ii} outside "
-                f"[{t.ch2_min}, {t.ch2_max}]"
-            )
-        self._share_i = initial_share_i
-        self._share_ii = initial_share_ii
+    def __init__(self) -> None:
+        self._share_i = INITIAL_SHARE_I
+        self._share_ii = INITIAL_SHARE_II
         #: current cap of channel II; the paper's drop-branch lifts it
         #: to the whole (III-protected) medium when utilization is low
-        self._ii_cap = t.ch2_max
+        self._ii_cap = THRESHOLD_CHANNEL_II_MAX
         self._clamp()
         self.updates = 0
 
@@ -125,18 +89,25 @@ class AdaptiveBandwidthManager:
         return 1.0 - self._share_i - self._share_ii
 
     def _clamp(self) -> None:
-        t = self.thresholds
-        self._share_i = min(max(self._share_i, t.ch1_min), t.ch1_max)
-        self._share_ii = min(max(self._share_ii, t.ch2_min), self._ii_cap)
+        self._share_i = min(
+            max(self._share_i, THRESHOLD_CHANNEL_I_MIN), THRESHOLD_CHANNEL_I_MAX
+        )
+        self._share_ii = min(
+            max(self._share_ii, THRESHOLD_CHANNEL_II_MIN), self._ii_cap
+        )
         # never squeeze channel III below its guaranteed minimum
-        excess = (self._share_i + self._share_ii) - (1.0 - t.ch3_min)
+        excess = (self._share_i + self._share_ii) - (
+            1.0 - THRESHOLD_CHANNEL_III_MIN
+        )
         if excess > 0:
             # shave channel I first (channel II protects handoffs)
-            take = min(excess, self._share_i - t.ch1_min)
+            take = min(excess, self._share_i - THRESHOLD_CHANNEL_I_MIN)
             self._share_i -= take
             excess -= take
             if excess > 0:
-                self._share_ii = max(t.ch2_min, self._share_ii - excess)
+                self._share_ii = max(
+                    THRESHOLD_CHANNEL_II_MIN, self._share_ii - excess
+                )
 
     def update(
         self, drop_prob: float, block_prob: float, utilization: float
@@ -149,25 +120,28 @@ class AdaptiveBandwidthManager:
         ):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
-        t = self.thresholds
-        if drop_prob > t.drop:
-            grown = max(self._share_i, self._share_ii) * t.up
-            if utilization < t.utilization:
+        if drop_prob > THRESHOLD_D:
+            grown = max(self._share_i, self._share_ii) * UP
+            if utilization < ETA:
                 # "min(..., total bandwidth)" — only channel III's floor
                 # limits how far the handoff channel may grow
                 self._ii_cap = 1.0
                 self._share_ii = min(grown, 1.0)
             else:
-                self._ii_cap = t.ch2_max
-                self._share_ii = min(grown, t.ch2_max)
-        elif block_prob > t.block:
-            if utilization < t.utilization:
-                self._share_i = min(self._share_i * t.up, t.ch1_max)
+                self._ii_cap = THRESHOLD_CHANNEL_II_MAX
+                self._share_ii = min(grown, THRESHOLD_CHANNEL_II_MAX)
+        elif block_prob > THRESHOLD_B:
+            if utilization < ETA:
+                self._share_i = min(self._share_i * UP, THRESHOLD_CHANNEL_I_MAX)
             else:
-                self._share_i = min(self._share_i * t.up, t.ch1_medium)
-        elif utilization < t.utilization:
-            self._ii_cap = t.ch2_max
-            self._share_ii = max(self._share_ii * t.down, t.ch2_min)
-            self._share_i = max(self._share_i * t.down, t.ch1_min)
+                self._share_i = min(
+                    self._share_i * UP, THRESHOLD_CHANNEL_I_MEDIUM
+                )
+        elif utilization < ETA:
+            self._ii_cap = THRESHOLD_CHANNEL_II_MAX
+            self._share_ii = max(
+                self._share_ii * DOWN, THRESHOLD_CHANNEL_II_MIN
+            )
+            self._share_i = max(self._share_i * DOWN, THRESHOLD_CHANNEL_I_MIN)
         self._clamp()
         self.updates += 1

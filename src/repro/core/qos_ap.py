@@ -28,7 +28,7 @@ from ..obs.registry import MetricsRegistry
 from ..phy.channel import Channel, ChannelListener
 from ..phy.timing import PhyTiming
 from ..sim.engine import Simulator, TimerHandle
-from ..traffic.base import TrafficKind
+from ..traffic.base import RT_PACKET_BITS, TrafficKind
 from ..traffic.video import VideoParams
 from ..traffic.voice import VoiceParams
 from .admission import AdmissionController, Session
@@ -37,15 +37,25 @@ from .token_policy import TokenPolicy
 
 __all__ = ["QosApConfig", "QosAccessPoint"]
 
+#: superframe-equivalent period over which channel shares are budgeted
+SUPERFRAME = 0.075
+#: evict an admitted source after this many consecutive abnormal nulls
+#: (polls that never reached it); its token buffer and admitted
+#: bandwidth are reclaimed and it must re-request admission
+EVICT_AFTER_NULLS = 6
+#: upper bound on the contention-period gap owed after one CFP.  The
+#: long-run channel-III share is protected by admission (RT load is
+#: capped at the I+II shares), so this gate only needs to guarantee data
+#: some airtime between CFPs; letting one long CFP impose its full
+#: proportional debt would instead stall the next poll past the voice
+#: sources' Theorem 1 bounds.
+CP_DEBT_CAP = 0.002
+
 
 @dataclasses.dataclass(frozen=True)
 class QosApConfig:
     """Tunables of the proposed AP."""
 
-    #: superframe-equivalent period over which channel shares are budgeted
-    superframe: float = 0.075
-    #: fixed real-time MPDU payload
-    rt_packet_bits: int = 512 * 8
     #: 1 = single CF-Polls; >1 = CF-MultiPoll batches of this size
     multipoll_size: int = 1
     #: period of the adaptive-bandwidth feedback loop (0 disables)
@@ -55,34 +65,14 @@ class QosApConfig:
     #: HCF-style TXOP: max frames a backlogged station may send per
     #: poll (1 = classic PCF single response)
     txop_packets: int = 1
-    #: evict an admitted source after this many consecutive abnormal
-    #: nulls (polls that never reached it); its token buffer and
-    #: admitted bandwidth are reclaimed and it must re-request
-    #: admission.  0 disables eviction.
-    evict_after_nulls: int = 6
-    #: upper bound on the contention-period gap owed after one CFP.
-    #: The long-run channel-III share is protected by admission (RT
-    #: load is capped at the I+II shares), so this gate only needs to
-    #: guarantee data some airtime between CFPs; letting one long CFP
-    #: impose its full proportional debt would instead stall the next
-    #: poll past the voice sources' Theorem 1 bounds.
-    cp_debt_cap: float = 0.002
 
     def __post_init__(self) -> None:
-        if self.superframe <= 0:
-            raise ValueError(f"superframe must be > 0, got {self.superframe}")
-        if self.rt_packet_bits <= 0:
-            raise ValueError("rt_packet_bits must be > 0")
         if self.multipoll_size < 1:
             raise ValueError("multipoll_size must be >= 1")
         if self.adaptation_interval < 0:
             raise ValueError("adaptation_interval must be >= 0")
-        if self.cp_debt_cap < 0:
-            raise ValueError("cp_debt_cap must be >= 0")
         if self.txop_packets < 1:
             raise ValueError("txop_packets must be >= 1")
-        if self.evict_after_nulls < 0:
-            raise ValueError("evict_after_nulls must be >= 0")
 
 
 #: the AP's registry-backed decision counters (``ap_<name>`` metrics)
@@ -107,8 +97,6 @@ class QosAccessPoint(ChannelListener):
         MAC substrate (the nav is shared with all stations).
     config:
         See :class:`QosApConfig`.
-    bandwidth:
-        Adaptive bandwidth manager (a default one is built if omitted).
     feedback:
         ``fn() -> (drop_prob, block_prob, utilization)`` sampled every
         ``adaptation_interval`` to drive the bandwidth manager.
@@ -123,7 +111,6 @@ class QosAccessPoint(ChannelListener):
         timing: PhyTiming,
         nav,
         config: QosApConfig | None = None,
-        bandwidth: AdaptiveBandwidthManager | None = None,
         feedback: typing.Callable[[], tuple[float, float, float]] | None = None,
         ap_id: str = "ap",
         metrics: MetricsRegistry | None = None,
@@ -133,14 +120,14 @@ class QosAccessPoint(ChannelListener):
         self.timing = timing
         self.ap_id = ap_id
         self.config = config or QosApConfig()
-        self.bandwidth = bandwidth or AdaptiveBandwidthManager()
+        self.bandwidth = AdaptiveBandwidthManager()
         self.feedback = feedback
         #: the scenario-wide metrics registry (one is created when the
         #: AP is built standalone); the token policy and coordinator
         #: register their instruments in the same registry
         self.metrics = metrics or MetricsRegistry()
         self.admission = AdmissionController(
-            timing, self.config.rt_packet_bits, self.bandwidth
+            timing, RT_PACKET_BITS, self.bandwidth
         )
         self.policy = TokenPolicy(
             sim,
@@ -148,7 +135,7 @@ class QosAccessPoint(ChannelListener):
             budget_check=self._budget_allows,
             voice_order=self.config.voice_order,
             drain_interval=self.admission.packet_time,
-            evict_after=self.config.evict_after_nulls,
+            evict_after=EVICT_AFTER_NULLS,
             metrics=self.metrics,
         )
         self.policy.on_token = self._maybe_start_cfp
@@ -293,10 +280,9 @@ class QosAccessPoint(ChannelListener):
 
     # -- CFP budgeting (channels I and II) -----------------------------------
     def _budget_allows(self, session: Session) -> bool:
-        sf = self.config.superframe
         cost = self.admission.packet_time
-        budget_i = self.bandwidth.share_i * sf
-        budget_ii = self.bandwidth.share_ii * sf
+        budget_i = self.bandwidth.share_i * SUPERFRAME
+        budget_ii = self.bandwidth.share_ii * SUPERFRAME
         if session.handoff:
             # channel II is handoff-exclusive; spare channel I time may
             # also be used, but never ahead of non-handoff RT demand.
@@ -316,9 +302,8 @@ class QosAccessPoint(ChannelListener):
         self._used_handoff = 0.0
         self._cfp_started_at = now
         max_dur = (
-            (self.bandwidth.share_i + self.bandwidth.share_ii)
-            * self.config.superframe
-        )
+            self.bandwidth.share_i + self.bandwidth.share_ii
+        ) * SUPERFRAME
         if self.monitor is not None:
             self.monitor.cfp_started(now, max_dur)
         self.coordinator.start_cfp(self, max_dur, self._cfp_ended)
@@ -333,8 +318,7 @@ class QosAccessPoint(ChannelListener):
         cfp_share = self.bandwidth.share_i + self.bandwidth.share_ii
         duration = now - self._cfp_started_at
         debt = min(
-            duration * self.bandwidth.share_iii / cfp_share,
-            self.config.cp_debt_cap,
+            duration * self.bandwidth.share_iii / cfp_share, CP_DEBT_CAP
         )
         self._earliest_next_cfp = now + debt
         if self.monitor is not None:

@@ -129,10 +129,11 @@ class ResultCache:
     def entries(self) -> typing.Iterator[CacheEntry]:
         """Scan every readable entry (sorted by key, for determinism).
 
-        Corrupt, foreign-format and orphaned ``.json.tmp`` files are
-        skipped silently — the same tolerance :meth:`get` applies,
-        without charging misses.  This is the read path the serve
-        layer's surface index is built from.
+        Corrupt, foreign-format, malformed, misfiled and orphaned
+        ``.json.tmp`` files are skipped silently — exactly the entries
+        :meth:`get` refuses, without charging misses — so a scan and a
+        lookup agree on what the cache holds.  This is the read path
+        the serve layer's surface index is built from.
         """
         for path in self._entry_paths():
             try:
@@ -142,8 +143,8 @@ class ResultCache:
             if (
                 not isinstance(entry, dict)
                 or entry.get("format") != KEY_FORMAT
+                or entry.get("key") != path.stem
                 or not isinstance(entry.get("row"), dict)
-                or not isinstance(entry.get("key"), str)
             ):
                 continue
             config = entry.get("config")
@@ -154,7 +155,8 @@ class ResultCache:
             )
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._entry_paths())
+        """How many entries :meth:`entries` yields."""
+        return sum(1 for _ in self.entries())
 
     def clear(self) -> int:
         """Delete every cached entry; returns how many were removed.

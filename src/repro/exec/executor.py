@@ -31,7 +31,7 @@ rows — dispatch *order* is a performance decision and never leaks
 into results.
 
 Per-point timeouts are only enforceable in pool mode (a serial run
-cannot preempt itself); serial mode still honours ``retries``.
+cannot preempt itself); serial mode still retries a failed point.
 """
 
 from __future__ import annotations
@@ -63,6 +63,17 @@ _TIMEOUT_TICK = 0.05
 #: idle poll period without a timeout (worker death still wakes the
 #: poll immediately via the process sentinels)
 _POLL_TICK = 0.25
+#: additional attempts after a failed, timed-out or crashed first try
+RETRIES = 1
+#: per-worker-slot restart budget: how many times one slot may be
+#: respawned (crash or wedge) before it is retired for the run.  A
+#: retired slot's in-flight point fails permanently — a poison point
+#: costs at most ``workers x (MAX_WORKER_RESTARTS + 1)`` process
+#: spawns, never an unbounded restart storm
+MAX_WORKER_RESTARTS = 3
+#: base of the exponential restart backoff: the ``n``-th respawn of one
+#: slot waits ``RESTART_BACKOFF * 2**(n-1)`` seconds (capped at 30 s)
+RESTART_BACKOFF = 0.1
 
 
 def default_point_fn(config: ScenarioConfig) -> dict[str, typing.Any]:
@@ -124,8 +135,6 @@ class ExecutorConfig:
     #: per-point wall-clock budget in seconds (pool mode only) — a
     #: point outliving it marks its worker wedged and restarts it
     timeout: float | None = None
-    #: additional attempts after a failed/timed-out/crashed first try
-    retries: int = 1
     #: cache directory, or ``None`` to disable the result cache
     cache_dir: str | None = None
     #: journal path, or ``None`` to disable checkpointing
@@ -138,33 +147,12 @@ class ExecutorConfig:
     #: with online refinement, is the only one.  The field stays because
     #: perfbench's ``figure_sweep`` passes it
     schedule: str = "cost"
-    #: per-worker-slot restart budget: how many times one slot may be
-    #: respawned (crash or wedge) before it is retired for the run.
-    #: A retired slot's in-flight point fails permanently — a poison
-    #: point costs at most ``workers x (budget + 1)`` process spawns,
-    #: never an unbounded restart storm
-    max_worker_restarts: int = 3
-    #: base of the exponential restart backoff: the ``n``-th respawn of
-    #: one slot waits ``restart_backoff * 2**(n-1)`` seconds (capped at
-    #: 30 s); ``0`` disables the wait (tests)
-    restart_backoff: float = 0.1
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.max_worker_restarts < 0:
-            raise ValueError(
-                f"max_worker_restarts must be >= 0, "
-                f"got {self.max_worker_restarts}"
-            )
-        if self.restart_backoff < 0:
-            raise ValueError(
-                f"restart_backoff must be >= 0, got {self.restart_backoff}"
-            )
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {self.timeout}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.on_failure not in ("raise", "skip"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'skip', got {self.on_failure!r}"
@@ -313,7 +301,6 @@ class SweepExecutor:
     def _run_serial(
         self, configs, keys, rows, pending, cache, journal, tel, failures
     ) -> None:
-        cfg = self.config
         for i in pending:
             attempts = 0
             while True:
@@ -323,7 +310,7 @@ class SweepExecutor:
                     row, wall = _execute_point(self.point_fn, configs[i])
                 except Exception as exc:  # noqa: BLE001 — retried, then surfaced
                     tel.busy_worker_s += time.perf_counter() - started
-                    if attempts <= cfg.retries:
+                    if attempts <= RETRIES:
                         tel.retries += 1
                         continue
                     failures.append(PointFailure(i, configs[i], repr(exc)))
@@ -357,7 +344,7 @@ class SweepExecutor:
             )
 
         def fail_or_requeue(index: int, used: int, error: str) -> None:
-            if used <= cfg.retries:
+            if used <= RETRIES:
                 tel.retries += 1
                 scheduler.add(index, configs[index])
             else:
@@ -365,29 +352,34 @@ class SweepExecutor:
 
         pool = WorkerPool(cfg.workers, self.point_fn)
         #: per-slot respawn counts for this run; one slot exceeding
-        #: ``max_worker_restarts`` is retired, not restarted — the
+        #: ``MAX_WORKER_RESTARTS`` is retired, not restarted — the
         #: restart-storm guard a poison point would otherwise trigger
         slot_restarts: dict[int, int] = {}
 
-        def respawn(worker) -> bool:
-            """Restart one slot within budget; retire it past budget.
-
-            Returns ``False`` when the slot was retired, in which case
-            the caller must fail the in-flight point permanently
-            instead of requeueing it.
-            """
+        def lose_worker(worker, index: int | None, error: str) -> None:
+            """Restart a crashed or wedged slot within its budget, then
+            requeue or fail the point it held (``index``, if any); past
+            the budget, retire the slot and fail that point for good."""
             n = slot_restarts.get(worker.worker_id, 0) + 1
             slot_restarts[worker.worker_id] = n
-            if n > cfg.max_worker_restarts:
+            if n > MAX_WORKER_RESTARTS:
                 tel.restart_budget_exhausted += 1
                 pool.retire(worker)
-                return False
-            if cfg.restart_backoff > 0:
-                # exponential backoff: a crash-looping environment gets
-                # geometrically rarer respawns instead of a hot loop
-                time.sleep(min(cfg.restart_backoff * 2 ** (n - 1), 30.0))
+                if index is not None:
+                    fail_point(
+                        index,
+                        attempts[index],
+                        f"{error}; slot retired after exhausting its "
+                        f"restart budget ({MAX_WORKER_RESTARTS})",
+                    )
+                return
+            # exponential backoff: a crash-looping environment gets
+            # geometrically rarer respawns instead of a hot loop
+            time.sleep(min(RESTART_BACKOFF * 2 ** (n - 1), 30.0))
             pool.restart(worker)
-            return True
+            if index is not None:
+                fail_or_requeue(index, attempts[index], error)
+
         #: task_id -> grid index for every dispatched, unresolved task;
         #: task ids are fresh per attempt, so a stale message from a
         #: killed worker can never resolve a retried point
@@ -458,20 +450,12 @@ class SweepExecutor:
                             tel.busy_worker_s += (
                                 time.perf_counter() - worker.started
                             )
-                    error = (
+                    lose_worker(
+                        worker,
+                        index,
                         f"worker {worker.worker_id} died "
-                        f"(exitcode {worker.process.exitcode})"
+                        f"(exitcode {worker.process.exitcode})",
                     )
-                    if respawn(worker):
-                        if index is not None:
-                            fail_or_requeue(index, attempts[index], error)
-                    elif index is not None:
-                        fail_point(
-                            index,
-                            attempts[index],
-                            f"{error}; slot retired after exhausting its "
-                            f"restart budget ({cfg.max_worker_restarts})",
-                        )
 
                 if cfg.timeout is not None:
                     now = time.perf_counter()
@@ -486,21 +470,12 @@ class SweepExecutor:
                         index = tasks.pop(task_id, None)
                         if index is not None:
                             attempts[index] += 1
-                        error = f"timed out after {cfg.timeout}s"
                         # the wedged process burns a core until killed;
                         # only this slot restarts (budget permitting),
                         # siblings keep going
-                        if respawn(worker):
-                            if index is not None:
-                                fail_or_requeue(index, attempts[index], error)
-                        elif index is not None:
-                            fail_point(
-                                index,
-                                attempts[index],
-                                f"{error}; slot retired after exhausting "
-                                f"its restart budget "
-                                f"({cfg.max_worker_restarts})",
-                            )
+                        lose_worker(
+                            worker, index, f"timed out after {cfg.timeout}s"
+                        )
 
                 if not pool.workers:
                     # every slot retired: nothing can execute the rest

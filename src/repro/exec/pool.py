@@ -102,7 +102,6 @@ class WorkerHandle:
         #: coordinator clock when the current task was dispatched /
         #: confirmed started — the wedge deadline runs from here
         self.started: float | None = None
-        self.tasks_done = 0
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -204,7 +203,6 @@ class WorkerPool:
                         if msg[2] == worker.current:
                             worker.current = None
                             worker.started = None
-                            worker.tasks_done += 1
                         messages.append(msg)
             except (EOFError, OSError):
                 pass  # the pipe died with its worker; sentinel handles it

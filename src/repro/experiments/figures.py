@@ -17,7 +17,7 @@ from ..mac.dcf import DcfTransmitter
 from ..mac.nav import Nav
 from ..mac.station import RealTimeStation
 from ..metrics.collectors import MetricsCollector
-from ..network.bss import DEFAULT_VIDEO, DEFAULT_VOICE, RT_PACKET_BITS
+from ..network.bss import DEFAULT_VIDEO, DEFAULT_VOICE
 from ..phy.channel import Channel
 from ..phy.error_model import BitErrorModel
 from ..phy.timing import PhyTiming
@@ -59,7 +59,7 @@ def _static_bss(
         channel,
         timing,
         nav,
-        config=QosApConfig(rt_packet_bits=RT_PACKET_BITS, adaptation_interval=0.0),
+        config=QosApConfig(adaptation_interval=0.0),
     )
 
     admitted_voice = admitted_video = 0

@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..mac.frames import FrameType
-from ..obs.jsonutil import JsonRecord
+from ..obs.jsonutil import JsonRecord, store_floats
 
 __all__ = [
     "GilbertElliottParams",
@@ -68,6 +68,7 @@ class GilbertElliottParams:
     ber_bad: float = 1e-3
 
     def __post_init__(self) -> None:
+        store_floats(self)
         for name in ("p_good_to_bad", "p_bad_to_good"):
             p = getattr(self, name)
             if not 0.0 < p <= 1.0:
@@ -99,6 +100,7 @@ class FrameLossRule:
     end: float | None = None
 
     def __post_init__(self) -> None:
+        store_floats(self)
         if self.ftype not in _FRAME_TYPES:
             raise ValueError(
                 f"ftype must be one of {_FRAME_TYPES}, got {self.ftype!r}"
@@ -135,6 +137,7 @@ class StationFault:
     kind: str = "any"
 
     def __post_init__(self) -> None:
+        store_floats(self)
         if self.at < 0.0:
             raise ValueError(f"at must be >= 0, got {self.at}")
         if self.mode not in FAULT_MODES:

@@ -101,10 +101,6 @@ class RealTimeStation:
         #: station must re-request admission before transmitting again
         self.was_evicted = False
         self._crashed = False
-        #: fault/recovery counters
-        self.faults_suffered = 0
-        self.recoveries = 0
-        self.crash_losses = 0
         #: optional "is the stream still active?" probe (e.g. the voice
         #: source's talk-spurt flag).  While it returns True the station
         #: answers empty-buffer polls with a CF-Null carrying PGBK=1,
@@ -117,7 +113,6 @@ class RealTimeStation:
         self.deadline_drops = 0
         #: packets lost to channel errors during their polled slot
         self.error_losses = 0
-        self.requests_sent = 0
 
     # -- traffic sink -----------------------------------------------------
     def packet_arrival(self, packet: Packet) -> None:
@@ -126,7 +121,6 @@ class RealTimeStation:
             return
         if self.radio_down and self._crashed:
             # device is rebooting: arrivals are lost outright
-            self.crash_losses += 1
             packet.expired = True
             if self.on_packet_outcome is not None:
                 self.on_packet_outcome(packet, False)
@@ -166,7 +160,6 @@ class RealTimeStation:
         on_done: typing.Callable[[bool], None] | None = None,
     ) -> None:
         self.state = RTState.REQUEST
-        self.requests_sent += 1
         frame = Frame(
             FrameType.REQUEST,
             src=self.station_id,
@@ -229,12 +222,10 @@ class RealTimeStation:
             return
         self.radio_down = True
         self._crashed = crash
-        self.faults_suffered += 1
         if crash:
             while self.buffer:
                 pkt = self.buffer.popleft()
                 pkt.expired = True
-                self.crash_losses += 1
                 if self.on_packet_outcome is not None:
                     self.on_packet_outcome(pkt, False)
 
@@ -249,7 +240,6 @@ class RealTimeStation:
             return
         self.radio_down = False
         self._crashed = False
-        self.recoveries += 1
         self._purge_expired(self.sim.now)
         if self.eof:
             return

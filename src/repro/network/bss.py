@@ -20,9 +20,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from ..baseline.conventional import ConventionalAccessPoint, ConventionalApConfig
+from ..baseline.conventional import ConventionalAccessPoint
 from ..core.adaptive_cw import AdaptiveCW
-from ..core.bandwidth import AdaptiveBandwidthManager, BandwidthThresholds
 from ..core.priority_backoff import PriorityBackoff
 from ..core.qos_ap import QosAccessPoint, QosApConfig
 from ..faults.plan import FaultPlan
@@ -31,7 +30,7 @@ from ..mac.dcf import DcfTransmitter
 from ..mac.nav import Nav
 from ..mac.station import DataStation
 from ..metrics.collectors import MetricsCollector
-from ..obs.jsonutil import JsonRecord, to_jsonable
+from ..obs.jsonutil import JsonRecord, store_floats, to_jsonable
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TraceConfig, TraceRecorder
 from ..phy.channel import Channel
@@ -39,27 +38,29 @@ from ..phy.error_model import BitErrorModel
 from ..phy.timing import PhyTiming
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
-from ..traffic.base import TrafficKind
+from ..traffic.base import RT_PACKET_BITS, TrafficKind
 from ..traffic.data import PoissonDataSource
 from ..traffic.video import VideoParams
 from ..traffic.voice import VoiceParams
 from .calls import CallGenerator, CallMixConfig
 from .mobility import EssCellContext
 
-__all__ = ["ScenarioConfig", "BssScenario", "SCHEMES", "ENGINES"]
+__all__ = [
+    "ScenarioConfig",
+    "BssScenario",
+    "SCHEMES",
+    "ENGINES",
+    # re-exported from the traffic layer, where it is defined
+    "RT_PACKET_BITS",
+]
 
 SCHEMES = ("proposed", "proposed-multipoll", "conventional")
 
 #: engine tiers (see repro.accel and DESIGN.md "Engine tiers")
 ENGINES = ("exact", "batched")
 
-#: fixed real-time MPDU payload used throughout the evaluation
-RT_PACKET_BITS = 512 * 8
-
-DEFAULT_VOICE = VoiceParams(rate=25.0, max_jitter=0.030, packet_bits=RT_PACKET_BITS)
-DEFAULT_VIDEO = VideoParams(
-    avg_rate=60.0, burstiness=6.0, max_delay=0.050, packet_bits=RT_PACKET_BITS
-)
+DEFAULT_VOICE = VoiceParams(rate=25.0, max_jitter=0.030)
+DEFAULT_VIDEO = VideoParams(avg_rate=60.0, burstiness=6.0, max_delay=0.050)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,6 +131,7 @@ class ScenarioConfig(JsonRecord):
     engine: str = "exact"
 
     def __post_init__(self) -> None:
+        store_floats(self)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.engine not in ENGINES:
@@ -345,25 +347,21 @@ class BssScenario:
                 self.channel,
                 self.timing,
                 self.nav,
-                ConventionalApConfig(rt_packet_bits=RT_PACKET_BITS),
                 metrics=self.metrics,
             )
         multipoll = cfg.multipoll_size if cfg.scheme == "proposed-multipoll" else 1
         ap_cfg = QosApConfig(
-            rt_packet_bits=RT_PACKET_BITS,
             multipoll_size=multipoll,
             adaptation_interval=1.0 if cfg.adaptive_bandwidth else 0.0,
             voice_order=cfg.voice_order,
             txop_packets=cfg.txop_packets,
         )
-        bandwidth = AdaptiveBandwidthManager(BandwidthThresholds())
         return QosAccessPoint(
             self.sim,
             self.channel,
             self.timing,
             self.nav,
             config=ap_cfg,
-            bandwidth=bandwidth,
             feedback=self._feedback if cfg.adaptive_bandwidth else None,
             metrics=self.metrics,
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..obs.jsonutil import JsonRecord
+from ..obs.jsonutil import JsonRecord, store_floats
 
 __all__ = [
     "EssCellContext",
@@ -70,6 +70,7 @@ class EssCellContext(JsonRecord):
     handoff_arrivals: tuple[tuple[float, str], ...] = ()
 
     def __post_init__(self) -> None:
+        store_floats(self)
         if not self.cell:
             raise ValueError("cell must be a non-empty id")
         if self.epoch < 0:

@@ -21,8 +21,12 @@ take their ``to_dict``/``from_dict`` from :class:`JsonRecord`, and the
 reproducer fixture and campaign report build their schema-tagged forms
 on the same two functions.  A point's identity is the JSON form of its
 ``ScenarioConfig``, so these few functions decide every cache key and
-journal line.  :func:`unwrap_scalar` stays record-blind: a record is
-taken through ``to_dict`` before it is encoded.
+journal line.  :func:`store_floats` makes that identity blind to the
+number type a caller used: ``ScenarioConfig`` and every record nested
+in its key call it at construction, so ``load=1`` and ``load=1.0``
+build the same record, key and row.  :func:`unwrap_scalar` stays
+record-blind: a record is taken through ``to_dict`` before it is
+encoded.
 
 The helpers live here, in ``obs`` — the lowest observability layer —
 so ``exec`` can import them without ``obs`` ever importing upward.
@@ -34,6 +38,7 @@ import collections.abc
 import dataclasses
 import functools
 import json
+import numbers
 import pathlib
 import types
 import typing
@@ -42,6 +47,7 @@ __all__ = [
     "JsonRecord",
     "canonical_json",
     "from_jsonable",
+    "store_floats",
     "to_jsonable",
     "unwrap_scalar",
     "write_json",
@@ -142,6 +148,20 @@ def from_jsonable(
     return cls(**kwargs)
 
 
+def store_floats(record: typing.Any) -> None:
+    """Store each integer in a ``float`` field as a ``float``.
+
+    ``record`` is a dataclass instance, frozen or not; a field typed
+    ``float`` or ``float | None`` counts, and so does any integer a key
+    would encode without a decimal point: ``int`` and the numpy integer
+    types, but not ``bool``.  Called from ``__post_init__``.
+    """
+    for name in _float_fields(type(record)):
+        value = getattr(record, name)
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            object.__setattr__(record, name, float(value))
+
+
 class JsonRecord:
     """Mixin giving a dataclass record ``to_dict``/``from_dict``.
 
@@ -167,6 +187,15 @@ def _decoders(cls: type) -> tuple[tuple[str, typing.Callable], ...]:
     hints = typing.get_type_hints(cls)
     pairs = ((name, _decoder(hints[name])) for name in _names(cls))
     return tuple((name, decode) for name, decode in pairs if decode)
+
+
+@functools.cache
+def _float_fields(cls: type) -> tuple[str, ...]:
+    """The fields of ``cls`` typed ``float`` or ``float | None``."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        name for name in _names(cls) if hints[name] in (float, float | None)
+    )
 
 
 def _decoder(hint: typing.Any) -> typing.Callable | None:

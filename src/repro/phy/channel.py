@@ -110,7 +110,6 @@ class Channel:
         #: that callback (an inherited no-op is left out): busy/idle as
         #: pre-bound methods, the frame fan-out as (listener, bound
         #: on_frame) pairs so the sender can be skipped by identity
-        self._fanout: tuple[ChannelListener, ...] = ()
         self._fanout_busy: tuple = ()
         self._fanout_idle: tuple = ()
         self._fanout_frame: tuple = ()
@@ -154,7 +153,6 @@ class Channel:
         noop_busy = ChannelListener.on_medium_busy
         noop_idle = ChannelListener.on_medium_idle
         noop_frame = ChannelListener.on_frame
-        self._fanout = tuple(listeners)
         self._fanout_busy = tuple(
             l.on_medium_busy for l in listeners
             if type(l).on_medium_busy is not noop_busy

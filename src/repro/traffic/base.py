@@ -22,7 +22,11 @@ import typing
 
 from ..sim.engine import Simulator
 
-__all__ = ["TrafficKind", "Packet", "TrafficSource"]
+__all__ = ["RT_PACKET_BITS", "TrafficKind", "Packet", "TrafficSource"]
+
+#: fixed real-time (voice and video) MPDU payload used throughout the
+#: evaluation
+RT_PACKET_BITS = 512 * 8
 
 
 class TrafficKind(enum.Enum):

@@ -23,9 +23,10 @@ import typing
 
 import numpy as np
 
+from ..obs.jsonutil import store_floats
 from ..sim.engine import Simulator
 from ..sim.process import Interrupt
-from .base import Packet, TrafficKind, TrafficSource
+from .base import RT_PACKET_BITS, Packet, TrafficKind, TrafficSource
 
 __all__ = ["VideoParams", "MaglarisVideoSource"]
 
@@ -60,11 +61,12 @@ class VideoParams:
     avg_rate: float
     burstiness: float
     max_delay: float
-    packet_bits: int = 512 * 8
+    packet_bits: int = RT_PACKET_BITS
     frame_rate: float = 25.0
     pixels_per_frame: int | None = None
 
     def __post_init__(self) -> None:
+        store_floats(self)
         if self.avg_rate <= 0:
             raise ValueError(f"avg_rate must be > 0, got {self.avg_rate}")
         if self.burstiness < 0:
@@ -114,13 +116,11 @@ class MaglarisVideoSource(TrafficSource):
         self._pixels = params.resolved_pixels_per_frame()
         # start the AR process at its stationary mean
         self._bit_per_pixel = params.mean_bit_per_pixel
-        self.frames_generated = 0
 
     def next_frame_bits(self) -> int:
         """Advance the AR(1) recursion and return the next frame's bits."""
         w = self._rng.normal(AR_W_MEAN, 1.0)
         self._bit_per_pixel = max(0.0, AR_A * self._bit_per_pixel + AR_B * w)
-        self.frames_generated += 1
         return int(round(self._bit_per_pixel * self._pixels))
 
     def _run(self) -> typing.Generator:

@@ -17,9 +17,10 @@ import typing
 
 import numpy as np
 
+from ..obs.jsonutil import store_floats
 from ..sim.engine import Simulator
 from ..sim.process import Interrupt
-from .base import Packet, TrafficKind, TrafficSource
+from .base import RT_PACKET_BITS, Packet, TrafficKind, TrafficSource
 
 __all__ = ["VoiceParams", "OnOffVoiceSource"]
 
@@ -42,11 +43,12 @@ class VoiceParams:
 
     rate: float
     max_jitter: float
-    packet_bits: int = 512 * 8
+    packet_bits: int = RT_PACKET_BITS
     mean_on: float = 1.35
     mean_off: float = 1.5
 
     def __post_init__(self) -> None:
+        store_floats(self)
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if self.max_jitter <= 0:

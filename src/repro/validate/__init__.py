@@ -32,7 +32,7 @@ from .ess import (
 )
 from .invariants import InvariantSuite, Violation
 from .runner import TIERS, TierSpec, ValidationReport, run_validation, validation_grid
-from .shapes import ClaimResult, ShapeThresholds, evaluate_claims
+from .shapes import ClaimResult, evaluate_claims
 from .stats import (
     ConfidenceInterval,
     PairedComparison,
@@ -55,7 +55,6 @@ __all__ = [
     "run_validation",
     "validation_grid",
     "ClaimResult",
-    "ShapeThresholds",
     "evaluate_claims",
     "ConfidenceInterval",
     "PairedComparison",

@@ -20,7 +20,7 @@ import typing
 from ..exec import SweepExecutor
 from ..experiments.config import EVALUATION_LOADS, sweep_config
 from ..network.bss import SCHEMES, ScenarioConfig
-from .shapes import ClaimResult, ShapeThresholds, evaluate_claims
+from .shapes import ClaimResult, evaluate_claims
 
 __all__ = [
     "TierSpec",
@@ -161,7 +161,6 @@ def run_validation(
     tier: str | TierSpec,
     *,
     executor: SweepExecutor | None = None,
-    thresholds: ShapeThresholds | None = None,
     include_fig5: bool = True,
 ) -> ValidationReport:
     """Execute one validation tier end to end.
@@ -173,8 +172,6 @@ def run_validation(
     executor:
         Pre-configured sweep executor (workers/cache/journal); a
         serial uncached one is built when omitted.
-    thresholds:
-        Gate constants override (defaults are the calibrated ones).
     include_fig5:
         Skip the static-population Fig. 5 run when False (its claim
         then reports ``skip``).
@@ -192,7 +189,7 @@ def run_validation(
             seed=spec.seeds[0],
             sim_time=spec.fig5_sim_time,
         )
-    claims = evaluate_claims(rows, fig5_rows or None, thresholds)
+    claims = evaluate_claims(rows, fig5_rows or None)
     return ValidationReport(
         tier=spec.name,
         claims=tuple(claims),

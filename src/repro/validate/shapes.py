@@ -26,43 +26,41 @@ import typing
 
 from .stats import PairedComparison, mean_ci, paired_comparison, seed_values
 
-__all__ = ["ShapeThresholds", "ClaimResult", "evaluate_claims", "CLAIM_IDS"]
+__all__ = ["ClaimResult", "evaluate_claims", "CLAIM_IDS"]
 
 PROPOSED = "proposed"
 MULTIPOLL = "proposed-multipoll"
 CONVENTIONAL = "conventional"
 
 
-@dataclasses.dataclass(frozen=True)
-class ShapeThresholds:
-    """Calibrated gate constants (measured repo behaviour + margin)."""
-
-    #: Fig 6 — proposed handoff dropping stays under this at every load
-    #: (measured plateau 0.02-0.16 across loads/seeds; the paper's
-    #: threshold_D = 0.01 is a known divergence, see EXPERIMENTS.md)
-    dropping_cap: float = 0.25
-    #: Fig 6 — conventional dropping must climb at least this much
-    #: from the lightest to the heaviest load (measured ~0 -> ~0.48)
-    conventional_climb_min: float = 0.05
-    #: Fig 8 — conventional voice-delay variance over proposed, at the
-    #: lightest load (measured ratio > 50x; 5x leaves refactor room)
-    variance_ratio_min: float = 5.0
-    #: Fig 8 — multipoll variance within this factor of single-poll
-    mp_variance_ratio_max: float = 1.5
-    mp_variance_abs_slack: float = 1e-6
-    #: Fig 8 — multipoll mean voice delay within 5 % of single-poll
-    #: (the two are seed-mixed at the 0.1 ms level, so a mean-ratio
-    #: gate with absolute slack, not a paired one)
-    mp_parity_ratio: float = 1.05
-    mp_parity_abs_slack: float = 2e-4
-    #: Fig 11 — proposed goodput at most this factor over conventional
-    #: at heavy load (admission trades raw utilization for QoS)
-    utilization_ratio_max: float = 1.05
-    #: Fig 11 — multipoll keeps >= this fraction of single-poll goodput
-    mp_goodput_ratio_min: float = 0.95
-    #: Fig 11 — while spending no more channel-busy time than this
-    mp_busy_ratio_max: float = 1.02
-    confidence: float = 0.95
+# -- calibrated gate constants (measured repo behaviour + margin) ------------
+#: Fig 6 — proposed handoff dropping stays under this at every load
+#: (measured plateau 0.02-0.16 across loads/seeds; the paper's
+#: threshold_D = 0.01 is a known divergence, see EXPERIMENTS.md)
+DROPPING_CAP = 0.25
+#: Fig 6 — conventional dropping must climb at least this much
+#: from the lightest to the heaviest load (measured ~0 -> ~0.48)
+CONVENTIONAL_CLIMB_MIN = 0.05
+#: Fig 8 — conventional voice-delay variance over proposed, at the
+#: lightest load (measured ratio > 50x; 5x leaves refactor room)
+VARIANCE_RATIO_MIN = 5.0
+#: Fig 8 — multipoll variance within this factor of single-poll
+MP_VARIANCE_RATIO_MAX = 1.5
+MP_VARIANCE_ABS_SLACK = 1e-6
+#: Fig 8 — multipoll mean voice delay within 5 % of single-poll
+#: (the two are seed-mixed at the 0.1 ms level, so a mean-ratio
+#: gate with absolute slack, not a paired one)
+MP_PARITY_RATIO = 1.05
+MP_PARITY_ABS_SLACK = 2e-4
+#: Fig 11 — proposed goodput at most this factor over conventional
+#: at heavy load (admission trades raw utilization for QoS)
+UTILIZATION_RATIO_MAX = 1.05
+#: Fig 11 — multipoll keeps >= this fraction of single-poll goodput
+MP_GOODPUT_RATIO_MIN = 0.95
+#: Fig 11 — while spending no more channel-busy time than this
+MP_BUSY_RATIO_MAX = 1.02
+#: confidence of the paired per-seed comparisons
+CONFIDENCE = 0.95
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,7 +170,7 @@ def _fig5_bounds(
 
 
 def _fig6_dropping_pinned(
-    rows: typing.Sequence[typing.Mapping], th: ShapeThresholds
+    rows: typing.Sequence[typing.Mapping],
 ) -> ClaimResult:
     cid = "fig6.dropping-pinned"
     per_load: dict[str, float] = {}
@@ -185,14 +183,14 @@ def _fig6_dropping_pinned(
     worst = max(per_load.values())
     return ClaimResult(
         cid,
-        worst <= th.dropping_cap,
-        f"proposed mean dropping stays <= {th.dropping_cap} at every load",
-        {"per_load": per_load, "worst": worst, "cap": th.dropping_cap},
+        worst <= DROPPING_CAP,
+        f"proposed mean dropping stays <= {DROPPING_CAP} at every load",
+        {"per_load": per_load, "worst": worst, "cap": DROPPING_CAP},
     )
 
 
 def _fig6_conventional_climbs(
-    rows: typing.Sequence[typing.Mapping], th: ShapeThresholds
+    rows: typing.Sequence[typing.Mapping],
 ) -> ClaimResult:
     cid = "fig6.conventional-climbs"
     loads = _loads(rows)
@@ -203,19 +201,19 @@ def _fig6_conventional_climbs(
     m_heavy = _cell_mean(rows, CONVENTIONAL, heavy, "dropping_probability")
     if m_light is None or m_heavy is None:
         return _skip(cid, "conventional dropping missing at the extreme loads")
-    climbs = m_heavy >= m_light + th.conventional_climb_min
+    climbs = m_heavy >= m_light + CONVENTIONAL_CLIMB_MIN
     evidence: dict[str, typing.Any] = {
         "light_load": light,
         "heavy_load": heavy,
         "mean_light": m_light,
         "mean_heavy": m_heavy,
-        "min_climb": th.conventional_climb_min,
+        "min_climb": CONVENTIONAL_CLIMB_MIN,
     }
     ok = climbs
     if PROPOSED in _schemes(rows):
         cmp = paired_comparison(
             rows, "dropping_probability", CONVENTIONAL, PROPOSED, heavy,
-            th.confidence,
+            CONFIDENCE,
         )
         evidence["heavy_paired_conv_minus_prop"] = cmp.as_dict()
         ok = climbs and cmp.supports_greater()
@@ -229,7 +227,7 @@ def _fig6_conventional_climbs(
 
 
 def _fig7_conservative_admission(
-    rows: typing.Sequence[typing.Mapping], th: ShapeThresholds
+    rows: typing.Sequence[typing.Mapping],
 ) -> ClaimResult:
     cid = "fig7.conservative-admission"
     loads = _loads(rows)
@@ -238,7 +236,7 @@ def _fig7_conservative_admission(
         return _skip(cid, "needs proposed and conventional rows")
     heavy = loads[-1]
     cmp = paired_comparison(
-        rows, "blocking_probability", PROPOSED, CONVENTIONAL, heavy, th.confidence
+        rows, "blocking_probability", PROPOSED, CONVENTIONAL, heavy, CONFIDENCE
     )
     return _paired_claim(
         cid,
@@ -252,7 +250,6 @@ def _fig7_conservative_admission(
 
 def _ordering_claim(
     rows: typing.Sequence[typing.Mapping],
-    th: ShapeThresholds,
     cid: str,
     metric: str,
     want: str,
@@ -263,12 +260,12 @@ def _ordering_claim(
     if not loads or PROPOSED not in schemes or CONVENTIONAL not in schemes:
         return _skip(cid, "needs proposed and conventional rows")
     heavy = loads[-1]
-    cmp = paired_comparison(rows, metric, PROPOSED, CONVENTIONAL, heavy, th.confidence)
+    cmp = paired_comparison(rows, metric, PROPOSED, CONVENTIONAL, heavy, CONFIDENCE)
     return _paired_claim(cid, cmp, want, detail)
 
 
 def _fig8_variance_ordering(
-    rows: typing.Sequence[typing.Mapping], th: ShapeThresholds
+    rows: typing.Sequence[typing.Mapping],
 ) -> ClaimResult:
     cid = "fig8.voice-variance-ordering"
     loads = _loads(rows)
@@ -284,15 +281,15 @@ def _fig8_variance_ordering(
         "load": light,
         "conventional_var": conv,
         "proposed_var": prop,
-        "min_ratio": th.variance_ratio_min,
+        "min_ratio": VARIANCE_RATIO_MIN,
     }
-    ok = conv >= th.variance_ratio_min * prop
+    ok = conv >= VARIANCE_RATIO_MIN * prop
     if MULTIPOLL in schemes:
         mp = _cell_mean(rows, MULTIPOLL, light, "voice_delay_var")
         if mp is not None:
             evidence["multipoll_var"] = mp
             ok = ok and mp <= (
-                prop * th.mp_variance_ratio_max + th.mp_variance_abs_slack
+                prop * MP_VARIANCE_RATIO_MAX + MP_VARIANCE_ABS_SLACK
             )
     return ClaimResult(
         cid,
@@ -304,7 +301,7 @@ def _fig8_variance_ordering(
 
 
 def _fig8_multipoll_parity(
-    rows: typing.Sequence[typing.Mapping], th: ShapeThresholds
+    rows: typing.Sequence[typing.Mapping],
 ) -> ClaimResult:
     cid = "fig8.multipoll-voice-parity"
     loads = _loads(rows)
@@ -320,7 +317,7 @@ def _fig8_multipoll_parity(
         if sp is None or mp is None:
             continue
         evaluated = True
-        bound = sp * th.mp_parity_ratio + th.mp_parity_abs_slack
+        bound = sp * MP_PARITY_RATIO + MP_PARITY_ABS_SLACK
         per_load[str(load)] = {"single": sp, "multi": mp, "bound": bound}
         ok = ok and mp <= bound
     if not evaluated:
@@ -335,7 +332,7 @@ def _fig8_multipoll_parity(
 
 
 def _fig11_utilization(
-    rows: typing.Sequence[typing.Mapping], th: ShapeThresholds
+    rows: typing.Sequence[typing.Mapping],
 ) -> ClaimResult:
     cid = "fig11.utilization-conservative"
     loads = _loads(rows)
@@ -349,20 +346,20 @@ def _fig11_utilization(
         return _skip(cid, "goodput missing at heavy load")
     return ClaimResult(
         cid,
-        prop <= conv * th.utilization_ratio_max,
+        prop <= conv * UTILIZATION_RATIO_MAX,
         "proposed goodput sits at or slightly under conventional at "
         "heavy load (the price of admission control)",
         {
             "load": heavy,
             "proposed": prop,
             "conventional": conv,
-            "max_ratio": th.utilization_ratio_max,
+            "max_ratio": UTILIZATION_RATIO_MAX,
         },
     )
 
 
 def _fig11_multipoll_efficiency(
-    rows: typing.Sequence[typing.Mapping], th: ShapeThresholds
+    rows: typing.Sequence[typing.Mapping],
 ) -> ClaimResult:
     cid = "fig11.multipoll-efficiency"
     loads = _loads(rows)
@@ -377,8 +374,8 @@ def _fig11_multipoll_efficiency(
     if None in (sp_good, mp_good, sp_busy, mp_busy):
         return _skip(cid, "goodput/busy metrics missing at heavy load")
     ok = (
-        mp_good >= sp_good * th.mp_goodput_ratio_min
-        and mp_busy <= sp_busy * th.mp_busy_ratio_max
+        mp_good >= sp_good * MP_GOODPUT_RATIO_MIN
+        and mp_busy <= sp_busy * MP_BUSY_RATIO_MAX
     )
     return ClaimResult(
         cid,
@@ -421,27 +418,25 @@ def _invariants_clean(rows: typing.Sequence[typing.Mapping]) -> ClaimResult:
 def evaluate_claims(
     rows: typing.Sequence[typing.Mapping],
     fig5_rows: typing.Sequence[typing.Mapping] | None = None,
-    thresholds: ShapeThresholds | None = None,
 ) -> list[ClaimResult]:
     """Evaluate every shape claim against sweep (and Fig. 5) rows."""
-    th = thresholds or ShapeThresholds()
     return [
         _fig5_bounds(fig5_rows),
-        _fig6_dropping_pinned(rows, th),
-        _fig6_conventional_climbs(rows, th),
-        _fig7_conservative_admission(rows, th),
+        _fig6_dropping_pinned(rows),
+        _fig6_conventional_climbs(rows),
+        _fig7_conservative_admission(rows),
         _ordering_claim(
-            rows, th,
+            rows,
             "fig8.voice-delay-proposed-wins",
             "voice_delay_mean",
             "less",
             "token-paced polling keeps voice access delay under "
             "contention at heavy load (paired per-seed)",
         ),
-        _fig8_variance_ordering(rows, th),
-        _fig8_multipoll_parity(rows, th),
+        _fig8_variance_ordering(rows),
+        _fig8_multipoll_parity(rows),
         _ordering_claim(
-            rows, th,
+            rows,
             "fig9.video-delay-proposed-wins",
             "video_delay_mean",
             "less",
@@ -449,14 +444,14 @@ def evaluate_claims(
             "load (paired per-seed)",
         ),
         _ordering_claim(
-            rows, th,
+            rows,
             "fig10.data-delay-reversal",
             "data_delay_mean",
             "greater",
             "data pays for RT protection: proposed data delay above "
             "conventional at heavy load (paired per-seed)",
         ),
-        _fig11_utilization(rows, th),
-        _fig11_multipoll_efficiency(rows, th),
+        _fig11_utilization(rows),
+        _fig11_multipoll_efficiency(rows),
         _invariants_clean(rows),
     ]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.baseline import ConventionalAccessPoint, ConventionalApConfig
+from repro.baseline import ConventionalAccessPoint
+from repro.baseline.conventional import SUPERFRAME
 from repro.mac import DcfTransmitter, Nav, RealTimeStation, StandardBEB
 from repro.phy import BitErrorModel, Channel, PhyTiming
 from repro.sim import RandomStreams, Simulator
@@ -10,15 +11,14 @@ from repro.traffic import Packet, TrafficKind, VideoParams, VoiceParams
 
 
 class World:
-    def __init__(self, seed=0, **cfg):
+    def __init__(self, seed=0):
         self.sim = Simulator()
         self.timing = PhyTiming()
         self.streams = RandomStreams(seed)
         self.channel = Channel(self.sim, BitErrorModel(0.0, self.streams.get("ch")))
         self.nav = Nav()
         self.ap = ConventionalAccessPoint(
-            self.sim, self.channel, self.timing, self.nav,
-            ConventionalApConfig(**cfg),
+            self.sim, self.channel, self.timing, self.nav
         )
 
     def make_station(self, sid, qos=None, handoff=False):
@@ -93,11 +93,10 @@ def test_cfp_starts_only_on_superframe_boundary():
     sta.buffer.append(w.pkt("v0"))
     w.sim.run(until=0.40)
     assert starts, "no CFP started"
-    sf = w.ap.config.superframe
     for t in starts:
         # boundaries are multiples of the superframe (seize adds < 1 ms)
-        phase = t % sf
-        assert phase < 0.002 or sf - phase < 0.002
+        phase = t % SUPERFRAME
+        assert phase < 0.002 or SUPERFRAME - phase < 0.002
 
 
 def test_round_robin_serves_and_removes_drained_stations():
@@ -126,8 +125,7 @@ def test_delay_includes_wait_for_superframe_boundary():
     sta.start_admission_request()
     w.sim.run(until=0.1)
     # place a packet right after a boundary: it waits ~a full superframe
-    sf = w.ap.config.superframe
-    boundary = (int(w.sim.now / sf) + 1) * sf
+    boundary = (int(w.sim.now / SUPERFRAME) + 1) * SUPERFRAME
     p = []
 
     def inject():
@@ -138,9 +136,9 @@ def test_delay_includes_wait_for_superframe_boundary():
             w.ap.request_table.append("v0")
 
     w.sim.call_at(boundary + 0.002, inject)
-    w.sim.run(until=boundary + 3 * sf)
+    w.sim.run(until=boundary + 3 * SUPERFRAME)
     assert p[0].completed is not None
-    assert p[0].access_delay() > 0.5 * sf
+    assert p[0].access_delay() > 0.5 * SUPERFRAME
 
 
 def test_departed_station_removed_everywhere():
@@ -166,11 +164,3 @@ def test_video_rate_uses_avg_rate():
     q = VideoParams(avg_rate=60, burstiness=5, max_delay=0.05)
     assert w.ap._declared_rate(q) == 60
 
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ConventionalApConfig(superframe=0)
-    with pytest.raises(ValueError):
-        ConventionalApConfig(cfp_max=0.08, superframe=0.075)
-    with pytest.raises(ValueError):
-        ConventionalApConfig(rt_packet_bits=0)

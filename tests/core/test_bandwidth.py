@@ -2,22 +2,18 @@
 
 import pytest
 
-from repro.core import AdaptiveBandwidthManager, BandwidthThresholds
-
-
-def make(**kw):
-    return AdaptiveBandwidthManager(**kw)
+from repro.core import AdaptiveBandwidthManager, bandwidth
 
 
 def test_initial_shares_and_channel_iii():
-    bm = make(initial_share_i=0.4, initial_share_ii=0.1)
+    bm = AdaptiveBandwidthManager()
     assert bm.share_i == pytest.approx(0.4)
     assert bm.share_ii == pytest.approx(0.1)
     assert bm.share_iii == pytest.approx(0.5)
 
 
 def test_high_dropping_grows_channel_ii():
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     before = bm.share_ii
     bm.update(drop_prob=0.5, block_prob=0.0, utilization=0.5)
     assert bm.share_ii > before
@@ -25,47 +21,45 @@ def test_high_dropping_grows_channel_ii():
 
 def test_dropping_beats_blocking_priority():
     """When both are over threshold, only channel II is adjusted."""
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     i_before = bm.share_i
     bm.update(drop_prob=0.5, block_prob=0.5, utilization=0.5)
     assert bm.share_i <= i_before  # channel I untouched (except clamping)
 
 
 def test_high_blocking_grows_channel_i():
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     before = bm.share_i
     bm.update(drop_prob=0.0, block_prob=0.5, utilization=0.5)
     assert bm.share_i > before
 
 
 def test_blocking_growth_capped_at_medium_when_utilized():
-    t = BandwidthThresholds()
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     for _ in range(20):
         bm.update(drop_prob=0.0, block_prob=0.5, utilization=0.99)
-    assert bm.share_i <= t.ch1_medium + 1e-9
+    assert bm.share_i <= bandwidth.THRESHOLD_CHANNEL_I_MEDIUM + 1e-9
 
 
 def test_blocking_growth_capped_at_max_when_underutilized():
-    t = BandwidthThresholds()
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     for _ in range(20):
         bm.update(drop_prob=0.0, block_prob=0.5, utilization=0.1)
-    assert bm.share_i <= t.ch1_max + 1e-9
-    assert bm.share_i > t.ch1_medium  # allowed beyond the medium cap
+    assert bm.share_i <= bandwidth.THRESHOLD_CHANNEL_I_MAX + 1e-9
+    # allowed beyond the medium cap
+    assert bm.share_i > bandwidth.THRESHOLD_CHANNEL_I_MEDIUM
 
 
 def test_quiet_underutilized_system_decays_toward_floors():
-    t = BandwidthThresholds()
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     for _ in range(50):
         bm.update(drop_prob=0.0, block_prob=0.0, utilization=0.2)
-    assert bm.share_i == pytest.approx(t.ch1_min)
-    assert bm.share_ii == pytest.approx(t.ch2_min)
+    assert bm.share_i == pytest.approx(bandwidth.THRESHOLD_CHANNEL_I_MIN)
+    assert bm.share_ii == pytest.approx(bandwidth.THRESHOLD_CHANNEL_II_MIN)
 
 
 def test_stable_when_all_good_and_utilized():
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     i, ii = bm.share_i, bm.share_ii
     bm.update(drop_prob=0.0, block_prob=0.0, utilization=0.95)
     assert bm.share_i == i
@@ -73,15 +67,14 @@ def test_stable_when_all_good_and_utilized():
 
 
 def test_channel_iii_minimum_always_respected():
-    t = BandwidthThresholds()
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     for _ in range(50):
         bm.update(drop_prob=0.9, block_prob=0.9, utilization=0.1)
-    assert bm.share_iii >= t.ch3_min - 1e-9
+    assert bm.share_iii >= bandwidth.THRESHOLD_CHANNEL_III_MIN - 1e-9
 
 
 def test_shares_always_a_partition():
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     import itertools
 
     for d, b, u in itertools.product((0.0, 0.5), (0.0, 0.5), (0.1, 0.99)):
@@ -92,7 +85,7 @@ def test_shares_always_a_partition():
 
 
 def test_invalid_probabilities_rejected():
-    bm = make()
+    bm = AdaptiveBandwidthManager()
     with pytest.raises(ValueError):
         bm.update(-0.1, 0, 0)
     with pytest.raises(ValueError):
@@ -100,22 +93,3 @@ def test_invalid_probabilities_rejected():
     with pytest.raises(ValueError):
         bm.update(0, 0, 2.0)
 
-
-def test_invalid_initial_shares_rejected():
-    with pytest.raises(ValueError):
-        make(initial_share_i=0.9)
-    with pytest.raises(ValueError):
-        make(initial_share_ii=0.9)
-
-
-def test_threshold_validation():
-    with pytest.raises(ValueError):
-        BandwidthThresholds(up=0.9)
-    with pytest.raises(ValueError):
-        BandwidthThresholds(down=1.1)
-    with pytest.raises(ValueError):
-        BandwidthThresholds(drop=1.5)
-    with pytest.raises(ValueError):
-        BandwidthThresholds(ch1_min=0.7, ch1_medium=0.5)
-    with pytest.raises(ValueError):
-        BandwidthThresholds(ch2_min=0.5, ch2_max=0.2)

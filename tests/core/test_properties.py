@@ -13,6 +13,7 @@ from repro.core import (
     video_delay_bound,
     voice_response_bound,
 )
+from repro.core import bandwidth
 from repro.core.schedulability import VideoFlow, VoiceFlow
 from repro.phy import PhyTiming
 from repro.traffic import VideoParams, VoiceParams
@@ -183,12 +184,12 @@ def test_property_bandwidth_shares_always_valid(updates):
     """Any feedback sequence keeps (I, II, III) a valid partition with
     channel III's floor intact."""
     bm = AdaptiveBandwidthManager()
-    floor = bm.thresholds.ch3_min
+    floor = bandwidth.THRESHOLD_CHANNEL_III_MIN
     for drop, block, util in updates:
         bm.update(drop, block, util)
         assert 0 < bm.share_i <= 1
         assert 0 < bm.share_ii <= 1
         assert bm.share_iii >= floor - 1e-9
         assert bm.share_i + bm.share_ii + bm.share_iii == pytest.approx(1.0)
-        assert bm.share_i >= bm.thresholds.ch1_min - 1e-9
-        assert bm.share_ii >= bm.thresholds.ch2_min - 1e-9
+        assert bm.share_i >= bandwidth.THRESHOLD_CHANNEL_I_MIN - 1e-9
+        assert bm.share_ii >= bandwidth.THRESHOLD_CHANNEL_II_MIN - 1e-9

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import AdaptiveBandwidthManager, QosAccessPoint, QosApConfig
+from repro.core import QosAccessPoint, QosApConfig
+from repro.core.qos_ap import SUPERFRAME
 from repro.mac import DcfTransmitter, Nav, RealTimeStation, RTState, StandardBEB
 from repro.phy import BitErrorModel, Channel, PhyTiming
 from repro.sim import RandomStreams, Simulator
@@ -192,8 +193,8 @@ def test_budget_prefers_nonhandoff_in_channel_i():
     sta.start_admission_request()
     w.sim.run(until=0.05)
     session = w.ap.admission.find("v0")
-    sf = w.ap.config.superframe
-    w.ap._used_new = w.ap.bandwidth.share_i * sf  # exhaust channel I
+    # exhaust channel I
+    w.ap._used_new = w.ap.bandwidth.share_i * SUPERFRAME
     assert not w.ap._budget_allows(session)
     w.ap._used_new = 0.0
     assert w.ap._budget_allows(session)
@@ -206,21 +207,16 @@ def test_handoff_budget_spans_channel_ii_plus_spare_i():
     w.sim.run(until=0.05)
     session = w.ap.admission.find("h0")
     assert session.handoff
-    sf = w.ap.config.superframe
     # channel II exhausted but channel I spare: still pollable
-    w.ap._used_handoff = w.ap.bandwidth.share_ii * sf
+    w.ap._used_handoff = w.ap.bandwidth.share_ii * SUPERFRAME
     w.ap._used_new = 0.0
     assert w.ap._budget_allows(session)
     # both exhausted: not pollable
-    w.ap._used_new = w.ap.bandwidth.share_i * sf
+    w.ap._used_new = w.ap.bandwidth.share_i * SUPERFRAME
     assert not w.ap._budget_allows(session)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QosApConfig(superframe=0)
-    with pytest.raises(ValueError):
-        QosApConfig(rt_packet_bits=0)
     with pytest.raises(ValueError):
         QosApConfig(multipoll_size=0)
     with pytest.raises(ValueError):

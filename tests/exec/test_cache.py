@@ -203,3 +203,22 @@ def test_sweep_resimulates_an_entry_filed_under_another_key(tmp_path):
     rewritten = json.loads(victim.read_text())
     assert rewritten["key"] == config_key(grid[1])
     assert rewritten["row"] == _seed_point(grid[1])
+
+
+def test_a_scan_skips_what_a_lookup_refuses(tmp_path):
+    """An entry copied under another file name is a miss for ``get``,
+    so ``entries()`` and ``len`` leave it out too."""
+    import shutil
+
+    cache = ResultCache(tmp_path / "cache")
+    grid = [ScenarioConfig(seed=s) for s in (1, 2)]
+    for cfg in grid:
+        cache.put(config_key(cfg), {"seed": cfg.seed}, cfg)
+    copy = "f" * 64
+    shutil.copy(cache._path(config_key(grid[0])), cache._path(copy))
+
+    assert cache.get(copy) is None
+    assert sorted(e.key for e in cache.entries()) == sorted(
+        config_key(c) for c in grid
+    )
+    assert len(cache) == 2

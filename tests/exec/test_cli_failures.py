@@ -64,9 +64,13 @@ class TestSweepCliExitCode:
 
 
 class TestSkipModeFailureRecord:
+    @pytest.fixture(autouse=True)
+    def _no_retries(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "RETRIES", 0)
+
     def test_failures_attribute_survives_skip_mode(self):
         executor = SweepExecutor(
-            ExecutorConfig(retries=0, on_failure="skip"),
+            ExecutorConfig(on_failure="skip"),
             point_fn=_exploding_point_fn,
         )
         grid = [
@@ -81,7 +85,7 @@ class TestSkipModeFailureRecord:
 
     def test_raise_mode_carries_the_same_record(self):
         executor = SweepExecutor(
-            ExecutorConfig(retries=0), point_fn=_exploding_point_fn
+            ExecutorConfig(), point_fn=_exploding_point_fn
         )
         grid = [
             ScenarioConfig(scheme="conventional", seed=1, sim_time=5.0, warmup=1.0)

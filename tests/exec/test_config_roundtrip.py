@@ -4,9 +4,11 @@ import dataclasses
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.exec import KEY_FORMAT, config_key
+from repro.experiments.config import sweep_config
 from repro.faults.chaos import chaos_grid
 from repro.network.bss import ScenarioConfig
 from repro.obs.trace import TraceConfig
@@ -110,6 +112,90 @@ class TestConfigKey:
         int(key, 16)  # raises if not hex
         # 5: ScenarioConfig grew the ess EssCellContext field
         assert KEY_FORMAT == 5
+
+
+class TestOneKeyPerConfig:
+    """An int passed to a float field is stored as a float, so an
+    int-built point keys, caches and reports like its float twin."""
+
+    def test_float_fields_store_ints_as_floats(self):
+        from repro.faults.plan import (
+            FaultPlan,
+            FrameLossRule,
+            GilbertElliottParams,
+            StationFault,
+        )
+        from repro.network.mobility import EssCellContext
+
+        cfg = ScenarioConfig(
+            load=2, sim_time=30, warmup=3, ber=0,
+            voice=VoiceParams(rate=20, max_jitter=1, mean_on=1),
+            video=VideoParams(avg_rate=50, burstiness=5, max_delay=1),
+            faults=FaultPlan(
+                gilbert_elliott=GilbertElliottParams(1, 1, ber_good=0),
+                frame_loss=(FrameLossRule("cf_poll", 1, start=1, end=2),),
+                station_faults=(StationFault(at=5, duration=1),),
+            ),
+            ess=EssCellContext(cell="ap/0x0", epoch_start=30),
+        )
+        records = (
+            cfg, cfg.voice, cfg.video, cfg.faults.gilbert_elliott,
+            *cfg.faults.frame_loss, *cfg.faults.station_faults, cfg.ess,
+        )
+        for record in records:
+            for f in dataclasses.fields(record):
+                if f.type in ("float", "float | None"):
+                    value = getattr(record, f.name)
+                    assert value is None or type(value) is float, f.name
+        # ints in int fields and bools stay as they are
+        assert type(cfg.seed) is int and type(cfg.voice.packet_bits) is int
+        assert ScenarioConfig(monitor_invariants=True).monitor_invariants is True
+        assert type(ScenarioConfig(seed=np.int64(3)).seed) is np.int64
+
+    @pytest.mark.parametrize(
+        "int_built, float_built",
+        [
+            (ScenarioConfig(load=1), ScenarioConfig(load=1.0)),
+            (ScenarioConfig(load=np.int64(2)), ScenarioConfig(load=2.0)),
+            (
+                ScenarioConfig(load=2, sim_time=60, warmup=5, mean_holding=40),
+                ScenarioConfig(
+                    load=2.0, sim_time=60.0, warmup=5.0, mean_holding=40.0
+                ),
+            ),
+            (sweep_config("proposed", 1, 1), sweep_config("proposed", 1.0, 1)),
+            (
+                sweep_config("conventional", 3, 2, sim_time=90, warmup=8),
+                sweep_config("conventional", 3.0, 2, sim_time=90.0, warmup=8.0),
+            ),
+        ],
+        ids=[
+            "load", "numpy-load", "several-fields", "sweep_config",
+            "sweep_config-times",
+        ],
+    )
+    def test_int_and_float_built_points_share_a_key(self, int_built, float_built):
+        assert int_built == float_built
+        assert config_key(int_built) == config_key(float_built)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda load, t, w: ScenarioConfig(load=load, sim_time=t, warmup=w),
+            lambda load, t, w: sweep_config("proposed", load, 1, t, w),
+        ],
+        ids=["ScenarioConfig", "sweep_config"],
+    )
+    def test_int_and_float_built_points_give_the_same_row_bytes(self, build):
+        from repro.exec import canonical_json, normalize_row
+        from repro.network.bss import BssScenario
+
+        rows = [
+            canonical_json(normalize_row(BssScenario(cfg).run()))
+            for cfg in (build(1, 3, 1), build(1.0, 3.0, 1.0))
+        ]
+        assert rows[0] == rows[1]
+        assert '"load":1.0' in rows[0] and '"sim_time":3.0' in rows[0]
 
 
 class TestKeyBytes:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import repro.exec.executor as executor_mod
 from repro.exec import (
     ExecutorConfig,
     ResultCache,
@@ -252,9 +253,7 @@ class TestFaultTolerance:
                 raise RuntimeError("first try fails")
             return _tiny_point(config)
 
-        executor = SweepExecutor(
-            ExecutorConfig(workers=1, retries=1), point_fn=flaky
-        )
+        executor = SweepExecutor(ExecutorConfig(workers=1), point_fn=flaky)
         rows = executor.run(_grid(2))
         assert len(rows) == 2
         assert executor.summary()["retries"] == 2
@@ -262,20 +261,22 @@ class TestFaultTolerance:
 
     def test_serial_exhausted_retries_raise(self):
         executor = SweepExecutor(
-            ExecutorConfig(workers=1, retries=1), point_fn=_always_failing_point
+            ExecutorConfig(workers=1), point_fn=_always_failing_point
         )
         with pytest.raises(SweepExecutionError) as excinfo:
             executor.run(_grid(2))
         assert len(excinfo.value.failures) == 2
 
-    def test_on_failure_skip_returns_survivors(self):
+    def test_on_failure_skip_returns_survivors(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "RETRIES", 0)
+
         def half_broken(config):
             if config.seed == 1:
                 raise RuntimeError("nope")
             return _tiny_point(config)
 
         executor = SweepExecutor(
-            ExecutorConfig(workers=1, retries=0, on_failure="skip"),
+            ExecutorConfig(workers=1, on_failure="skip"),
             point_fn=half_broken,
         )
         rows = executor.run(_grid(2))
@@ -285,18 +286,17 @@ class TestFaultTolerance:
     def test_pool_retry_recovers(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(tmp_path))
         executor = SweepExecutor(
-            ExecutorConfig(workers=2, retries=1), point_fn=_flaky_point
+            ExecutorConfig(workers=2), point_fn=_flaky_point
         )
         rows = executor.run(_grid(3))
         assert [r["seed"] for r in rows] == [1, 2, 3]
         assert executor.summary()["retries"] == 3
         assert executor.summary()["failed"] == 0
 
-    def test_pool_timeout_skips_wedged_point(self):
+    def test_pool_timeout_skips_wedged_point(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "RETRIES", 0)
         executor = SweepExecutor(
-            ExecutorConfig(
-                workers=2, timeout=0.3, retries=0, on_failure="skip"
-            ),
+            ExecutorConfig(workers=2, timeout=0.3, on_failure="skip"),
             point_fn=_sleepy_point,
         )
         rows = executor.run(_grid(3))
@@ -310,7 +310,7 @@ class TestFaultTolerance:
     def test_pool_worker_crash_is_retried(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(tmp_path))
         executor = SweepExecutor(
-            ExecutorConfig(workers=2, retries=1), point_fn=_crashy_point
+            ExecutorConfig(workers=2), point_fn=_crashy_point
         )
         rows = executor.run(_grid(3))
         assert [r["seed"] for r in rows] == [1, 2, 3]
@@ -325,9 +325,7 @@ class TestExecutorConfig:
         "kwargs",
         [
             {"workers": 0},
-            {"max_worker_restarts": -1},
             {"timeout": 0.0},
-            {"retries": -1},
             {"on_failure": "explode"},
         ],
     )

@@ -2,9 +2,10 @@
 
 A poison point that hard-kills every worker it touches must not spin
 the pool through unbounded kill/respawn cycles: each slot gets
-``max_worker_restarts`` respawns, then retires, and the point that
+``MAX_WORKER_RESTARTS`` respawns, then retires, and the point that
 retired the last-hope slot fails permanently.  When every slot is
 retired the drain loop fails the remaining queue instead of hanging.
+Each test sets the executor's retry policy constants for itself.
 """
 
 import os
@@ -12,6 +13,7 @@ import time
 
 import pytest
 
+import repro.exec.executor as executor_mod
 from repro.exec import ExecutorConfig, SweepExecutionError, SweepExecutor
 from repro.network.bss import ScenarioConfig
 
@@ -37,24 +39,25 @@ def _all_poison_point(config):
     os._exit(3)
 
 
-class TestConfigValidation:
-    def test_rejects_negative_budget_and_backoff(self):
-        with pytest.raises(ValueError, match="max_worker_restarts"):
-            ExecutorConfig(max_worker_restarts=-1)
-        with pytest.raises(ValueError, match="restart_backoff"):
-            ExecutorConfig(restart_backoff=-0.5)
+@pytest.fixture
+def policy(monkeypatch):
+    """Set ``RETRIES``, ``MAX_WORKER_RESTARTS`` and ``RESTART_BACKOFF``."""
+
+    def set_policy(retries, max_worker_restarts, restart_backoff):
+        monkeypatch.setattr(executor_mod, "RETRIES", retries)
+        monkeypatch.setattr(
+            executor_mod, "MAX_WORKER_RESTARTS", max_worker_restarts
+        )
+        monkeypatch.setattr(executor_mod, "RESTART_BACKOFF", restart_backoff)
+
+    return set_policy
 
 
 class TestRestartBudget:
-    def test_poison_point_fails_permanently_when_a_slot_retires(self):
+    def test_poison_point_fails_permanently_when_a_slot_retires(self, policy):
+        policy(retries=10, max_worker_restarts=1, restart_backoff=0.0)
         executor = SweepExecutor(
-            ExecutorConfig(
-                workers=2,
-                retries=10,
-                on_failure="skip",
-                max_worker_restarts=1,
-                restart_backoff=0.0,
-            ),
+            ExecutorConfig(workers=2, on_failure="skip"),
             point_fn=_poison_point,
         )
         rows = executor.run(_grid(4))
@@ -72,15 +75,10 @@ class TestRestartBudget:
         # per-slot budget allows across both slots
         assert 1 <= summary["worker_restarts"] <= 2
 
-    def test_raise_mode_surfaces_budget_exhaustion(self):
+    def test_raise_mode_surfaces_budget_exhaustion(self, policy):
+        policy(retries=10, max_worker_restarts=0, restart_backoff=0.0)
         executor = SweepExecutor(
-            ExecutorConfig(
-                workers=2,
-                retries=10,
-                on_failure="raise",
-                max_worker_restarts=0,
-                restart_backoff=0.0,
-            ),
+            ExecutorConfig(workers=2, on_failure="raise"),
             point_fn=_poison_point,
         )
         with pytest.raises(SweepExecutionError) as excinfo:
@@ -89,15 +87,10 @@ class TestRestartBudget:
             "restart budget" in f.error for f in excinfo.value.failures
         )
 
-    def test_exhausted_pool_fails_the_remaining_queue(self):
+    def test_exhausted_pool_fails_the_remaining_queue(self, policy):
+        policy(retries=10, max_worker_restarts=0, restart_backoff=0.0)
         executor = SweepExecutor(
-            ExecutorConfig(
-                workers=2,
-                retries=10,
-                on_failure="skip",
-                max_worker_restarts=0,
-                restart_backoff=0.0,
-            ),
+            ExecutorConfig(workers=2, on_failure="skip"),
             point_fn=_all_poison_point,
         )
         rows = executor.run(_grid(6))
@@ -116,15 +109,10 @@ class TestRestartBudget:
         assert summary["restart_budget_exhausted"] == 2
         assert summary["worker_restarts"] == 0
 
-    def test_backoff_delays_respawns_exponentially(self):
+    def test_backoff_delays_respawns_exponentially(self, policy):
+        policy(retries=3, max_worker_restarts=2, restart_backoff=0.2)
         executor = SweepExecutor(
-            ExecutorConfig(
-                workers=2,
-                retries=3,
-                on_failure="skip",
-                max_worker_restarts=2,
-                restart_backoff=0.2,
-            ),
+            ExecutorConfig(workers=2, on_failure="skip"),
             point_fn=_poison_point,
         )
         start = time.perf_counter()

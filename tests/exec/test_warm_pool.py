@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+import repro.exec.executor as executor_mod
 from repro.exec import (
     ExecutorConfig,
     SweepExecutionError,
@@ -84,10 +85,9 @@ class TestWedgedWorker:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(tmp_path))
+        monkeypatch.setattr(executor_mod, "RETRIES", 0)
         executor = SweepExecutor(
-            ExecutorConfig(
-                workers=2, timeout=0.6, retries=0, on_failure="skip"
-            ),
+            ExecutorConfig(workers=2, timeout=0.6, on_failure="skip"),
             point_fn=_wedging_point,
         )
         rows = executor.run(_grid(4))
@@ -114,9 +114,7 @@ class TestWedgedWorker:
     ):
         monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(tmp_path))
         executor = SweepExecutor(
-            ExecutorConfig(
-                workers=2, timeout=0.6, retries=1, on_failure="skip"
-            ),
+            ExecutorConfig(workers=2, timeout=0.6, on_failure="skip"),
             point_fn=_wedging_point,
         )
         executor.run(_grid(3))
@@ -136,7 +134,7 @@ class TestCrashedWorker:
     ):
         monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(tmp_path))
         executor = SweepExecutor(
-            ExecutorConfig(workers=2, retries=1), point_fn=_crashing_once_point
+            ExecutorConfig(workers=2), point_fn=_crashing_once_point
         )
         rows = executor.run(_grid(4))
 
@@ -154,8 +152,9 @@ class TestCrashedWorker:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(tmp_path))
+        monkeypatch.setattr(executor_mod, "RETRIES", 0)
         executor = SweepExecutor(
-            ExecutorConfig(workers=2, retries=0), point_fn=_always_crashing_point
+            ExecutorConfig(workers=2), point_fn=_always_crashing_point
         )
         with pytest.raises(SweepExecutionError) as excinfo:
             executor.run(_grid(3))

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.validate.shapes import CLAIM_IDS, ShapeThresholds, evaluate_claims
+from repro.validate import shapes
+from repro.validate.shapes import CLAIM_IDS, evaluate_claims
 
 LIGHT, HEAVY = 0.5, 3.0
 SEEDS = (1, 2, 3)
@@ -166,14 +167,18 @@ class TestSkips:
 
 
 class TestThresholds:
-    def test_tighter_dropping_cap_flips_verdict(self):
+    def test_dropping_over_the_cap_flips_verdict(self):
         rows = healthy_rows()
-        strict = ShapeThresholds(dropping_cap=0.01)  # the paper's threshold_D
-        results = by_id(evaluate_claims(rows, healthy_fig5(), strict))
-        assert results["fig6.dropping-pinned"].status == "fail"
+        for r in rows:
+            if r["scheme"] == "proposed" and r["load"] == HEAVY:
+                r["dropping_probability"] = 0.3  # over the 0.25 cap
+        result = by_id(evaluate_claims(rows, healthy_fig5()))[
+            "fig6.dropping-pinned"
+        ]
+        assert result.status == "fail"
+        assert result.evidence["cap"] == 0.25
 
-    def test_defaults_are_self_consistent(self):
-        th = ShapeThresholds()
-        assert 0 < th.dropping_cap < 1
-        assert th.variance_ratio_min > 1
-        assert pytest.approx(0.95) == th.confidence
+    def test_constants_are_self_consistent(self):
+        assert 0 < shapes.DROPPING_CAP < 1
+        assert shapes.VARIANCE_RATIO_MIN > 1
+        assert pytest.approx(0.95) == shapes.CONFIDENCE
