@@ -22,6 +22,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 import typing
 
 from ..obs.registry import Histogram, MetricsRegistry
@@ -64,9 +65,14 @@ def _labels_text(
 
 
 def _number(value: float) -> str:
-    """Prometheus-friendly number: integers bare, floats via repr."""
+    """Prometheus-friendly number: integers bare, floats via repr, and
+    the non-finite values as the text format spells them."""
     if isinstance(value, int):
         return str(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -17,8 +17,9 @@ to the entries that produced it:
     "How far can I load this mix before QoS degrades?"  Walks the
     surface's load axis upward until a constraint (default: blocking
     <= 2 %, dropping <= 1 %) breaks, then bisects the interpolated
-    segment to a fixed precision.  Reports the max admissible load and
-    the admitted-call picture there.
+    segment to a fixed precision, reading only the constraint metrics
+    at each step.  Reports the max admissible load and the
+    admitted-call picture there.
 
 ``handoff_drop_rate``
     Expected channel-II performance at an operating point:
@@ -149,6 +150,21 @@ def _lookup(
         raise _rewrap(exc)
 
 
+def _read(
+    surface, at: typing.Mapping[str, float], names: typing.Sequence[str]
+) -> typing.Mapping[str, float]:
+    """The ``names`` metrics at ``at``; when one is missing from a
+    corner, every metric the full lookup shares, so that the error
+    names them all."""
+    try:
+        values = surface.read(at, names)
+    except SurfaceError as exc:
+        raise _rewrap(exc)
+    if len(values) < len(names):
+        return _lookup(surface, at).metrics
+    return values
+
+
 #: the boolean spellings ``exact`` takes, in any case (a query string's
 #: ``1``/``0`` arrive already coerced to numbers)
 _FLAG_SPELLINGS = {
@@ -248,17 +264,20 @@ def admissible_calls(
             surface_id=surface.surface_id,
         )
 
-    def ok(lookup: SurfaceLookup) -> bool:
-        for metric, ceiling in sorted(constraints.items()):
-            if metric not in lookup.metrics:
+    limits = sorted(constraints.items())
+    names = [metric for metric, _ceiling in limits]
+
+    def ok(metrics: typing.Mapping[str, float]) -> bool:
+        for metric, ceiling in limits:
+            if metric not in metrics:
                 raise QueryError(
                     "missing_metric",
                     f"constraint metric {metric!r} is not on this "
                     "surface",
                     missing=[metric],
-                    available=sorted(lookup.metrics),
+                    available=sorted(metrics),
                 )
-            if lookup.metrics[metric] > ceiling:
+            if metrics[metric] > ceiling:
                 return False
         return True
 
@@ -267,7 +286,7 @@ def admissible_calls(
     first_bad: float | None = None
     for load in loads:
         lookup = _lookup(surface, {**at, "load": load})
-        if ok(lookup):
+        if ok(lookup.metrics):
             last_ok = load
         else:
             first_bad = load
@@ -275,7 +294,6 @@ def admissible_calls(
 
     if last_ok is None:
         # even the lightest measured load violates the constraints
-        lookup = _lookup(surface, {**at, "load": loads[0]})
         return QueryResult(
             kind="admissible_calls",
             params=_echo(params),
@@ -291,11 +309,12 @@ def admissible_calls(
 
     max_load = last_ok
     if first_bad is not None:
-        # refine inside the (last_ok, first_bad) interpolated segment
+        # refine inside the (last_ok, first_bad) interpolated segment,
+        # reading only the constraint metrics at each step
         lo, hi = last_ok, first_bad
         for _ in range(_BISECT_STEPS):
             mid = (lo + hi) / 2.0
-            if ok(_lookup(surface, {**at, "load": mid})):
+            if ok(_read(surface, {**at, "load": mid}, names)):
                 lo = mid
             else:
                 hi = mid

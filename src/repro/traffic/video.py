@@ -40,6 +40,14 @@ AR_W_MEAN = 0.572
 class VideoParams:
     """The paper's video characterization ``(rho, sigma, D)``.
 
+    The declaration is not a shaper: :class:`MaglarisVideoSource` emits
+    its AR(1) frames unshaped, so its traffic need not keep the
+    ``(rho, sigma)`` envelope that admission control and Theorem 3
+    assume.  With ``DEFAULT_VIDEO`` (60 pkt/s, 6 packets) over 60 s on
+    ``RandomStreams(seed).get("video/0")``, ``tightest_sigma(times,
+    rho=60)`` reads 108.8, 266.8 and 201.4 packets for seeds 1-3, at
+    58.2, 63.5 and 63.3 pkt/s.
+
     Attributes
     ----------
     avg_rate:

@@ -1,5 +1,7 @@
 """Prometheus 0.0.4 text rendering of the metrics registry."""
 
+import pytest
+
 from repro.obs import MetricsRegistry
 from repro.serve import render_prometheus
 
@@ -59,3 +61,15 @@ def test_consecutive_renders_are_byte_identical():
 
 def test_empty_registry_renders_empty():
     assert render_prometheus(MetricsRegistry()) == ""
+
+
+@pytest.mark.parametrize("value, text", [
+    (float("inf"), "+Inf"), (float("-inf"), "-Inf"), (float("nan"), "NaN"),
+])
+def test_non_finite_samples_use_the_format_spelling(value, text):
+    reg = MetricsRegistry()
+    reg.gauge("headroom").set(value)
+    reg.histogram("latency", (1.0,)).observe(value)
+    rendered = render_prometheus(reg)
+    assert f"headroom {text}\n" in rendered
+    assert f"latency_sum {text}\n" in rendered

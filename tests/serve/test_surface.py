@@ -7,6 +7,8 @@ import statistics
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec import ResultCache, config_key
 from repro.experiments import sweep_config
@@ -431,3 +433,47 @@ class TestTwoAxisInterpolation:
         assert json.dumps(served(surface, at), sort_keys=True) == json.dumps(
             reference_lookup(surface, at), sort_keys=True
         )
+
+
+#: two-axis surfaces by skipped coordinate, built once
+_SURFACES = {skip: two_axis_index(skip=skip).find("proposed")
+             for skip in ((), ((2.0, 8),))}
+#: shared names, a name some corners lack, and one no corner has
+_READ_NAMES = ["voice_delay_mean", "faults.polls_lost", "calls_dropped",
+               "absent", "blocking_probability"]
+
+
+class TestRead:
+    """``read`` is ``lookup(at).metrics`` for the names asked, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        load=st.one_of(st.sampled_from(GRID_LOADS), st.floats(0.25, 3.5)),
+        stations=st.one_of(st.sampled_from(GRID_STATIONS),
+                           st.floats(1.0, 9.0)),
+        skip=st.sampled_from(sorted(_SURFACES)),
+    )
+    def test_read_is_the_lookup_bit_for_bit(self, load, stations, skip):
+        surface = _SURFACES[skip]
+        at = {"load": load, "n_data_stations": stations}
+        try:
+            expected = surface.lookup(at).metrics
+        except SurfaceError as err:
+            with pytest.raises(SurfaceError) as raised:
+                surface.read(at, _READ_NAMES)
+            assert raised.value.to_dict() == err.to_dict()
+            return
+        values = surface.read(at, _READ_NAMES)
+        assert list(values) == [n for n in _READ_NAMES if n in expected]
+        assert [v.hex() for v in values.values()] == [
+            expected[name].hex() for name in values
+        ]
+
+    def test_a_name_some_corner_lacks_is_left_out(self):
+        surface = _SURFACES[()]
+        # (2.5, 6) has corners at load 3.0, which lack faults.polls_lost
+        at = {"load": 2.5, "n_data_stations": 6}
+        assert "faults.polls_lost" not in surface.lookup(at).metrics
+        assert list(surface.read(at, _READ_NAMES)) == [
+            "voice_delay_mean", "calls_dropped", "blocking_probability",
+        ]
