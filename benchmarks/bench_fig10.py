@@ -5,13 +5,13 @@ lowest priority class, so at heavy load its data delay exceeds the
 conventional protocol's (which treats all traffic alike).
 """
 
-from repro.experiments import fig10, format_table
+from repro.experiments import FIGURE_METRICS, average_over_seeds, format_table
 
 from conftest import SWEEP_LOADS, by_scheme_load, save_artifact
 
 
 def test_fig10(benchmark, sweep_rows):
-    rows = benchmark(fig10, sweep_rows)
+    rows = benchmark(average_over_seeds, sweep_rows, FIGURE_METRICS["fig10"])
     save_artifact(
         "fig10.txt",
         format_table(

@@ -6,13 +6,13 @@ price of conservative admission for hard QoS), and the multipoll
 variant recovers part of the polling overhead relative to single-poll.
 """
 
-from repro.experiments import fig11, format_table
+from repro.experiments import FIGURE_METRICS, average_over_seeds, format_table
 
 from conftest import SWEEP_LOADS, by_scheme_load, save_artifact
 
 
 def test_fig11(benchmark, sweep_rows):
-    rows = benchmark(fig11, sweep_rows)
+    rows = benchmark(average_over_seeds, sweep_rows, FIGURE_METRICS["fig11"])
     save_artifact(
         "fig11.txt",
         format_table(

@@ -5,13 +5,13 @@ threshold across the sweep (channel II + adaptive allocation), while
 the conventional protocol's dropping climbs with load.
 """
 
-from repro.experiments import fig6, format_table
+from repro.experiments import FIGURE_METRICS, average_over_seeds, format_table
 
 from conftest import SWEEP_LOADS, by_scheme_load, save_artifact
 
 
 def test_fig6(benchmark, sweep_rows):
-    rows = benchmark(fig6, sweep_rows)
+    rows = benchmark(average_over_seeds, sweep_rows, FIGURE_METRICS["fig6"])
     save_artifact(
         "fig6.txt",
         format_table(

@@ -6,13 +6,13 @@ deliberately conservative to keep the admitted calls' hard QoS and
 protect handoffs).
 """
 
-from repro.experiments import fig7, format_table
+from repro.experiments import FIGURE_METRICS, average_over_seeds, format_table
 
 from conftest import SWEEP_LOADS, by_scheme_load, save_artifact
 
 
 def test_fig7(benchmark, sweep_rows):
-    rows = benchmark(fig7, sweep_rows)
+    rows = benchmark(average_over_seeds, sweep_rows, FIGURE_METRICS["fig7"])
     save_artifact(
         "fig7.txt",
         format_table(

@@ -5,13 +5,13 @@ protocol's voice delay is several times the proposed scheme's, and the
 variance ordering is multipoll < single-poll < conventional.
 """
 
-from repro.experiments import fig8, format_table
+from repro.experiments import FIGURE_METRICS, average_over_seeds, format_table
 
 from conftest import SWEEP_LOADS, by_scheme_load, save_artifact
 
 
 def test_fig8(benchmark, sweep_rows):
-    rows = benchmark(fig8, sweep_rows)
+    rows = benchmark(average_over_seeds, sweep_rows, FIGURE_METRICS["fig8"])
     save_artifact(
         "fig8.txt",
         format_table(

@@ -5,13 +5,13 @@ video delay sits near its (fixed-superframe) structural latency and
 far above the proposed scheme's token-pipelined service.
 """
 
-from repro.experiments import fig9, format_table
+from repro.experiments import FIGURE_METRICS, average_over_seeds, format_table
 
 from conftest import SWEEP_LOADS, by_scheme_load, save_artifact
 
 
 def test_fig9(benchmark, sweep_rows):
-    rows = benchmark(fig9, sweep_rows)
+    rows = benchmark(average_over_seeds, sweep_rows, FIGURE_METRICS["fig9"])
     save_artifact(
         "fig9.txt",
         format_table(

@@ -13,7 +13,7 @@ import pathlib
 import pytest
 
 from repro.exec import ExecutorConfig, SweepExecutor
-from repro.experiments import BENCH_LOADS, EVALUATION_SEEDS, run_sweep
+from repro.experiments import BENCH_LOADS, EVALUATION_SEEDS, sweep_grid
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -35,13 +35,14 @@ SWEEP_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 def sweep_rows():
     """Run the shared evaluation sweep once per benchmark session."""
     executor = SweepExecutor(ExecutorConfig(workers=SWEEP_WORKERS))
-    return run_sweep(
-        SWEEP_SCHEMES,
-        loads=SWEEP_LOADS,
-        seeds=SWEEP_SEEDS,
-        sim_time=SWEEP_SIM_TIME,
-        warmup=SWEEP_WARMUP,
-        executor=executor,
+    return executor.run(
+        sweep_grid(
+            SWEEP_SCHEMES,
+            loads=SWEEP_LOADS,
+            seeds=SWEEP_SEEDS,
+            sim_time=SWEEP_SIM_TIME,
+            warmup=SWEEP_WARMUP,
+        )
     )
 
 

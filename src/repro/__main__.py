@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import sys
 
 from .obs.jsonutil import write_json
@@ -82,10 +81,10 @@ def _scenario_config(args: argparse.Namespace, **extra):
     """The single-BSS scenario ``quick`` and ``trace`` run: a sweep point."""
     from .experiments import sweep_config
 
-    point = sweep_config(
-        args.scheme, args.load, args.seed, args.time, min(5.0, args.time / 6)
+    return sweep_config(
+        args.scheme, args.load, args.seed, args.time, min(5.0, args.time / 6),
+        **extra,
     )
-    return dataclasses.replace(point, **extra)
 
 
 def _cmd_quick(args: argparse.Namespace) -> int:
@@ -272,7 +271,7 @@ def _cmd_tier(args: argparse.Namespace) -> int:
 
         kind = "verdict"
     else:
-        from .faults.chaos import run_chaos as run_tier
+        from .validate.chaos import run_chaos as run_tier
 
         kind = "degradation"
     report = _run_grid(

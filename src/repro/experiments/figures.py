@@ -2,9 +2,9 @@
 
 Figure 5 runs its own static-population experiment (admitted sources
 vs. their analytical bounds); Figures 6-11 are different projections of
-one shared scheme x load sweep, so callers typically run
-:func:`repro.experiments.runner.run_sweep` once and feed the rows to
-each ``figN`` function.
+one shared scheme x load sweep: run its
+:func:`~repro.experiments.runner.sweep_grid` once and project each
+figure with ``average_over_seeds(rows, FIGURE_METRICS[name])``.
 """
 
 from __future__ import annotations
@@ -26,18 +26,8 @@ from ..sim.rng import RandomStreams
 from ..traffic.base import TrafficKind
 from ..traffic.video import MaglarisVideoSource
 from ..traffic.voice import OnOffVoiceSource
-from .runner import average_over_seeds
 
-__all__ = [
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "FIGURE_METRICS",
-]
+__all__ = ["fig5", "FIGURE_METRICS"]
 
 
 # --------------------------------------------------------------- figure 5 ----
@@ -155,37 +145,3 @@ FIGURE_METRICS: dict[str, list[str]] = {
     "fig10": ["data_delay_mean", "data_delay_var"],
     "fig11": ["channel_busy_fraction", "goodput_utilization"],
 }
-
-
-def _sweep_figure(rows: typing.Sequence[dict], name: str) -> list[dict]:
-    return average_over_seeds(rows, FIGURE_METRICS[name])
-
-
-def fig6(rows: typing.Sequence[dict]) -> list[dict]:
-    """Fig. 6: handoff dropping probability vs offered load."""
-    return _sweep_figure(rows, "fig6")
-
-
-def fig7(rows: typing.Sequence[dict]) -> list[dict]:
-    """Fig. 7: new-call blocking probability vs offered load."""
-    return _sweep_figure(rows, "fig7")
-
-
-def fig8(rows: typing.Sequence[dict]) -> list[dict]:
-    """Fig. 8: average (and variance of) voice access delay."""
-    return _sweep_figure(rows, "fig8")
-
-
-def fig9(rows: typing.Sequence[dict]) -> list[dict]:
-    """Fig. 9: average (and variance of) video access delay."""
-    return _sweep_figure(rows, "fig9")
-
-
-def fig10(rows: typing.Sequence[dict]) -> list[dict]:
-    """Fig. 10: average data access delay (the scheme's low priority)."""
-    return _sweep_figure(rows, "fig10")
-
-
-def fig11(rows: typing.Sequence[dict]) -> list[dict]:
-    """Fig. 11: average bandwidth utilization vs offered load."""
-    return _sweep_figure(rows, "fig11")

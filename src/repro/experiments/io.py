@@ -3,7 +3,7 @@
 Sweeps are minutes-long; archiving their rows lets figure projections,
 notebooks and regression comparisons re-run instantly.  The format is
 one JSON object per line plus a manifest header line (format version,
-package version), so archives stay diff-able and appendable.
+package version), so archives stay diff-able.
 """
 
 from __future__ import annotations
@@ -22,22 +22,19 @@ _FORMAT = 1
 def save_results(
     rows: typing.Sequence[dict],
     path: str | pathlib.Path,
-    append: bool = False,
 ) -> pathlib.Path:
     """Write sweep rows to a JSON-lines archive; returns the path."""
     from .. import __version__
 
     p = pathlib.Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    mode = "a" if append and p.exists() else "w"
-    with p.open(mode) as fh:
-        if mode == "w":
-            fh.write(
-                json.dumps(
-                    {"_manifest": True, "format": _FORMAT, "repro": __version__}
-                )
-                + "\n"
+    with p.open("w") as fh:
+        fh.write(
+            json.dumps(
+                {"_manifest": True, "format": _FORMAT, "repro": __version__}
             )
+            + "\n"
+        )
         for row in rows:
             fh.write(json.dumps(row, default=unwrap_scalar) + "\n")
     return p

@@ -1,24 +1,20 @@
-"""Sweep execution and tabular rendering for the evaluation figures.
+"""Sweep grids and tabular rendering for the evaluation figures.
 
-Execution is delegated to :mod:`repro.exec`: :func:`run_sweep` builds
-the ``schemes x loads x seeds`` grid of configs and hands it to a
-:class:`~repro.exec.SweepExecutor`.  The default executor runs the
-points serially in-process, with no cache and no journal; pass a
-configured one to go parallel, cached and resumable, or to observe
-per-point progress.
+:func:`sweep_grid` builds the ``schemes x loads x seeds`` grid of
+configs; a :class:`~repro.exec.SweepExecutor` runs it
+(``executor.run(sweep_grid(...))``), serially in-process by default
+or parallel, cached and resumable when configured.
 """
 
 from __future__ import annotations
 
 import typing
 
-from ..exec import SweepExecutor
 from ..metrics.stats import OnlineStats
 from ..network.bss import ScenarioConfig
 from .config import EVALUATION_LOADS, EVALUATION_SEEDS, sweep_config
 
 __all__ = [
-    "run_sweep",
     "sweep_grid",
     "average_over_seeds",
     "format_table",
@@ -31,34 +27,19 @@ def sweep_grid(
     seeds: typing.Sequence[int] = EVALUATION_SEEDS,
     sim_time: float = 60.0,
     warmup: float = 5.0,
+    **fields: typing.Any,
 ) -> list[ScenarioConfig]:
-    """The full evaluation grid as configs: schemes x loads x seeds."""
+    """The evaluation grid as configs: schemes x loads x seeds.
+
+    ``fields`` set any other config field on every point (the tier
+    harnesses pass ``monitor_invariants`` and ``faults``).
+    """
     return [
-        sweep_config(scheme, load, seed, sim_time, warmup)
+        sweep_config(scheme, load, seed, sim_time, warmup, **fields)
         for scheme in schemes
         for load in loads
         for seed in seeds
     ]
-
-
-def run_sweep(
-    schemes: typing.Sequence[str],
-    loads: typing.Sequence[float] = EVALUATION_LOADS,
-    seeds: typing.Sequence[int] = EVALUATION_SEEDS,
-    sim_time: float = 60.0,
-    warmup: float = 5.0,
-    *,
-    executor: SweepExecutor | None = None,
-) -> list[dict[str, typing.Any]]:
-    """Run the evaluation grid through ``executor`` (default: serial).
-
-    The executor's :class:`~repro.exec.ExecutorConfig` sets workers,
-    cache, journal and resume; its ``progress`` callback receives one
-    :class:`~repro.exec.PointRecord` per point, and ``executor.summary()``
-    reports the run afterwards.
-    """
-    executor = executor or SweepExecutor()
-    return executor.run(sweep_grid(schemes, loads, seeds, sim_time, warmup))
 
 
 def average_over_seeds(

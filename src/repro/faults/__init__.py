@@ -1,7 +1,7 @@
 """Deterministic fault injection for the simulated BSS.
 
 The subsystem splits into a *description* layer and three *execution*
-layers plus a soak harness:
+layers:
 
 * :mod:`repro.faults.plan` — :class:`FaultPlan` and its parts: the
   serializable description that rides inside a
@@ -13,14 +13,15 @@ layers plus a soak harness:
 * :mod:`repro.faults.injector` — frame-type-targeted loss (lose
   CF-Polls, ACKs, CF-End specifically);
 * :mod:`repro.faults.stations` — scheduled station crash/freeze/recover
-  faults;
-* :mod:`repro.faults.chaos` — the ``python -m repro chaos`` soak
-  harness: a grid of fault mixes through the sweep executor with the
-  invariant monitors armed, summarized into a degradation report.
+  faults.
 
 Every injector draws from its own seeded RNG stream (``faults/channel``,
 ``faults/frames``, ``faults/stations``) so faulted runs are bit-for-bit
 reproducible and fault-free runs see exactly the seed's draw sequences.
+
+The package is part of the model: it imports only ``mac``, ``obs``,
+``sim`` and ``traffic``.  The ``python -m repro chaos`` soak harness
+that sweeps named fault mixes lives in :mod:`repro.validate.chaos`.
 """
 
 from .gilbert import GilbertElliottModel

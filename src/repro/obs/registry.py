@@ -10,6 +10,10 @@ per-priority, per-BSS, ...), rendered Prometheus-style in snapshots::
 
     ap_admitted{kind=new}  ->  17
 
+That flattened key is for reading only: the registry also keeps each
+instrument's name and label pairs, so a label value holding ``,``,
+``=`` or ``"`` reaches :meth:`MetricsRegistry.expose` intact.
+
 Components hold their instruments as plain attributes (or dicts of
 them keyed by label value) and use them directly: ``counter.inc()``
 writes, ``counter.value`` reads.
@@ -123,6 +127,10 @@ class Histogram:
         }
 
 
+#: an instrument's sorted (label, value) pairs
+Labels = tuple[tuple[str, str], ...]
+
+
 def _key(name: str, labels: dict[str, typing.Any]) -> str:
     if not labels:
         return name
@@ -145,14 +153,23 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: every instrument key's name and label pairs, recorded before
+        #: the instrument itself so a concurrent :meth:`expose` finds them
+        self._identities: dict[str, tuple[str, Labels]] = {}
         #: periodic snapshots appended by :meth:`start_snapshots`
         self.snapshots: list[dict[str, typing.Any]] = []
+
+    def _identify(self, key: str, name: str, labels: dict) -> None:
+        self._identities[key] = (
+            name, tuple((k, str(labels[k])) for k in sorted(labels))
+        )
 
     # -- instrument factories (get-or-create) ------------------------------
     def counter(self, name: str, **labels: typing.Any) -> Counter:
         key = _key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
+            self._identify(key, name, labels)
             instrument = self._counters[key] = Counter()
         return instrument
 
@@ -160,6 +177,7 @@ class MetricsRegistry:
         key = _key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
+            self._identify(key, name, labels)
             instrument = self._gauges[key] = Gauge()
         return instrument
 
@@ -172,23 +190,35 @@ class MetricsRegistry:
         key = _key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
+            self._identify(key, name, labels)
             instrument = self._histograms[key] = Histogram(bounds)
         return instrument
 
     def expose(
         self,
     ) -> tuple[
-        dict[str, Counter], dict[str, Gauge], dict[str, Histogram]
+        list[tuple[str, Labels, Counter]],
+        list[tuple[str, Labels, Gauge]],
+        list[tuple[str, Labels, Histogram]],
     ]:
-        """Live instrument maps ``(counters, gauges, histograms)``.
+        """Live instruments ``(counters, gauges, histograms)``, each a
+        list of ``(name, label pairs, instrument)`` in snapshot order.
 
-        Keys are the flattened ``name{label=value,...}`` identities.
         This is the read surface the Prometheus text renderer
         (:mod:`repro.serve.metrics`) walks: unlike :meth:`snapshot` it
-        keeps the full bucket layout of every histogram, which the
-        cumulative ``_bucket`` series needs.
+        keeps each label value as given and the full bucket layout of
+        every histogram, which the cumulative ``_bucket`` series needs.
         """
-        return dict(self._counters), dict(self._gauges), dict(self._histograms)
+
+        def entries(instruments: dict) -> list:
+            live = dict(instruments)
+            return [(*self._identities[k], live[k]) for k in sorted(live)]
+
+        return (
+            entries(self._counters),
+            entries(self._gauges),
+            entries(self._histograms),
+        )
 
     # -- snapshotting -------------------------------------------------------
     def snapshot(self, now: float | None = None) -> dict[str, typing.Any]:

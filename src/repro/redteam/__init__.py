@@ -1,6 +1,6 @@
 """Adversarial scenario search: hunt the FaultPlan x load space.
 
-The fixed chaos grid (:mod:`repro.faults.chaos`) exercises five
+The fixed chaos grid (:mod:`repro.validate.chaos`) exercises five
 hand-picked fault mixes; this package *searches* instead.  A seeded
 random + greedy-mutation campaign over serializable
 :class:`~repro.redteam.genome.ScenarioGenome` points — traffic load,

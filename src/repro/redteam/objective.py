@@ -14,7 +14,7 @@ The search needs one number to climb and one identity to dedup on:
   may not trade one failure mode for another.
 
 BSS scoring reuses the chaos harness's
-:func:`~repro.faults.chaos._summarize_mix` aggregation so the redteam
+:func:`~repro.validate.chaos.summarize_mix` aggregation so the redteam
 objective and the soak report read the same degradation the same way.
 """
 
@@ -23,8 +23,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from ..faults.chaos import _summarize_mix
 from ..obs.jsonutil import JsonRecord
+from ..validate.chaos import summarize_mix
 
 __all__ = [
     "ObjectiveConfig",
@@ -91,7 +91,7 @@ def score_bss_row(
 ) -> BreachVerdict:
     """Score one monitored single-BSS result row."""
     obj = objective or ObjectiveConfig()
-    summary = _summarize_mix("genome", [dict(row)])
+    summary = summarize_mix("genome", [dict(row)])
     signature = set()
     if summary.invariant_violations:
         signature.add("invariant")

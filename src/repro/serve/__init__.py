@@ -33,10 +33,11 @@ given query produce a byte-identical JSON response body.
 
 from .app import BackfillQueue, QueryServer, build_server
 from .metrics import render_prometheus
-from .queries import QUERY_KINDS, QueryError, QueryResult, answer_query
+from .queries import QUERY_KINDS, QueryResult, answer_query
 from .surface import (
     CANDIDATE_AXES,
     GridPoint,
+    SurfaceError,
     SurfaceIndex,
     SurfaceLookup,
     SweepSurface,
@@ -45,11 +46,11 @@ from .surface import (
 __all__ = [
     "CANDIDATE_AXES",
     "GridPoint",
+    "SurfaceError",
     "SurfaceIndex",
     "SurfaceLookup",
     "SweepSurface",
     "QUERY_KINDS",
-    "QueryError",
     "QueryResult",
     "answer_query",
     "render_prometheus",

@@ -68,7 +68,7 @@ from ..exec import ExecutorConfig, ResultCache, SweepExecutor, config_key
 from ..network.bss import ScenarioConfig
 from ..obs.registry import MetricsRegistry
 from .metrics import render_prometheus
-from .queries import QueryError, answer_query
+from .queries import answer_query
 from .surface import SurfaceError, SurfaceIndex
 
 __all__ = ["BackfillQueue", "QueryServer", "build_server"]
@@ -81,6 +81,9 @@ LATENCY_BUCKETS: tuple[float, ...] = (
 
 #: seconds a 202 reply tells the client to wait before retrying
 RETRY_AFTER_S = 2
+
+#: configs the back-fill worker takes off its queue per executor run
+BACKFILL_BATCH = 4
 
 #: http.client's limits: bytes per header line, lines per header block
 _MAX_LINE, _MAX_HEADERS = 65536, 100
@@ -124,7 +127,6 @@ class BackfillQueue:
         registry: MetricsRegistry,
         workers: int = 1,
         max_queue: int = 64,
-        batch: int = 4,
         point_fn: typing.Callable[[ScenarioConfig], dict] | None = None,
     ) -> None:
         if max_queue < 1:
@@ -132,7 +134,6 @@ class BackfillQueue:
         self.cache = cache
         self.index = index
         self.lock = lock
-        self.batch = max(1, batch)
         self.max_queue = max_queue
         self.executor = SweepExecutor(
             ExecutorConfig(
@@ -209,7 +210,7 @@ class BackfillQueue:
                     return
                 batch = [
                     self._queue.popleft()
-                    for _ in range(min(self.batch, len(self._queue)))
+                    for _ in range(min(BACKFILL_BATCH, len(self._queue)))
                 ]
                 self._depth.set(float(len(self._queue)))
             try:
@@ -339,14 +340,14 @@ def _parse_constraints(text: str) -> dict[str, float]:
             continue
         metric, sep, ceiling = clause.partition(":")
         if not sep:
-            raise QueryError(
+            raise SurfaceError(
                 "bad_request",
                 f"constraint {clause!r} must look like metric:ceiling",
             )
         try:
             out[metric] = float(ceiling)
         except ValueError:
-            raise QueryError(
+            raise SurfaceError(
                 "bad_request",
                 f"constraint ceiling {ceiling!r} must be numeric",
             )
@@ -564,12 +565,12 @@ class _Handler(BaseHTTPRequestHandler):
             params = self._query_params(fields)
             kind = params.pop("kind", None)
             if not isinstance(kind, str):
-                raise QueryError(
+                raise SurfaceError(
                     "bad_request", "every query needs a 'kind' parameter"
                 )
             with self.server.lock:
                 result = answer_query(self.server.index, kind, params)
-        except (QueryError, SurfaceError) as exc:
+        except SurfaceError as exc:
             return self._query_error(exc)
         self._send_json(200, result.to_dict())
         return 200

@@ -1,8 +1,8 @@
 """Prometheus text-exposition (0.0.4) rendering of a MetricsRegistry.
 
-:class:`~repro.obs.registry.MetricsRegistry` stores instruments under
-flattened ``name{label=value,...}`` identities; this module renders
-them in the Prometheus plain-text format a scraper expects::
+:meth:`MetricsRegistry.expose <repro.obs.registry.MetricsRegistry.expose>`
+lists each instrument with its name and label pairs; this module
+renders them in the Prometheus plain-text format a scraper expects::
 
     # TYPE serve_requests_total counter
     serve_requests_total{endpoint="/query",status="200"} 17
@@ -39,20 +39,6 @@ def _escape(value: str) -> str:
     return value
 
 
-def _parse_key(key: str) -> tuple[str, list[tuple[str, str]]]:
-    """Split a registry identity into (name, [(label, value), ...])."""
-    if not key.endswith("}") or "{" not in key:
-        return key, []
-    name, _, inner = key.partition("{")
-    labels: list[tuple[str, str]] = []
-    for pair in inner[:-1].split(","):
-        if not pair:
-            continue
-        label, _, value = pair.partition("=")
-        labels.append((label, value))
-    return name, labels
-
-
 def _labels_text(
     labels: typing.Sequence[tuple[str, str]],
     extra: typing.Sequence[tuple[str, str]] = (),
@@ -79,7 +65,7 @@ def _number(value: float) -> str:
 
 
 def _render_histogram(
-    name: str, labels: list[tuple[str, str]], hist: Histogram
+    name: str, labels: typing.Sequence[tuple[str, str]], hist: Histogram
 ) -> list[str]:
     lines: list[str] = []
     cumulative = 0
@@ -107,9 +93,9 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     header each, so consecutive scrapes of an unchanged registry are
     byte-identical.
     """
-    constant = sorted(
+    constant = tuple(sorted(
         (k, str(v)) for k, v in registry.labels.items()
-    )
+    ))
     counters, gauges, histograms = registry.expose()
 
     families: dict[str, tuple[str, list[str]]] = {}
@@ -120,22 +106,19 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             entry = families[name] = (kind, [])
         return entry[1]
 
-    for key in sorted(counters):
-        name, labels = _parse_key(key)
+    for name, labels, counter in counters:
         family(name, "counter").append(
             f"{name}{_labels_text(constant + labels)} "
-            f"{_number(counters[key].value)}"
+            f"{_number(counter.value)}"
         )
-    for key in sorted(gauges):
-        name, labels = _parse_key(key)
+    for name, labels, gauge in gauges:
         family(name, "gauge").append(
             f"{name}{_labels_text(constant + labels)} "
-            f"{_number(gauges[key].value)}"
+            f"{_number(gauge.value)}"
         )
-    for key in sorted(histograms):
-        name, labels = _parse_key(key)
+    for name, labels, histogram in histograms:
         family(name, "histogram").extend(
-            _render_histogram(name, constant + labels, histograms[key])
+            _render_histogram(name, constant + labels, histogram)
         )
 
     lines: list[str] = []

@@ -37,13 +37,12 @@ import dataclasses
 import math
 import typing
 
-from .surface import CANDIDATE_AXES, SurfaceError, SurfaceIndex, SurfaceLookup
+from .surface import CANDIDATE_AXES, SurfaceError, SurfaceIndex
 
 __all__ = [
     "QUERY_KINDS",
     "DEFAULT_CONSTRAINTS",
     "OPERATING_POINT_METRICS",
-    "QueryError",
     "QueryResult",
     "answer_query",
 ]
@@ -74,15 +73,6 @@ OPERATING_POINT_METRICS: tuple[str, ...] = (
 _BISECT_STEPS = 24
 
 
-class QueryError(SurfaceError):
-    """A query the index cannot answer (inherits code/detail)."""
-
-
-def _rewrap(exc: SurfaceError) -> QueryError:
-    err = QueryError(exc.code, str(exc), **exc.detail)
-    return err
-
-
 @dataclasses.dataclass
 class QueryResult:
     """One answered query, JSON-ready and deterministic."""
@@ -110,14 +100,14 @@ def _axis_params(
             try:
                 at[axis] = float(params[axis])
             except (TypeError, ValueError):
-                raise QueryError(
+                raise SurfaceError(
                     "bad_request",
                     f"axis {axis!r} must be numeric, "
                     f"got {params[axis]!r}",
                     axis=axis,
                 )
             if not math.isfinite(at[axis]):
-                raise QueryError(
+                raise SurfaceError(
                     "bad_request",
                     f"axis {axis!r} must be finite, got {params[axis]!r}",
                     axis=axis,
@@ -130,24 +120,10 @@ def _select(
 ):
     scheme = params.get("scheme")
     if not isinstance(scheme, str) or not scheme:
-        raise QueryError(
+        raise SurfaceError(
             "bad_request", "every query needs a 'scheme' parameter"
         )
-    try:
-        return index.find(scheme, params.get("surface_id"))
-    except SurfaceError as exc:
-        raise _rewrap(exc)
-
-
-def _lookup(
-    surface,
-    at: typing.Mapping[str, float],
-    require_exact: bool = False,
-) -> SurfaceLookup:
-    try:
-        return surface.lookup(at, require_exact=require_exact)
-    except SurfaceError as exc:
-        raise _rewrap(exc)
+    return index.find(scheme, params.get("surface_id"))
 
 
 def _read(
@@ -156,12 +132,9 @@ def _read(
     """The ``names`` metrics at ``at``; when one is missing from a
     corner, every metric the full lookup shares, so that the error
     names them all."""
-    try:
-        values = surface.read(at, names)
-    except SurfaceError as exc:
-        raise _rewrap(exc)
+    values = surface.read(at, names)
     if len(values) < len(names):
-        return _lookup(surface, at).metrics
+        return surface.lookup(at).metrics
     return values
 
 
@@ -178,7 +151,7 @@ def _exact_flag(params: typing.Mapping[str, typing.Any]) -> bool:
     value = params.get("exact", False)
     flag = _FLAG_SPELLINGS.get(str(value).lower())
     if flag is None:
-        raise QueryError(
+        raise SurfaceError(
             "bad_request",
             "'exact' must be 1/0, true/false, yes/no or on/off, "
             f"got {value!r}",
@@ -199,7 +172,7 @@ def operating_point(
 ) -> QueryResult:
     surface = _select(index, params)
     at = _axis_params(index, params)
-    lookup = _lookup(surface, at, require_exact=_exact_flag(params))
+    lookup = surface.lookup(at, require_exact=_exact_flag(params))
 
     requested = params.get("metrics")
     if requested is not None:
@@ -207,7 +180,7 @@ def operating_point(
             requested = [m for m in requested.split(",") if m]
         missing = sorted(set(requested) - set(lookup.metrics))
         if missing:
-            raise QueryError(
+            raise SurfaceError(
                 "missing_metric",
                 f"metric(s) not on this surface: {', '.join(missing)}",
                 missing=missing,
@@ -237,19 +210,19 @@ def admissible_calls(
     raw = params.get("constraints")
     if raw is not None:
         if not isinstance(raw, typing.Mapping):
-            raise QueryError(
+            raise SurfaceError(
                 "bad_request",
                 "'constraints' must map metric name -> ceiling",
             )
         try:
             constraints = {str(k): float(v) for k, v in raw.items()}
         except (TypeError, ValueError):
-            raise QueryError(
+            raise SurfaceError(
                 "bad_request", "constraint ceilings must be numeric"
             )
         for metric, ceiling in sorted(constraints.items()):
             if not math.isfinite(ceiling):
-                raise QueryError(
+                raise SurfaceError(
                     "bad_request",
                     f"'constraints' ceiling for {metric!r} must be "
                     f"finite, got {ceiling!r}",
@@ -258,7 +231,7 @@ def admissible_calls(
 
     loads = surface.axis_values().get("load", [])
     if not loads:
-        raise QueryError(
+        raise SurfaceError(
             "missing_points",
             "surface has no load axis to search",
             surface_id=surface.surface_id,
@@ -270,7 +243,7 @@ def admissible_calls(
     def ok(metrics: typing.Mapping[str, float]) -> bool:
         for metric, ceiling in limits:
             if metric not in metrics:
-                raise QueryError(
+                raise SurfaceError(
                     "missing_metric",
                     f"constraint metric {metric!r} is not on this "
                     "surface",
@@ -285,7 +258,7 @@ def admissible_calls(
     last_ok: float | None = None
     first_bad: float | None = None
     for load in loads:
-        lookup = _lookup(surface, {**at, "load": load})
+        lookup = surface.lookup({**at, "load": load})
         if ok(lookup.metrics):
             last_ok = load
         else:
@@ -319,7 +292,7 @@ def admissible_calls(
             else:
                 hi = mid
         max_load = lo
-    frontier = _lookup(surface, {**at, "load": max_load})
+    frontier = surface.lookup({**at, "load": max_load})
 
     values: dict[str, typing.Any] = {
         "admissible": True,
@@ -356,7 +329,7 @@ def handoff_drop_rate(
 ) -> QueryResult:
     surface = _select(index, params)
     at = _axis_params(index, params)
-    lookup = _lookup(surface, at, require_exact=_exact_flag(params))
+    lookup = surface.lookup(at, require_exact=_exact_flag(params))
 
     attempts = lookup.metrics.get("call_attempts_handoff", 0.0)
     dropped = lookup.metrics.get("calls_dropped", 0.0)
@@ -399,10 +372,10 @@ def answer_query(
     kind: str,
     params: typing.Mapping[str, typing.Any],
 ) -> QueryResult:
-    """Dispatch one query; raises :class:`QueryError` when unanswerable."""
+    """Dispatch one query; raises :class:`SurfaceError` when unanswerable."""
     handler = _HANDLERS.get(kind)
     if handler is None:
-        raise QueryError(
+        raise SurfaceError(
             "bad_request",
             f"unknown query kind {kind!r}",
             known=list(QUERY_KINDS),

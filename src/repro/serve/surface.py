@@ -57,10 +57,11 @@ _NON_METRIC_FIELDS = frozenset(
 
 
 class SurfaceError(Exception):
-    """A lookup the surface cannot answer; ``code`` says why.
+    """A lookup or query the index cannot answer; ``code`` says why.
 
     Codes: ``axis_required``, ``extrapolation_refused``,
-    ``missing_points``, ``unknown_surface``, ``missing_metric``.
+    ``missing_points``, ``unknown_surface``, ``missing_metric``, and
+    ``bad_request`` for a malformed query (:mod:`repro.serve.queries`).
     ``detail`` is a JSON-ready dict the HTTP layer returns verbatim.
     """
 

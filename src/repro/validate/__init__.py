@@ -22,7 +22,11 @@ fails CI instead of shipping:
 * :mod:`repro.validate.runner` — tiered execution
   (``python -m repro validate --tier {smoke,full}``) riding
   :mod:`repro.exec` (parallel, cached, resumable) and emitting a JSON
-  verdict report per claim.
+  verdict report per claim;
+* :mod:`repro.validate.chaos` — the soak harness
+  (``python -m repro chaos --tier {smoke,full}``): the same monitored
+  tier grid crossed with five named fault mixes, summarized into a
+  JSON degradation report.
 """
 
 from .ess import (

@@ -10,6 +10,10 @@ and the rows feed :func:`repro.validate.shapes.evaluate_claims`.
 The **smoke** tier gates CI: the load extremes only, three seeds,
 sized to finish in a few minutes on two workers.  The **full** tier
 covers the whole evaluation load axis for release-grade checks.
+
+:class:`TierSpec`, :func:`resolve_tier` and :func:`tier_grid` are also
+the chaos harness's (:mod:`repro.validate.chaos`): both harnesses run
+the same monitored grid of named tiers.
 """
 
 from __future__ import annotations
@@ -18,13 +22,19 @@ import dataclasses
 import typing
 
 from ..exec import SweepExecutor
-from ..experiments.config import EVALUATION_LOADS, sweep_config
+from ..experiments.config import EVALUATION_LOADS
+from ..experiments.figures import fig5
+from ..experiments.runner import sweep_grid
+from ..faults.plan import FaultPlan
 from ..network.bss import SCHEMES, ScenarioConfig
 from .shapes import ClaimResult, evaluate_claims
 
 __all__ = [
     "TierSpec",
     "TIERS",
+    "FIG5_LADDERS",
+    "resolve_tier",
+    "tier_grid",
     "validation_grid",
     "ValidationReport",
     "run_validation",
@@ -33,7 +43,7 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class TierSpec:
-    """One named validation tier: grid shape + Fig. 5 populations."""
+    """One named tier: the monitored sweep grid a harness runs."""
 
     name: str
     description: str
@@ -42,12 +52,6 @@ class TierSpec:
     seeds: tuple[int, ...]
     sim_time: float
     warmup: float
-    fig5_populations: tuple[tuple[int, int], ...]
-    fig5_sim_time: float
-
-    @property
-    def grid_points(self) -> int:
-        return len(self.schemes) * len(self.loads) * len(self.seeds)
 
 
 TIERS: dict[str, TierSpec] = {
@@ -64,8 +68,6 @@ TIERS: dict[str, TierSpec] = {
         seeds=(1, 2, 3),
         sim_time=80.0,
         warmup=8.0,
-        fig5_populations=((1, 1), (2, 1), (3, 2)),
-        fig5_sim_time=20.0,
     ),
     "full": TierSpec(
         name="full",
@@ -79,35 +81,40 @@ TIERS: dict[str, TierSpec] = {
         seeds=(1, 2, 3),
         sim_time=80.0,
         warmup=8.0,
-        fig5_populations=((1, 1), (2, 1), (3, 2), (4, 2)),
-        fig5_sim_time=30.0,
     ),
 }
 
+#: each validation tier's Fig. 5 run: (voice, video) populations and
+#: sim_time, on the tier's first seed
+FIG5_LADDERS: dict[str, tuple[tuple[tuple[int, int], ...], float]] = {
+    "smoke": (((1, 1), (2, 1), (3, 2)), 20.0),
+    "full": (((1, 1), (2, 1), (3, 2), (4, 2)), 30.0),
+}
 
-def _resolve(tier: str | TierSpec) -> TierSpec:
-    if isinstance(tier, TierSpec):
-        return tier
+
+def resolve_tier(tiers: typing.Mapping[str, TierSpec], name: str) -> TierSpec:
+    """The spec ``tiers`` holds under ``name``; ValueError if none."""
     try:
-        return TIERS[tier]
+        return tiers[name]
     except KeyError:
         raise ValueError(
-            f"unknown tier {tier!r}; available: {sorted(TIERS)}"
+            f"unknown tier {name!r}; available: {sorted(tiers)}"
         ) from None
 
 
-def validation_grid(tier: str | TierSpec) -> list[ScenarioConfig]:
-    """The tier's sweep grid, with the runtime monitors switched on."""
-    spec = _resolve(tier)
-    return [
-        dataclasses.replace(
-            sweep_config(scheme, load, seed, spec.sim_time, spec.warmup),
-            monitor_invariants=True,
-        )
-        for scheme in spec.schemes
-        for load in spec.loads
-        for seed in spec.seeds
-    ]
+def tier_grid(
+    spec: TierSpec, faults: FaultPlan | None = None
+) -> list[ScenarioConfig]:
+    """The tier's sweep grid with the runtime monitors switched on."""
+    return sweep_grid(
+        spec.schemes, spec.loads, spec.seeds, spec.sim_time, spec.warmup,
+        monitor_invariants=True, faults=faults,
+    )
+
+
+def validation_grid(tier: str) -> list[ScenarioConfig]:
+    """The named validation tier's monitored grid."""
+    return tier_grid(resolve_tier(TIERS, tier))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,40 +165,25 @@ class ValidationReport:
 
 
 def run_validation(
-    tier: str | TierSpec,
-    *,
-    executor: SweepExecutor | None = None,
-    include_fig5: bool = True,
+    tier: str, *, executor: SweepExecutor | None = None
 ) -> ValidationReport:
-    """Execute one validation tier end to end.
+    """Execute the named validation tier end to end.
 
-    Parameters
-    ----------
-    tier:
-        A name from :data:`TIERS` or a custom :class:`TierSpec`.
-    executor:
-        Pre-configured sweep executor (workers/cache/journal); a
-        serial uncached one is built when omitted.
-    include_fig5:
-        Skip the static-population Fig. 5 run when False (its claim
-        then reports ``skip``).
+    ``executor`` is a pre-configured sweep executor (workers/cache/
+    journal); a serial uncached one is built when omitted.
     """
-    spec = _resolve(tier)
     if executor is None:
         executor = SweepExecutor()
-    rows = executor.run(validation_grid(spec))
-    fig5_rows: list[dict] = []
-    if include_fig5:
-        from ..experiments.figures import fig5
-
-        fig5_rows = fig5(
-            populations=spec.fig5_populations,
-            seed=spec.seeds[0],
-            sim_time=spec.fig5_sim_time,
-        )
+    rows = executor.run(validation_grid(tier))
+    populations, fig5_sim_time = FIG5_LADDERS[tier]
+    fig5_rows = fig5(
+        populations=populations,
+        seed=TIERS[tier].seeds[0],
+        sim_time=fig5_sim_time,
+    )
     claims = evaluate_claims(rows, fig5_rows or None)
     return ValidationReport(
-        tier=spec.name,
+        tier=tier,
         claims=tuple(claims),
         grid_rows=len(rows),
         fig5_rows=len(fig5_rows),

@@ -47,7 +47,7 @@ class TestChaos:
                 executor.run([])  # so the summary line has telemetry
                 return report
 
-            monkeypatch.setattr("repro.faults.chaos.run_chaos", fake_run_chaos)
+            monkeypatch.setattr("repro.validate.chaos.run_chaos", fake_run_chaos)
 
         return install
 

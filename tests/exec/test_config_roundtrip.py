@@ -9,7 +9,7 @@ import pytest
 
 from repro.exec import KEY_FORMAT, config_key
 from repro.experiments.config import sweep_config
-from repro.faults.chaos import chaos_grid
+from repro.validate.chaos import chaos_grid
 from repro.network.bss import ScenarioConfig
 from repro.obs.trace import TraceConfig
 from repro.redteam.genome import DecodeSettings, random_genome

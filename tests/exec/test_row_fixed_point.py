@@ -28,7 +28,7 @@ from repro.exec import (
     normalize_row,
 )
 from repro.experiments import sweep_config
-from repro.faults.chaos import fault_mix
+from repro.validate.chaos import fault_mix
 
 KEY = "0" * 64
 

@@ -2,7 +2,7 @@
 
 from repro.exec import PointRecord, SweepExecutor
 from repro.experiments.figures import _static_bss
-from repro.experiments.runner import run_sweep
+from repro.experiments.runner import sweep_grid
 
 
 def test_oversized_population_saturates_gracefully():
@@ -32,9 +32,9 @@ def test_voice_only_population():
 
 def test_sweep_progress_callback_invoked():
     records = []
-    run_sweep(
-        ["proposed", "conventional"], loads=[0.5], seeds=[1], sim_time=4.0,
-        warmup=1.0, executor=SweepExecutor(progress=records.append),
+    SweepExecutor(progress=records.append).run(
+        sweep_grid(["proposed", "conventional"], loads=[0.5], seeds=[1],
+                   sim_time=4.0, warmup=1.0)
     )
     assert all(isinstance(r, PointRecord) for r in records)
     assert [(r.scheme, r.status) for r in records] == [

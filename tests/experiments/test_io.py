@@ -29,16 +29,11 @@ def test_numpy_scalars_coerced(tmp_path):
     assert loaded == [{"x": 1.5, "n": 3, "xs": [1.0]}]
 
 
-def test_append_mode(tmp_path):
+def test_saving_over_an_archive_replaces_it(tmp_path):
     p = tmp_path / "a.jsonl"
     save_results([{"i": 1}], p)
-    save_results([{"i": 2}], p, append=True)
-    assert [r["i"] for r in load_results(p)] == [1, 2]
-
-
-def test_append_to_missing_file_creates_it(tmp_path):
-    p = save_results([{"i": 1}], tmp_path / "new.jsonl", append=True)
-    assert load_results(p) == [{"i": 1}]
+    save_results([{"i": 2}], p)
+    assert load_results(p) == [{"i": 2}]
 
 
 @pytest.mark.parametrize("first", ['{"i": 9}', '[1]'], ids=["row", "array"])

@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.config import sweep_config
 from repro.faults import FaultPlan
-from repro.faults.chaos import fault_mix
+from repro.validate.chaos import fault_mix
 from repro.network import BssScenario
 
 

@@ -161,7 +161,7 @@ def _records():
     import random
 
     from repro.ess.coordinator import EssConfig
-    from repro.faults.chaos import fault_mix
+    from repro.validate.chaos import fault_mix
     from repro.faults.plan import ApFault, LinkFault
     from repro.network.bss import ScenarioConfig
     from repro.network.mobility import EssCellContext

@@ -42,6 +42,26 @@ def test_label_values_are_escaped():
     assert 'odd{path="a\\"b\\\\c\\nd"} 1' in text
 
 
+@pytest.mark.parametrize("value, rendered", [
+    ("a,b", 'route="a,b"'),
+    ("k=v", 'route="k=v"'),
+    ('say "hi"', 'route="say \\"hi\\""'),
+    ('a,b=c,"d"', 'route="a,b=c,\\"d\\""'),
+], ids=["comma", "equals", "quote", "all-three"])
+def test_label_value_separators_stay_in_the_value(value, rendered):
+    reg = MetricsRegistry()
+    reg.counter("hits", route=value, status=200).inc()
+    reg.gauge("depth", route=value).set(2.0)
+    reg.histogram("latency", (1.0,), route=value).observe(0.5)
+    text = render_prometheus(reg)
+    assert f"hits{{{rendered},status=\"200\"}} 1\n" in text
+    assert f"depth{{{rendered}}} 2\n" in text
+    assert f'latency_bucket{{{rendered},le="+Inf"}} 1\n' in text
+    assert f"latency_count{{{rendered}}} 1\n" in text
+    # snapshot keys stay the flattened name{label=value,...} bytes
+    assert reg.snapshot()["counters"] == {f"hits{{route={value},status=200}}": 1}
+
+
 def test_registry_constant_labels_stamp_every_sample():
     reg = MetricsRegistry(bss="b0")
     reg.counter("polls").inc()

@@ -10,13 +10,8 @@ import pytest
 from repro.exec import ResultCache, config_key
 from repro.exec.hashing import KEY_FORMAT
 from repro.experiments import sweep_config
-from repro.serve import SurfaceIndex, answer_query
-from repro.serve.queries import (
-    _BISECT_STEPS,
-    DEFAULT_CONSTRAINTS,
-    QueryError,
-    QueryResult,
-)
+from repro.serve import SurfaceError, SurfaceIndex, answer_query
+from repro.serve.queries import _BISECT_STEPS, DEFAULT_CONSTRAINTS, QueryResult
 
 
 def _row(load, seed):
@@ -63,7 +58,7 @@ class TestOperatingPoint:
              "metrics": "blocking_probability"},
         )
         assert list(result.values) == ["blocking_probability"]
-        with pytest.raises(QueryError) as err:
+        with pytest.raises(SurfaceError) as err:
             answer_query(
                 index,
                 "operating_point",
@@ -73,7 +68,7 @@ class TestOperatingPoint:
         assert err.value.detail["missing"] == ["nope"]
 
     def test_exact_flag_refuses_interpolation(self, index):
-        with pytest.raises(QueryError) as err:
+        with pytest.raises(SurfaceError) as err:
             answer_query(
                 index,
                 "operating_point",
@@ -88,7 +83,7 @@ class TestOperatingPoint:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_scheme_is_required(self, index):
-        with pytest.raises(QueryError) as err:
+        with pytest.raises(SurfaceError) as err:
             answer_query(index, "operating_point", {"load": 1.0})
         assert err.value.code == "bad_request"
 
@@ -128,7 +123,7 @@ class TestAdmissibleCalls:
         assert result.values["max_load"] is None
 
     def test_unknown_constraint_metric_errors(self, index):
-        with pytest.raises(QueryError) as err:
+        with pytest.raises(SurfaceError) as err:
             answer_query(
                 index,
                 "admissible_calls",
@@ -151,7 +146,7 @@ def reference_admissible_calls(index, params):
     def ok(lookup):
         for metric, ceiling in sorted(constraints.items()):
             if metric not in lookup.metrics:
-                raise QueryError(
+                raise SurfaceError(
                     "missing_metric",
                     f"constraint metric {metric!r} is not on this surface",
                     missing=[metric],
@@ -294,7 +289,7 @@ _ADMISSIBLE_CASES = {
 def _answer_bytes(call):
     try:
         return json.dumps(call().to_dict(), sort_keys=True)
-    except QueryError as exc:
+    except SurfaceError as exc:
         return json.dumps({"raised": exc.to_dict()}, sort_keys=True)
 
 
@@ -342,7 +337,7 @@ class TestHandoffDropRate:
 
 
 def test_unknown_kind_is_bad_request(index):
-    with pytest.raises(QueryError) as err:
+    with pytest.raises(SurfaceError) as err:
         answer_query(index, "telepathy", {"scheme": "proposed"})
     assert err.value.code == "bad_request"
     assert "telepathy" in str(err.value)

@@ -16,6 +16,7 @@ from repro.validate import (
     run_validation,
     validation_grid,
 )
+from repro.validate import runner
 
 
 class TestTiers:
@@ -24,9 +25,6 @@ class TestTiers:
             assert spec.name == name
             assert spec.schemes == SCHEMES
             assert spec.sim_time > spec.warmup
-            assert spec.grid_points == (
-                len(spec.schemes) * len(spec.loads) * len(spec.seeds)
-            )
         assert len(TIERS["smoke"].loads) < len(TIERS["full"].loads)
 
     def test_smoke_loads_are_a_subset_reaching_the_heavy_extreme(self):
@@ -34,14 +32,22 @@ class TestTiers:
         assert set(smoke.loads) <= set(full.loads)
         assert max(smoke.loads) == max(full.loads)
 
+    def test_every_tier_has_a_fig5_ladder(self):
+        ladders = runner.FIG5_LADDERS
+        assert set(ladders) == set(TIERS)
+        assert set(ladders["smoke"][0]) < set(ladders["full"][0])
+
 
 class TestValidationGrid:
     def test_grid_is_monitored_and_complete(self):
         spec = TIERS["smoke"]
         grid = validation_grid("smoke")
-        assert len(grid) == spec.grid_points
+        assert len(grid) == (
+            len(spec.schemes) * len(spec.loads) * len(spec.seeds)
+        )
         assert all(isinstance(c, ScenarioConfig) for c in grid)
         assert all(c.monitor_invariants for c in grid)
+        assert all(c.faults is None for c in grid)
         assert {c.scheme for c in grid} == set(spec.schemes)
         assert {c.load for c in grid} == set(spec.loads)
 
@@ -49,13 +55,12 @@ class TestValidationGrid:
         with pytest.raises(ValueError, match="unknown tier"):
             validation_grid("bogus")
 
-    def test_custom_spec_accepted(self):
-        spec = TierSpec(
+    def test_registered_tier_accepted(self, monkeypatch):
+        monkeypatch.setitem(TIERS, "tiny", TierSpec(
             name="tiny", description="", schemes=("proposed",),
             loads=(1.0,), seeds=(1,), sim_time=10.0, warmup=1.0,
-            fig5_populations=((1, 1),), fig5_sim_time=5.0,
-        )
-        grid = validation_grid(spec)
+        ))
+        grid = validation_grid("tiny")
         assert len(grid) == 1 and grid[0].sim_time == 10.0
 
 
@@ -119,19 +124,38 @@ def _fake_point_fn(config: ScenarioConfig) -> dict:
 
 
 class TestRunValidation:
-    def test_smoke_passes_on_synthetic_rows(self):
+    @pytest.fixture
+    def fig5_calls(self, monkeypatch):
+        """Stub Fig. 5 to return no rows; record how it was called."""
+        calls = []
+
+        def fake_fig5(**kwargs):
+            calls.append(kwargs)
+            return []
+
+        monkeypatch.setattr(runner, "fig5", fake_fig5)
+        return calls
+
+    def test_smoke_passes_on_synthetic_rows(self, fig5_calls):
         executor = SweepExecutor(point_fn=_fake_point_fn)
-        report = run_validation("smoke", executor=executor, include_fig5=False)
+        report = run_validation("smoke", executor=executor)
+        spec = TIERS["smoke"]
         assert report.tier == "smoke"
-        assert report.grid_rows == TIERS["smoke"].grid_points
+        assert report.grid_rows == (
+            len(spec.schemes) * len(spec.loads) * len(spec.seeds)
+        )
         assert report.fig5_rows == 0
         assert not report.failed
         by_id = {c.claim_id: c for c in report.claims}
         assert by_id["fig5.bounds-conservative"].status == "skip"
         assert by_id["invariants.clean"].status == "pass"
         assert report.telemetry["total_points"] == report.grid_rows
+        populations, sim_time = runner.FIG5_LADDERS["smoke"]
+        assert fig5_calls == [
+            {"populations": populations, "seed": 1, "sim_time": sim_time}
+        ]
 
-    def test_broken_scheme_fails_the_specific_claim(self):
+    def test_broken_scheme_fails_the_specific_claim(self, fig5_calls):
         def broken(config):
             row = _fake_point_fn(config)
             if config.scheme == "proposed":
@@ -140,7 +164,7 @@ class TestRunValidation:
             return row
 
         executor = SweepExecutor(point_fn=broken)
-        report = run_validation("smoke", executor=executor, include_fig5=False)
+        report = run_validation("smoke", executor=executor)
         assert not report.passed
         failed = {c.claim_id for c in report.failed}
         assert "fig8.voice-delay-proposed-wins" in failed
@@ -148,7 +172,7 @@ class TestRunValidation:
 
 class TestValidateCli:
     def _patch(self, monkeypatch, report=None, error=None):
-        def fake_run_validation(tier, *, executor=None, **kwargs):
+        def fake_run_validation(tier, *, executor=None):
             if error is not None:
                 raise error
             executor.run([])  # so executor.summary() works
